@@ -20,7 +20,6 @@ an explicit threshold. Flags are heuristics, not theorems.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -29,8 +28,11 @@ from .space import (
     FiniteMetricSpace,
     ModulusTable,
     SamePoint,
+    _aligned,
+    _default_eps_grid,
+    _scan_pairs,
+    aligned_triples,  # noqa: F401  re-exported; callers reach it through this module
     concavity_modulus,
-    aligned_triples,
     strict_middles,
 )
 
@@ -50,7 +52,6 @@ class PairVerdict:
     pair: tuple[str, str]
     is_extreme: bool
     witness_middle: str | None
-    has_property_z: bool
     min_ratio: Union[Fraction, float]  # inf when no third point exists
     modulus: ModulusTable
     notes: tuple[str, ...]
@@ -115,13 +116,6 @@ class SequenceDiagnostics:
         return self.records[-1].ratio if self.records else None
 
 
-def _default_eps_grid(space: FiniteMetricSpace, pi: int, qi: int):
-    d = space.dist[pi][qi]
-    if space.mode == "exact":
-        return [d * Fraction(1, 4), d * Fraction(1, 2), d]
-    return [d * 0.25, d * 0.5, d]
-
-
 def min_excess_ratio(
     space: FiniteMetricSpace, p: Union[int, str], q: Union[int, str]
 ) -> tuple[Union[Fraction, float], str | None]:
@@ -169,10 +163,13 @@ def classify_pair(
     if pi == qi:
         raise SamePoint("pair must consist of distinct points")
     middles = strict_middles(space, pi, qi)
-    witness = middles[0] if middles else None
     ratio, _ = min_excess_ratio(space, pi, qi)
     grid = eps_grid if eps_grid is not None else _default_eps_grid(space, pi, qi)
     modulus = concavity_modulus(space, pi, qi, grid)
+    return _verdict(space, pi, qi, middles[0] if middles else None, ratio, modulus)
+
+
+def _verdict(space, pi, qi, witness, ratio, modulus) -> PairVerdict:
     if witness is None:
         notes = (
             "no point lies strictly between the endpoints: extreme",
@@ -187,35 +184,29 @@ def classify_pair(
         pair=(space.labels[pi], space.labels[qi]),
         is_extreme=witness is None,
         witness_middle=witness,
-        has_property_z=witness is not None,
         min_ratio=ratio,
         modulus=modulus,
         notes=notes,
     )
 
 
-def classify_all(
-    space: FiniteMetricSpace,
-    eps_grid=None,
-    max_workers: int | None = None,
-) -> ConcavityReport:
+def classify_all(space: FiniteMetricSpace, eps_grid=None) -> ConcavityReport:
     """Verdicts for every unordered pair, plus the concavity verdict.
 
     Pairs are deduplicated by the antisymmetry u_qp = -u_pq and reported
-    in lexicographic index order. Evaluation may run on a thread pool,
-    but results always come back in deterministic pair order.
+    in lexicographic index order. One scan of the excess over all
+    (p, q, r) yields every verdict, equal to what :func:`classify_pair`
+    gives for the pair, and the aligned triples.
     """
-    pairs = [
-        (i, j) for i in range(space.n) for j in range(i + 1, space.n)
-    ]
-    if max_workers is not None and max_workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            verdicts = tuple(
-                pool.map(lambda ij: classify_pair(space, ij[0], ij[1], eps_grid), pairs)
-            )
-    else:
-        verdicts = tuple(classify_pair(space, i, j, eps_grid) for i, j in pairs)
-    triples = aligned_triples(space)
+    scans = _scan_pairs(space, eps_grid)
+    labels = space.labels
+    verdicts = tuple(
+        _verdict(
+            space, s.p, s.q, labels[s.middles[0]] if s.middles else None, s.min_ratio, s.modulus
+        )
+        for s in scans
+    )
+    triples = _aligned(space, scans)
     return ConcavityReport(
         pair_verdicts=verdicts,
         is_concave=not triples,

@@ -4,8 +4,7 @@ Subcommands: validate, classify, modulus, generate, attainment, diagnose.
 Exit codes: 0 success, 1 parse/usage errors, 2 metric violations,
 3 classifier/oracle disagreement (an internal inconsistency). JSON output
 carries a report envelope whose payload region is byte-identical across
-identical invocations; the timestamp lives outside it. FREELIP_THREADS
-caps per-pair parallelism.
+identical invocations; the timestamp lives outside it.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -37,16 +35,6 @@ EXIT_DISAGREEMENT = 3
 
 class OracleUnavailable(SpaceError):
     pass
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("FREELIP_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 def _num(v):
@@ -169,7 +157,7 @@ def cmd_classify(args) -> int:
         triples = None
         concave = None
     else:
-        report = cls.classify_all(space, max_workers=_threads())
+        report = cls.classify_all(space)
         verdicts = list(report.pair_verdicts)
         triples = [list(t) for t in report.violating_triples]
         concave = report.is_concave

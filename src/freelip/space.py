@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from mpmath import mp
 
@@ -110,7 +111,7 @@ class FiniteMetricSpace:
     def base_label(self) -> str:
         return self.labels[self.base_index]
 
-    @property
+    @cached_property
     def scale(self) -> Num:
         return max((d for row in self.dist for d in row), default=0)
 
@@ -211,11 +212,7 @@ def validate(
         raise ValidationError([Violation("not_square"), *violations])
 
     def coerce(v) -> Num:
-        if mode == EXACT:
-            if isinstance(v, float):
-                return Fraction(v)
-            return Fraction(v)
-        return float(v)
+        return Fraction(v) if mode == EXACT else float(v)
 
     try:
         d = tuple(tuple(coerce(v) for v in row) for row in rows)
@@ -230,27 +227,37 @@ def validate(
         violations.append(Violation("bad_base"))
         base_index = 0
 
-    scale = max((abs(v) for row in d for v in row), default=0)
-    tol = 0 if mode == EXACT else rel_tol * float(scale)
+    # Exact matrices are checked as integers over their common denominator.
+    if mode == EXACT:
+        unit, m = _scaled_ints(d)
+        tol = 0
+    else:
+        unit, m = None, d
+        tol = rel_tol * float(max((abs(v) for row in d for v in row), default=0))
 
     for i in range(n):
-        if d[i][i] != 0:
+        if m[i][i] != 0:
             violations.append(Violation("nonzero_diagonal", i=i))
     for i in range(n):
         for j in range(i + 1, n):
-            if d[i][j] != d[j][i]:
+            if m[i][j] != m[j][i]:
                 violations.append(Violation("asymmetric", i=i, j=j))
-            if d[i][j] < 0:
+            if m[i][j] < 0:
                 violations.append(Violation("negative", i=i, j=j))
-            elif d[i][j] <= tol and (mode == FLOAT or d[i][j] == 0):
+            elif m[i][j] <= tol:
                 violations.append(Violation("zero_distance", i=i, j=j))
+    cols = list(zip(*m))
     for i in range(n):
+        row = m[i]
         for j in range(i + 1, n):
+            dij, col = row[j], cols[j]
             for k in range(n):
                 if k == i or k == j:
                     continue
-                deficit = d[i][j] - d[i][k] - d[k][j]
+                deficit = dij - row[k] - col[k]
                 if deficit > tol:
+                    if unit is not None:
+                        deficit = Fraction(deficit, unit)
                     violations.append(Violation("triangle", i=i, j=j, k=k, deficit=deficit))
     if violations:
         raise ValidationError(violations)
@@ -337,19 +344,7 @@ def aligned_triples(space: FiniteMetricSpace) -> tuple[tuple[str, str, str], ...
     Three distinct points are aligned when one of them lies strictly
     between the other two; at most one point of a triple can do so.
     """
-    out: list[tuple[str, str, str]] = []
-    n = space.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for mid, e1, e2 in ((i, j, k), (j, i, k), (k, i, j)):
-                    if space.is_between(mid, e1, e2):
-                        out.append(
-                            (space.labels[mid], space.labels[e1], space.labels[e2])
-                        )
-                        break
-    out.sort(key=lambda t: tuple(space.index(x) for x in t))
-    return tuple(out)
+    return _aligned(space, _scan_pairs(space))
 
 
 @dataclass(frozen=True)
@@ -390,14 +385,8 @@ def concavity_modulus(
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("modulus needs two distinct endpoints")
-    grid = list(eps_grid)
-    if not grid:
-        raise BadGrid("eps grid must be nonempty")
     entries = []
-    for eps in grid:
-        eps_n: Num = float(eps) if space.mode == FLOAT else Fraction(eps)
-        if eps_n <= 0:
-            raise BadGrid("eps values must be positive")
+    for eps_n in _eps_values(space, eps_grid):
         best: Num | None = None
         witness: int | None = None
         for ri in range(space.n):
@@ -412,6 +401,179 @@ def concavity_modulus(
                 ModulusEntry(eps=eps_n, delta=best, witness=space.labels[witness])
             )
     return ModulusTable(p=space.labels[pi], q=space.labels[qi], entries=tuple(entries))
+
+
+def _eps_values(space: FiniteMetricSpace, eps_grid: Iterable) -> list[Num]:
+    """The eps grid in the space's number mode; BadGrid unless nonempty
+    and positive."""
+    grid = [float(eps) if space.mode == FLOAT else Fraction(eps) for eps in eps_grid]
+    if not grid:
+        raise BadGrid("eps grid must be nonempty")
+    if any(eps <= 0 for eps in grid):
+        raise BadGrid("eps values must be positive")
+    return grid
+
+
+def _default_eps_grid(space: FiniteMetricSpace, pi: int, qi: int) -> list[Num]:
+    """Quarter, half and full pair distance."""
+    d = space.dist[pi][qi]
+    if space.mode == EXACT:
+        return [d * Fraction(1, 4), d * Fraction(1, 2), d]
+    return [d * 0.25, d * 0.5, d]
+
+
+# -- one-pass classifier kernel ----------------------------------------
+
+
+class _PairScan(NamedTuple):
+    """What one pass over the third points r of a pair p < q finds."""
+
+    p: int
+    q: int
+    middles: tuple[int, ...]  # strict middles, in index order
+    min_ratio: Num  # min excess(r;p,q) / min(d(p,r), d(q,r)); inf without r
+    ratio_witness: int | None
+    modulus: ModulusTable
+
+
+def _scan_pairs(space: FiniteMetricSpace, eps_grid: Iterable | None = None) -> list[_PairScan]:
+    """Scan the excess e(r;p,q) once over every pair p < q and every third
+    point r, in lexicographic pair order.
+
+    Gives, per pair, what :func:`strict_middles`, :func:`min_excess_ratio
+    <freelip.classify.min_excess_ratio>` and :func:`concavity_modulus`
+    give (the eps grid defaults to quarter, half and full pair distance),
+    with the same values and the same first-in-index-order witnesses.
+    Exact spaces are scanned as integers over the common denominator of
+    their distances: ratios compare by cross-multiplication, eps
+    thresholds are rounded up to integers, and a Fraction is built only
+    for each reported value. Float spaces compute the excess as
+    :meth:`FiniteMetricSpace.excess_raw` does and decide betweenness as
+    :meth:`FiniteMetricSpace.is_between` does, with the tolerance and
+    the integer-scaled l2 coordinates prepared once.
+    """
+    n, labels = space.n, space.labels
+    exact = space.mode == EXACT
+    if exact:
+        unit, m = _scaled_ints(space.dist)
+    else:
+        unit, m = None, space.dist
+        between_for = _float_betweenness(space)
+    fixed = None if eps_grid is None else _eps_values(space, eps_grid)
+    scans = []
+    for p in range(n):
+        row_p = m[p]
+        for q in range(p + 1, n):
+            row_q, d_pq = m[q], row_p[q]
+            grid = fixed if fixed is not None else _default_eps_grid(space, p, q)
+            # an integer distance is >= eps * unit iff it is >= its ceiling
+            thresholds = (
+                [-((-eps.numerator * unit) // eps.denominator) for eps in grid]
+                if exact
+                else grid
+            )
+            best = [None] * len(grid)
+            best_at = [None] * len(grid)
+            middles = []
+            ratio = witness = None
+            ratio_num = ratio_den = 0  # exact mode: ratio_num / ratio_den
+            if not exact:
+                between = between_for(p, q)
+            for r in range(n):
+                if r == p or r == q:
+                    continue
+                a, b = row_p[r], row_q[r]
+                e = a + b - d_pq
+                near = b if b < a else a
+                if exact:
+                    if e == 0:
+                        middles.append(r)
+                    if witness is None or e * ratio_den < ratio_num * near:
+                        ratio_num, ratio_den, witness = e, near, r
+                else:
+                    if between(r, e):
+                        middles.append(r)
+                        value = 0.0
+                    else:
+                        value = e / near
+                    if witness is None or value < ratio:
+                        ratio, witness = value, r
+                for k, t in enumerate(thresholds):
+                    if near >= t and (best[k] is None or e < best[k]):
+                        best[k], best_at[k] = e, r
+            if witness is None:
+                ratio = math.inf
+            elif exact:
+                ratio = Fraction(ratio_num, ratio_den)
+            entries = tuple(
+                ModulusEntry(eps=eps, delta=math.inf, witness=None)
+                if at is None
+                else ModulusEntry(
+                    eps=eps,
+                    delta=Fraction(delta, unit) if exact else delta,
+                    witness=labels[at],
+                )
+                for eps, delta, at in zip(grid, best, best_at)
+            )
+            scans.append(
+                _PairScan(
+                    p, q, tuple(middles), ratio, witness,
+                    ModulusTable(p=labels[p], q=labels[q], entries=entries),
+                )
+            )
+    return scans
+
+
+def _aligned(
+    space: FiniteMetricSpace, scans: Iterable[_PairScan]
+) -> tuple[tuple[str, str, str], ...]:
+    """Aligned triples from a scan: (r, p, q) for each strict middle r of
+    p < q, since no other point of {p, q, r} can lie between the rest."""
+    labels = space.labels
+    found = sorted((r, s.p, s.q) for s in scans for r in s.middles)
+    return tuple((labels[r], labels[p], labels[q]) for r, p, q in found)
+
+
+def _float_betweenness(space: FiniteMetricSpace):
+    """``between_for(p, q)`` returns a test ``between(r, e)`` that agrees
+    with ``space.is_between(r, p, q)`` for a third point r of excess e."""
+    if space._has_exact_l2_coords():
+        _, pts = _scaled_ints(space.coords)
+        dims = len(pts[0]) if pts else 0
+        minors = [(a, b) for a in range(dims) for b in range(a + 1, dims)]
+
+        def between_for(p, q):
+            origin = pts[p]
+            v = [y - x for x, y in zip(origin, pts[q])]
+            vv = sum(x * x for x in v)
+
+            def between(r, e):
+                w = [y - x for x, y in zip(origin, pts[r])]
+                if any(w[a] * v[b] != w[b] * v[a] for a, b in minors):
+                    return False
+                return 0 <= sum(x * y for x, y in zip(w, v)) <= vv
+
+            return between
+
+        return between_for
+
+    tol = space.abs_tol
+    band = RECHECK_REL_MARGIN * float(space.scale)
+    recheck_bound = mp.mpf(float(space.scale)) * mp.mpf(space.rel_tol) ** 2
+
+    def between_for(p, q):
+        def between(r, e):
+            if e <= tol:
+                return True
+            if e < band:
+                hp = _highprec_excess(space, r, p, q)
+                if hp is not None:
+                    return hp <= recheck_bound
+            return False
+
+        return between
+
+    return between_for
 
 
 def holder_transform(space: FiniteMetricSpace, alpha) -> FiniteMetricSpace:
@@ -449,6 +611,12 @@ def holder_transform(space: FiniteMetricSpace, alpha) -> FiniteMetricSpace:
 
 
 # -- exact / high-precision helpers ------------------------------------
+
+
+def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The common denominator of a rational matrix and the matrix times it."""
+    unit = math.lcm(*{v.denominator for row in rows for v in row})
+    return unit, [[v.numerator * (unit // v.denominator) for v in row] for row in rows]
 
 
 def _linearly_between(

@@ -115,3 +115,19 @@ CHAIN = validate(
 VEE = validate(
     [[0, 1, 1], [1, 0, 2], [1, 2, 0]], ["e", "a", "b"], base="e", mode="exact"
 )
+
+
+def brute_force_aligned_triples(space):
+    """Reference scan: every triple of points, each of its three points
+    tried as the middle, sorted by index."""
+    out = []
+    n = space.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for mid, e1, e2 in ((i, j, k), (j, i, k), (k, i, j)):
+                    if space.is_between(mid, e1, e2):
+                        out.append((space.labels[mid], space.labels[e1], space.labels[e2]))
+                        break
+    out.sort(key=lambda t: tuple(space.index(x) for x in t))
+    return tuple(out)

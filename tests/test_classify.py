@@ -23,7 +23,6 @@ from support import (
 def test_classify_pair_equilateral_extreme():
     v = fl.classify_pair(EQUILATERAL, "a", "b")
     assert v.is_extreme and v.witness_middle is None
-    assert not v.has_property_z
     assert v.min_ratio == 1
 
 
@@ -31,7 +30,6 @@ def test_classify_pair_chain_middle_witness():
     v = fl.classify_pair(CHAIN, "a", "b")
     assert not v.is_extreme
     assert v.witness_middle == "c"
-    assert v.has_property_z
     assert v.min_ratio == 0
     assert any("convex combination" in note for note in v.notes)
 
@@ -61,17 +59,6 @@ def test_classify_all_spiral_and_l2_concave():
     assert fl.classify_all(sp).is_concave
     l2 = fl.gen_l2_nonholder(None, None, 5)
     assert fl.classify_all(l2).is_concave
-
-
-def test_classify_all_threaded_matches_sequential():
-    rng = random.Random(5)
-    sp = random_exact_space(rng, 6)
-    seq = fl.classify_all(sp)
-    par = fl.classify_all(sp, max_workers=4)
-    assert [v.pair for v in seq.pair_verdicts] == [v.pair for v in par.pair_verdicts]
-    assert [v.is_extreme for v in seq.pair_verdicts] == [
-        v.is_extreme for v in par.pair_verdicts
-    ]
 
 
 def test_property_z_equilateral_threshold():

@@ -231,15 +231,6 @@ def test_digest_label_order_independent(tmp_path, capsys):
     assert fl.space_digest(sp1) == fl.space_digest(sp2)
 
 
-def test_threads_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FREELIP_THREADS", "4")
-    path = write(tmp_path, "sp.json", CHAIN_SPACE)
-    code, out, _ = run(capsys, "classify", path, "--json")
-    assert code == 0
-    payload = json.loads(out)["payload"]
-    assert payload["concave"] is False
-
-
 def test_csv_ingestion(tmp_path, capsys):
     path = tmp_path / "sp.csv"
     path.write_text("a,b,c\n0,2,1\n2,0,1\n1,1,0\n")

@@ -1,0 +1,140 @@
+"""Pinned `classify --json` payloads on fixed-seed inputs.
+
+Each input is built here from a fixed seed and classified through the
+CLI. The SHA-256 of the report envelope without its timestamp was
+recorded before the one-pass classifier kernel replaced the per-pair
+scans, so any drift in verdicts, witnesses, ratios, modulus tables,
+aligned triples or their order shows as a changed digest.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from freelip.cli import main
+from support import closure, inject_midpoint, random_exact_matrix
+
+
+def _entry(v):
+    return f"{v.numerator}/{v.denominator}" if isinstance(v, F) else v
+
+
+def _matrix_doc(matrix, mode):
+    n = len(matrix)
+    return {
+        "labels": [f"x{i}" for i in range(n)],
+        "base": "x0",
+        "matrix": [[_entry(v) for v in row] for row in matrix],
+        "mode": mode,
+    }
+
+
+def exact_wide_midpoint():
+    rng = random.Random(2017)
+    matrix = random_exact_matrix(rng, 19, denominators=tuple(range(1, 13)))
+    matrix, _ = inject_midpoint(matrix, rng)
+    return _matrix_doc(matrix, "exact")
+
+
+def exact_ties():
+    rng = random.Random(7)
+    n = 11
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.choice((1, 2))
+    return _matrix_doc(m, "exact")
+
+
+def float_12():
+    rng = random.Random(12)
+    n = 12
+    m = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.uniform(1.0, 10.0)
+    return _matrix_doc(closure(m), "float")
+
+
+def exact_8():
+    rng = random.Random(88)
+    matrix, _ = inject_midpoint(random_exact_matrix(rng, 7), rng)
+    return _matrix_doc(matrix, "exact")
+
+
+def l1_cloud():
+    rng = random.Random(11)
+    pts = {}
+    while len(pts) < 9:
+        xy = (rng.randint(0, 4), rng.randint(0, 3))
+        pts.setdefault(xy, f"c{len(pts)}")
+    return {
+        "points": {lab: [str(x), str(y)] for (x, y), lab in pts.items()},
+        "norm": "l1",
+        "base": "c0",
+    }
+
+
+def l2_cloud():
+    # Collinear runs on both axes and a diagonal, plus off-line points.
+    coords = {
+        "o": [0, 0], "a": ["1/3", 0], "b": [1, 0], "c": [0, "2/5"],
+        "d": [0, 2], "e": ["1/2", "1/2"], "f": [2, 2], "g": ["3/7", "5/3"],
+    }
+    return {"points": {k: [str(c) for c in v] for k, v in coords.items()}, "norm": "l2", "base": "o"}
+
+
+GOLDEN = {
+    "exact-n20-wide-midpoint": "6f7742748efcc7baafcca22aaf1347b0de73654ec93022364ea5f85ce8ba4d53",
+    "exact-ties": "f5212d7c708cdbae5c7b6f0ee4feff685addbd0c198b528fbe714fb437ca53c1",
+    "float-n12": "3eca3ec26b6f3cc68e035ccad3a312f8b8a05d41a83bcb1fa469185bb74e5c74",
+    "snowflake-exact-n8": "e36d18648b80e2383d595a2a5186cfb4237f57741625dc5f484093f1ae348251",
+    "spiral-depth4": "616053c744dda20435fbd2512b3b8bd56f4792e8eea3361667198eb1d4bc25c4",
+    "l1-cloud": "a46ca3dd8fc97fc644c43bc5e014a2560213b12804224f7f68bcc50214a3d784",
+    "l2-cloud": "4cfa3b4eae77958222a3f9ff45a35aff2f70adf4e4a85067c82233e56bc384a9",
+}
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _input_path(name, tmp_path, capsys):
+    if name == "snowflake-exact-n8":
+        base = _write(tmp_path, "base", exact_8())
+        out = str(tmp_path / "snowflake.json")
+        assert main(["generate", "holder", "--input", base, "--alpha", "2/3", "--out", out]) == 0
+        capsys.readouterr()
+        return out
+    if name == "spiral-depth4":
+        out = str(tmp_path / "spiral.json")
+        assert main(["generate", "spiral", "--depth", "4", "--seed", "5", "--out", out]) == 0
+        capsys.readouterr()
+        return out
+    build = {
+        "exact-n20-wide-midpoint": exact_wide_midpoint,
+        "exact-ties": exact_ties,
+        "float-n12": float_12,
+        "l1-cloud": l1_cloud,
+        "l2-cloud": l2_cloud,
+    }[name]
+    return _write(tmp_path, name, build())
+
+
+def envelope_digest(out: str) -> str:
+    envelope = json.loads(out)
+    envelope.pop("timestamp")
+    blob = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_classify_payload_digest(name, tmp_path, capsys):
+    path = _input_path(name, tmp_path, capsys)
+    assert main(["classify", path, "--json"]) == 0
+    assert envelope_digest(capsys.readouterr().out) == GOLDEN[name]

@@ -36,6 +36,69 @@ def test_validate_collects_every_axiom():
     assert {"asymmetric", "negative", "zero_distance", "nonzero_diagonal", "bad_base"} <= kinds
 
 
+# Violation lists recorded from the Fraction-based triangle loop; the
+# deficits of an asymmetric matrix depend on which entry of a pair is read.
+FRACTIONAL_VIOLATIONS = [
+    [0, F(7, 2), F(1, 3), F(5, 4), 2],
+    [F(7, 2), 0, F(2, 3), F(1, 2), F(9, 5)],
+    [F(1, 3), F(3, 4), 0, F(5, 6), 1],
+    [F(5, 4), F(1, 2), F(5, 6), 0, F(1, 7)],
+    [2, F(9, 5), 1, F(1, 7), 0],
+]
+FRACTIONAL_EXPECTED = [
+    ("asymmetric", 1, 2, None, None),
+    ("triangle", 0, 1, 2, F(29, 12)),
+    ("triangle", 0, 1, 3, F(7, 4)),
+    ("triangle", 0, 3, 2, F(1, 12)),
+    ("triangle", 0, 4, 2, F(2, 3)),
+    ("triangle", 0, 4, 3, F(17, 28)),
+    ("triangle", 1, 4, 2, F(2, 15)),
+    ("triangle", 1, 4, 3, F(81, 70)),
+    ("triangle", 2, 4, 3, F(1, 42)),
+]
+FLOAT_DEFICITS = [
+    2.4166666666666665, 1.75, 0.08333333333333337, 0.6666666666666667,
+    0.6071428571428572, 0.1333333333333333, 1.1571428571428573, 0.02380952380952378,
+]
+MIXED_VIOLATIONS = [
+    [0, F(-1, 2), 2, F(1, 3)],
+    [F(1, 2), 0, 0, 1],
+    [2, 0, F(1, 5), F(2, 7)],
+    [F(1, 3), 1, F(2, 7), 0],
+]
+MIXED_EXPECTED = [
+    ("bad_base", None, None, None, None),
+    ("nonzero_diagonal", 2, None, None, None),
+    ("asymmetric", 0, 1, None, None),
+    ("negative", 0, 1, None, None),
+    ("zero_distance", 1, 2, None, None),
+    ("triangle", 0, 2, 1, F(5, 2)),
+    ("triangle", 0, 2, 3, F(29, 21)),
+    ("triangle", 1, 3, 0, F(1, 6)),
+    ("triangle", 1, 3, 2, F(5, 7)),
+]
+
+
+def _violations(matrix, mode, base=0):
+    with pytest.raises(ValidationError) as err:
+        fl.validate(matrix, [f"x{i}" for i in range(len(matrix))], base=base, mode=mode)
+    return [(v.kind, v.i, v.j, v.k, v.deficit) for v in err.value.violations]
+
+
+def test_validate_exact_violations_order_and_deficits():
+    got = _violations(FRACTIONAL_VIOLATIONS, "exact")
+    assert got == FRACTIONAL_EXPECTED
+    assert all(type(v[4]) is F for v in got if v[0] == "triangle")
+    assert _violations(MIXED_VIOLATIONS, "exact", base="z") == MIXED_EXPECTED
+
+
+def test_validate_float_violations_order_and_deficits():
+    floats = [[float(v) for v in row] for row in FRACTIONAL_VIOLATIONS]
+    got = _violations(floats, "float")
+    assert [v[:4] for v in got] == [v[:4] for v in FRACTIONAL_EXPECTED]
+    assert [v[4] for v in got if v[0] == "triangle"] == FLOAT_DEFICITS
+
+
 def test_validate_rejects_duplicate_labels_and_shape():
     with pytest.raises(ValidationError):
         fl.validate([[0, 1], [1, 0]], ["a", "a"])
