@@ -28,12 +28,12 @@ from .space import (
     FiniteMetricSpace,
     ModulusTable,
     SamePoint,
+    _PairScan,
     _aligned,
-    _default_eps_grid,
     _scan_pairs,
     aligned_triples,  # noqa: F401  re-exported; callers reach it through this module
-    concavity_modulus,
-    strict_middles,
+    concavity_modulus,  # noqa: F401  re-exported, as above
+    strict_middles,  # noqa: F401  re-exported, as above
 )
 
 DEFAULT_DEPTHS = (4, 8, 16, 32)
@@ -128,20 +128,9 @@ def min_excess_ratio(
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("pair must consist of distinct points")
-    best = None
-    witness = None
-    for ri in range(space.n):
-        if ri in (pi, qi):
-            continue
-        denom = min(space.dist[ri][pi], space.dist[ri][qi])
-        ratio = space.excess_raw(ri, pi, qi) / denom
-        if space.is_between(ri, pi, qi):
-            ratio = Fraction(0) if space.mode == "exact" else 0.0
-        if best is None or ratio < best:
-            best, witness = ratio, space.labels[ri]
-    if best is None:
-        return math.inf, None
-    return best, witness
+    (scan,) = _scan_pairs(space, pairs=[(pi, qi)])
+    witness = scan.ratio_witness
+    return scan.min_ratio, None if witness is None else space.labels[witness]
 
 
 def classify_pair(
@@ -162,14 +151,12 @@ def classify_pair(
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("pair must consist of distinct points")
-    middles = strict_middles(space, pi, qi)
-    ratio, _ = min_excess_ratio(space, pi, qi)
-    grid = eps_grid if eps_grid is not None else _default_eps_grid(space, pi, qi)
-    modulus = concavity_modulus(space, pi, qi, grid)
-    return _verdict(space, pi, qi, middles[0] if middles else None, ratio, modulus)
+    (scan,) = _scan_pairs(space, eps_grid, [(pi, qi)])
+    return _verdict(space, scan)
 
 
-def _verdict(space, pi, qi, witness, ratio, modulus) -> PairVerdict:
+def _verdict(space: FiniteMetricSpace, scan: _PairScan) -> PairVerdict:
+    witness = space.labels[scan.middles[0]] if scan.middles else None
     if witness is None:
         notes = (
             "no point lies strictly between the endpoints: extreme",
@@ -181,11 +168,11 @@ def _verdict(space, pi, qi, witness, ratio, modulus) -> PairVerdict:
             "the molecule is a proper convex combination, not extreme",
         )
     return PairVerdict(
-        pair=(space.labels[pi], space.labels[qi]),
+        pair=(space.labels[scan.p], space.labels[scan.q]),
         is_extreme=witness is None,
         witness_middle=witness,
-        min_ratio=ratio,
-        modulus=modulus,
+        min_ratio=scan.min_ratio,
+        modulus=scan.modulus,
         notes=notes,
     )
 
@@ -199,13 +186,7 @@ def classify_all(space: FiniteMetricSpace, eps_grid=None) -> ConcavityReport:
     gives for the pair, and the aligned triples.
     """
     scans = _scan_pairs(space, eps_grid)
-    labels = space.labels
-    verdicts = tuple(
-        _verdict(
-            space, s.p, s.q, labels[s.middles[0]] if s.middles else None, s.min_ratio, s.modulus
-        )
-        for s in scans
-    )
+    verdicts = tuple(_verdict(space, s) for s in scans)
     triples = _aligned(space, scans)
     return ConcavityReport(
         pair_verdicts=verdicts,

@@ -69,47 +69,16 @@ class FamilySpec:
     params: Mapping = field(default_factory=dict)
 
     def generate(self, depth: int) -> FiniteMetricSpace:
-        if self.family == "planar_spiral":
-            return gen_planar_spiral(
-                self.params["lam"], depth, self.params.get("seed", 0)
-            )
-        if self.family == "planar_spiral_one_sided":
-            return gen_planar_spiral_one_sided(
-                self.params["lam"], depth, self.params.get("seed", 0)
-            )
-        if self.family == "c0_counterexample":
-            return gen_c0_counterexample(depth)
-        if self.family == "l2_nonholder":
-            return gen_l2_nonholder(
-                self.params.get("a_seq"), self.params.get("lam_seq"), depth
-            )
-        if self.family == "holder_of":
-            base: FamilySpec = self.params["base"]
-            return holder_transform(base.generate(depth), self.params["alpha"])
-        if self.family == "constant":
-            return self.params["space"]
-        raise UnknownFamily(f"unknown family id {self.family!r}")
+        return self._entry()[0](self.params, depth)
 
     def probe_label(self, p: str, q: str, n: int) -> str | None:
-        if self.family in ("planar_spiral", "planar_spiral_one_sided"):
-            if (p, q) == ("p", "q"):
-                return f"q{n}"
-            if (q, p) == ("p", "q"):
-                return None if self.family.endswith("one_sided") else f"p{n}"
-            raise UnknownFamily(f"anchor pair must be ('p','q'), got {(p, q)!r}")
-        if self.family == "c0_counterexample":
-            if {p, q} != {"e", "p"}:
-                raise UnknownFamily(f"anchor pair must be {{'p','e'}}, got {(p, q)!r}")
-            return f"q{n}"
-        if self.family == "l2_nonholder":
-            if {p, q} != {"0", "e1"}:
-                raise UnknownFamily(f"anchor pair must be {{'0','e1'}}, got {(p, q)!r}")
-            return f"r{n}"
-        if self.family == "holder_of":
-            return self.params["base"].probe_label(p, q, n)
-        if self.family == "constant":
-            return self.params["probe"]
-        raise UnknownFamily(f"unknown family id {self.family!r}")
+        return self._entry()[1](self.params, p, q, n)
+
+    def _entry(self):
+        try:
+            return _FAMILIES[self.family]
+        except KeyError:
+            raise UnknownFamily(f"unknown family id {self.family!r}") from None
 
 
 # -- planar spiral ------------------------------------------------------
@@ -345,6 +314,60 @@ def gen_l2_nonholder(
         "b_seq": {n: str(b[n]) for n in ns},
     }
     return _euclidean_space(pts, base="0", meta=meta)
+
+
+# -- family table ------------------------------------------------------
+
+
+def _spiral(gen):
+    return lambda params, depth: gen(params["lam"], depth, params.get("seed", 0))
+
+
+def _probe(anchor: tuple[str, str], shown: str, forward: str, backward: str | None):
+    """Probe labels along an anchor pair: ``forward`` formatted with n for
+    the pair in its own order, ``backward`` for the reversed pair."""
+
+    def probe(params, p, q, n):
+        if (p, q) == anchor:
+            return forward.format(n)
+        if (q, p) == anchor:
+            return backward and backward.format(n)
+        raise UnknownFamily(f"anchor pair must be {shown}, got {(p, q)!r}")
+
+    return probe
+
+
+# family id -> (generate(params, depth), probe_label(params, p, q, n))
+_FAMILIES = {
+    "planar_spiral": (
+        _spiral(gen_planar_spiral),
+        _probe(("p", "q"), "('p','q')", "q{}", "p{}"),
+    ),
+    "planar_spiral_one_sided": (
+        _spiral(gen_planar_spiral_one_sided),
+        _probe(("p", "q"), "('p','q')", "q{}", None),
+    ),
+    "c0_counterexample": (
+        lambda params, depth: gen_c0_counterexample(depth),
+        _probe(("p", "e"), "{'p','e'}", "q{}", "q{}"),
+    ),
+    "l2_nonholder": (
+        lambda params, depth: gen_l2_nonholder(
+            params.get("a_seq"), params.get("lam_seq"), depth
+        ),
+        _probe(("0", "e1"), "{'0','e1'}", "r{}", "r{}"),
+    ),
+    "holder_of": (
+        lambda params, depth: holder_transform(
+            params["base"].generate(depth), params["alpha"]
+        ),
+        lambda params, p, q, n: params["base"].probe_label(p, q, n),
+    ),
+    "constant": (
+        lambda params, depth: params["space"],
+        lambda params, p, q, n: params["probe"],
+    ),
+}
 
 
 def family_at_depths(spec: FamilySpec, depths: Sequence[int]) -> list[FiniteMetricSpace]:

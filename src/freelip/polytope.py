@@ -203,7 +203,8 @@ def is_vertex(
     Feasibility of expressing u_pq as a convex combination of the other
     molecules (the opposite orientation included) is solved exactly; the
     infeasibility multipliers yield a separating functional, which is
-    re-verified by direct arithmetic before being returned.
+    re-verified by direct arithmetic before being returned; a certificate
+    that fails the check raises LPFailure.
     """
     if space.mode != "exact":
         raise FloatModeUnsupported("the vertex oracle requires exact mode")
@@ -230,7 +231,7 @@ def is_vertex(
         )
     phi = _separating_from_farkas(res.farkas, target, others)
     if phi is None:
-        phi = _separating_by_lp(target, others)
+        raise simplex.LPFailure("Farkas certificate failed verification")
     margin = min(
         _dot(phi, target.vector) - _dot(phi, m.vector) for m in others
     )
@@ -275,31 +276,6 @@ def _separating_from_farkas(farkas, target: Molecule, others):
     return None
 
 
-def _separating_by_lp(target: Molecule, others):
-    """Fallback: maximize the separation margin directly (box-normalized)."""
-    dim = len(target.vector)
-    nv = dim + 1  # phi plus the margin t
-    c = [Fraction(0)] * dim + [Fraction(1)]
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for m in others:
-        row = [m.vector[k] - target.vector[k] for k in range(dim)] + [Fraction(1)]
-        a_ub.append(row)
-        b_ub.append(Fraction(0))
-    for k in range(dim):
-        row = [Fraction(0)] * nv
-        row[k] = Fraction(1)
-        a_ub.append(row[:])
-        b_ub.append(Fraction(1))
-        row[k] = Fraction(-1)
-        a_ub.append(row)
-        b_ub.append(Fraction(1))
-    res = simplex.solve_free(c, a_ub, b_ub, maximize=True)
-    if res.status != simplex.OPTIMAL or res.objective <= 0:
-        raise simplex.LPFailure("separation LP disagreed with the feasibility LP")
-    return list(res.x[:dim])
-
-
 def decomposition_check(
     space: FiniteMetricSpace,
     p: Union[int, str],
@@ -323,9 +299,9 @@ def decomposition_check(
     if space.mode != "exact":
         w1, w2, total = float(w1), float(w2), float(total)
         residual = tuple(float(v) for v in residual)
-        convex = abs(total - 1.0) <= space.rel_tol
-    else:
-        convex = total == 1
+    # in exact mode this is total == 1; in float mode it applies the
+    # betweenness rule the classifier uses
+    convex = space.is_between(ri, pi, qi)
     return DecompositionReport(
         p=space.labels[pi],
         q=space.labels[qi],

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from mpmath import mp
@@ -115,6 +116,16 @@ class FiniteMetricSpace:
     def scale(self) -> Num:
         return max((d for row in self.dist for d in row), default=0)
 
+    @cached_property
+    def _int_matrix(self) -> tuple[int, list[list[int]]]:
+        """Exact mode: the common denominator and the distances times it."""
+        return _scaled_ints(self.dist)
+
+    @cached_property
+    def _between_for(self):
+        """Float mode: the betweenness rule of :func:`_float_betweenness`."""
+        return _float_betweenness(self)
+
     @property
     def abs_tol(self) -> float:
         """Absolute comparison tolerance; zero in exact mode."""
@@ -157,27 +168,21 @@ class FiniteMetricSpace:
         return self.coords is not None and self.coord_norm == "l2"
 
     def is_between(self, r: Union[int, str], p: Union[int, str], q: Union[int, str]) -> bool:
-        """Does r lie (weakly) between p and q, i.e. excess(r;p,q) = 0?"""
+        """Does r lie (weakly) between p and q, i.e. excess(r;p,q) = 0?
+
+        Exact spaces test the excess for zero. Float spaces decide a third
+        point by :func:`_float_betweenness`, the rule the classifier
+        kernel uses, so every betweenness verdict comes from one place.
+        """
         ri, pi, qi = self.index(r), self.index(p), self.index(q)
         if pi == qi:
             raise SamePoint("betweenness needs two distinct endpoints")
         if ri == pi or ri == qi:
             return True
+        e = self.excess_raw(ri, pi, qi)
         if self.mode == EXACT:
-            return self.excess_raw(ri, pi, qi) == 0
-        if self._has_exact_l2_coords():
-            # Strictly convex norm: metric and linear alignment coincide,
-            # and rational coordinates decide the latter exactly.
-            return _linearly_between(self.coords, ri, pi, qi)
-        e = float(self.excess_raw(ri, pi, qi))
-        tol = self.abs_tol
-        if e <= tol:
-            return True
-        if e < RECHECK_REL_MARGIN * float(self.scale):
-            hp = _highprec_excess(self, ri, pi, qi)
-            if hp is not None:
-                return hp <= mp.mpf(float(self.scale)) * mp.mpf(self.rel_tol) ** 2
-        return False
+            return e == 0
+        return self._between_for(pi, qi)(ri, e)
 
 
 # -- construction ------------------------------------------------------
@@ -319,9 +324,8 @@ def metric_segment(
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("segment needs two distinct endpoints")
-    return tuple(
-        space.labels[ri] for ri in range(space.n) if space.is_between(ri, pi, qi)
-    )
+    (scan,) = _scan_pairs(space, pairs=[(pi, qi)])
+    return tuple(space.labels[ri] for ri in sorted((pi, qi, *scan.middles)))
 
 
 def strict_middles(
@@ -331,11 +335,8 @@ def strict_middles(
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("betweenness needs two distinct endpoints")
-    return tuple(
-        space.labels[ri]
-        for ri in range(space.n)
-        if ri not in (pi, qi) and space.is_between(ri, pi, qi)
-    )
+    (scan,) = _scan_pairs(space, pairs=[(pi, qi)])
+    return tuple(space.labels[ri] for ri in scan.middles)
 
 
 def aligned_triples(space: FiniteMetricSpace) -> tuple[tuple[str, str, str], ...]:
@@ -385,22 +386,8 @@ def concavity_modulus(
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("modulus needs two distinct endpoints")
-    entries = []
-    for eps_n in _eps_values(space, eps_grid):
-        best: Num | None = None
-        witness: int | None = None
-        for ri in range(space.n):
-            if space.dist[ri][pi] >= eps_n and space.dist[ri][qi] >= eps_n:
-                val = space.excess_raw(ri, pi, qi)
-                if best is None or val < best:
-                    best, witness = val, ri
-        if best is None:
-            entries.append(ModulusEntry(eps=eps_n, delta=math.inf, witness=None))
-        else:
-            entries.append(
-                ModulusEntry(eps=eps_n, delta=best, witness=space.labels[witness])
-            )
-    return ModulusTable(p=space.labels[pi], q=space.labels[qi], entries=tuple(entries))
+    (scan,) = _scan_pairs(space, eps_grid, [(pi, qi)])
+    return scan.modulus
 
 
 def _eps_values(space: FiniteMetricSpace, eps_grid: Iterable) -> list[Num]:
@@ -426,7 +413,7 @@ def _default_eps_grid(space: FiniteMetricSpace, pi: int, qi: int) -> list[Num]:
 
 
 class _PairScan(NamedTuple):
-    """What one pass over the third points r of a pair p < q finds."""
+    """What one pass over the third points r of a pair (p, q) finds."""
 
     p: int
     q: int
@@ -436,91 +423,99 @@ class _PairScan(NamedTuple):
     modulus: ModulusTable
 
 
-def _scan_pairs(space: FiniteMetricSpace, eps_grid: Iterable | None = None) -> list[_PairScan]:
-    """Scan the excess e(r;p,q) once over every pair p < q and every third
-    point r, in lexicographic pair order.
+def _scan_pairs(
+    space: FiniteMetricSpace,
+    eps_grid: Iterable | None = None,
+    pairs: Iterable[tuple[int, int]] | None = None,
+) -> list[_PairScan]:
+    """Scan the excess e(r;p,q) once over each pair of distinct indices
+    (p, q), by default every p < q in lexicographic order, and every
+    third point r.
 
-    Gives, per pair, what :func:`strict_middles`, :func:`min_excess_ratio
-    <freelip.classify.min_excess_ratio>` and :func:`concavity_modulus`
-    give (the eps grid defaults to quarter, half and full pair distance),
-    with the same values and the same first-in-index-order witnesses.
-    Exact spaces are scanned as integers over the common denominator of
-    their distances: ratios compare by cross-multiplication, eps
-    thresholds are rounded up to integers, and a Fraction is built only
-    for each reported value. Float spaces compute the excess as
-    :meth:`FiniteMetricSpace.excess_raw` does and decide betweenness as
-    :meth:`FiniteMetricSpace.is_between` does, with the tolerance and
-    the integer-scaled l2 coordinates prepared once.
+    This is the one implementation of strict middles, the min excess
+    ratio with its witness and the concavity modulus (the eps grid is
+    read once and defaults to quarter, half and full pair distance):
+    :func:`classify_all <freelip.classify.classify_all>` scans every
+    pair, and the per-pair functions scan their one pair. The scan is
+    symmetric in p and q, labels come out in the order given, and
+    witnesses are the first in index order. Exact spaces are scanned as
+    integers over the common denominator of their distances: ratios
+    compare by cross-multiplication, eps thresholds are rounded up to
+    integers, and a Fraction is built only for each reported value. Float
+    spaces compute the excess as :meth:`FiniteMetricSpace.excess_raw`
+    does and decide betweenness by :func:`_float_betweenness`, the rule
+    :meth:`FiniteMetricSpace.is_between` also applies.
     """
     n, labels = space.n, space.labels
     exact = space.mode == EXACT
     if exact:
-        unit, m = _scaled_ints(space.dist)
+        unit, m = space._int_matrix
     else:
         unit, m = None, space.dist
-        between_for = _float_betweenness(space)
+        between_for = space._between_for
     fixed = None if eps_grid is None else _eps_values(space, eps_grid)
+    if pairs is None:
+        pairs = combinations(range(n), 2)
     scans = []
-    for p in range(n):
-        row_p = m[p]
-        for q in range(p + 1, n):
-            row_q, d_pq = m[q], row_p[q]
-            grid = fixed if fixed is not None else _default_eps_grid(space, p, q)
-            # an integer distance is >= eps * unit iff it is >= its ceiling
-            thresholds = (
-                [-((-eps.numerator * unit) // eps.denominator) for eps in grid]
-                if exact
-                else grid
-            )
-            best = [None] * len(grid)
-            best_at = [None] * len(grid)
-            middles = []
-            ratio = witness = None
-            ratio_num = ratio_den = 0  # exact mode: ratio_num / ratio_den
-            if not exact:
-                between = between_for(p, q)
-            for r in range(n):
-                if r == p or r == q:
-                    continue
-                a, b = row_p[r], row_q[r]
-                e = a + b - d_pq
-                near = b if b < a else a
-                if exact:
-                    if e == 0:
-                        middles.append(r)
-                    if witness is None or e * ratio_den < ratio_num * near:
-                        ratio_num, ratio_den, witness = e, near, r
+    for p, q in pairs:
+        row_p, row_q = m[p], m[q]
+        d_pq = row_p[q]
+        grid = fixed if fixed is not None else _default_eps_grid(space, p, q)
+        # an integer distance is >= eps * unit iff it is >= its ceiling
+        thresholds = (
+            [-((-eps.numerator * unit) // eps.denominator) for eps in grid]
+            if exact
+            else grid
+        )
+        best = [None] * len(grid)
+        best_at = [None] * len(grid)
+        middles = []
+        ratio = witness = None
+        ratio_num = ratio_den = 0  # exact mode: ratio_num / ratio_den
+        if not exact:
+            between = between_for(p, q)
+        for r in range(n):
+            if r == p or r == q:
+                continue
+            a, b = row_p[r], row_q[r]
+            e = a + b - d_pq
+            near = b if b < a else a
+            if exact:
+                if e == 0:
+                    middles.append(r)
+                if witness is None or e * ratio_den < ratio_num * near:
+                    ratio_num, ratio_den, witness = e, near, r
+            else:
+                if between(r, e):
+                    middles.append(r)
+                    value = 0.0
                 else:
-                    if between(r, e):
-                        middles.append(r)
-                        value = 0.0
-                    else:
-                        value = e / near
-                    if witness is None or value < ratio:
-                        ratio, witness = value, r
-                for k, t in enumerate(thresholds):
-                    if near >= t and (best[k] is None or e < best[k]):
-                        best[k], best_at[k] = e, r
-            if witness is None:
-                ratio = math.inf
-            elif exact:
-                ratio = Fraction(ratio_num, ratio_den)
-            entries = tuple(
-                ModulusEntry(eps=eps, delta=math.inf, witness=None)
-                if at is None
-                else ModulusEntry(
-                    eps=eps,
-                    delta=Fraction(delta, unit) if exact else delta,
-                    witness=labels[at],
-                )
-                for eps, delta, at in zip(grid, best, best_at)
+                    value = e / near
+                if witness is None or value < ratio:
+                    ratio, witness = value, r
+            for k, t in enumerate(thresholds):
+                if near >= t and (best[k] is None or e < best[k]):
+                    best[k], best_at[k] = e, r
+        if witness is None:
+            ratio = math.inf
+        elif exact:
+            ratio = Fraction(ratio_num, ratio_den)
+        entries = tuple(
+            ModulusEntry(eps=eps, delta=math.inf, witness=None)
+            if at is None
+            else ModulusEntry(
+                eps=eps,
+                delta=Fraction(delta, unit) if exact else delta,
+                witness=labels[at],
             )
-            scans.append(
-                _PairScan(
-                    p, q, tuple(middles), ratio, witness,
-                    ModulusTable(p=labels[p], q=labels[q], entries=entries),
-                )
+            for eps, delta, at in zip(grid, best, best_at)
+        )
+        scans.append(
+            _PairScan(
+                p, q, tuple(middles), ratio, witness,
+                ModulusTable(p=labels[p], q=labels[q], entries=entries),
             )
+        )
     return scans
 
 
@@ -535,8 +530,16 @@ def _aligned(
 
 
 def _float_betweenness(space: FiniteMetricSpace):
-    """``between_for(p, q)`` returns a test ``between(r, e)`` that agrees
-    with ``space.is_between(r, p, q)`` for a third point r of excess e."""
+    """The float-mode betweenness rule: ``between_for(p, q)`` returns a
+    test ``between(r, e)`` of whether a third point r of excess e lies
+    between p and q.
+
+    Exact l2 coordinates decide it by collinearity on integer-scaled
+    coordinates (l2 is strictly convex, so metric and linear betweenness
+    coincide). Otherwise the excess is compared with the tolerance,
+    and an excess inside the recheck band is recomputed at twice the
+    working precision when the space carries the provenance to do so.
+    """
     if space._has_exact_l2_coords():
         _, pts = _scaled_ints(space.coords)
         dims = len(pts[0]) if pts else 0
@@ -617,27 +620,6 @@ def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int
     """The common denominator of a rational matrix and the matrix times it."""
     unit = math.lcm(*{v.denominator for row in rows for v in row})
     return unit, [[v.numerator * (unit // v.denominator) for v in row] for row in rows]
-
-
-def _linearly_between(
-    coords: Sequence[Sequence[Fraction]], ri: int, pi: int, qi: int
-) -> bool:
-    """Exact test: r = p + t(q-p) for some rational t in [0,1]."""
-    rp = [a - b for a, b in zip(coords[ri], coords[pi])]
-    qp = [a - b for a, b in zip(coords[qi], coords[pi])]
-    for a in range(len(rp)):
-        for b in range(a + 1, len(rp)):
-            if rp[a] * qp[b] != rp[b] * qp[a]:
-                return False
-    num = sum(a * b for a, b in zip(rp, qp))
-    den = sum(b * b for b in qp)
-    if den == 0:
-        return False  # p == q cannot happen in a validated space
-    t = num / den
-    if not 0 <= t <= 1:
-        return False
-    # Collinearity of all 2x2 minors plus a matching projection pins r.
-    return all(rv == t * qv for rv, qv in zip(rp, qp))
 
 
 def _highprec_distance(space: FiniteMetricSpace, i: int, j: int):

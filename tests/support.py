@@ -5,14 +5,35 @@ Random matrices are repaired into metrics by shortest-path closure
 triples are injected by adjoining a metric midpoint of an existing pair
 through the one-point shortest-path extension, which keeps the triangle
 inequality intact.
+
+The brute-force references at the end decide betweenness, strict
+middles, metric segments, the min excess ratio, the concavity modulus,
+pair verdicts and aligned triples point by point, without the
+classifier kernel (``freelip.space._scan_pairs``) that the library
+routes all of these through.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+from mpmath import mp
+
 from freelip import validate
+from freelip.classify import _verdict
+from freelip.space import (
+    EXACT,
+    RECHECK_REL_MARGIN,
+    ModulusEntry,
+    ModulusTable,
+    SamePoint,
+    _PairScan,
+    _default_eps_grid,
+    _eps_values,
+    _highprec_excess,
+)
 
 
 def closure(matrix):
@@ -117,6 +138,131 @@ VEE = validate(
 )
 
 
+# -- brute-force references ---------------------------------------------
+
+
+def _linearly_between(coords, ri, pi, qi) -> bool:
+    """Exact test: r = p + t(q-p) for some rational t in [0,1]."""
+    rp = [a - b for a, b in zip(coords[ri], coords[pi])]
+    qp = [a - b for a, b in zip(coords[qi], coords[pi])]
+    for a in range(len(rp)):
+        for b in range(a + 1, len(rp)):
+            if rp[a] * qp[b] != rp[b] * qp[a]:
+                return False
+    num = sum(a * b for a, b in zip(rp, qp))
+    den = sum(b * b for b in qp)
+    if den == 0:
+        return False  # p == q cannot happen in a validated space
+    t = num / den
+    if not 0 <= t <= 1:
+        return False
+    # Collinearity of all 2x2 minors plus a matching projection pins r.
+    return all(rv == t * qv for rv, qv in zip(rp, qp))
+
+
+def brute_force_is_between(space, r, p, q) -> bool:
+    """Does r lie (weakly) between p and q? Decided from the excess of
+    this one triple: zero in exact mode, collinearity of exact l2
+    coordinates, else within the float tolerance, with an excess inside
+    the recheck band recomputed at high precision."""
+    ri, pi, qi = space.index(r), space.index(p), space.index(q)
+    if pi == qi:
+        raise SamePoint("betweenness needs two distinct endpoints")
+    if ri == pi or ri == qi:
+        return True
+    if space.mode == EXACT:
+        return space.excess_raw(ri, pi, qi) == 0
+    if space.coords is not None and space.coord_norm == "l2":
+        return _linearly_between(space.coords, ri, pi, qi)
+    e = float(space.excess_raw(ri, pi, qi))
+    if e <= space.abs_tol:
+        return True
+    if e < RECHECK_REL_MARGIN * float(space.scale):
+        hp = _highprec_excess(space, ri, pi, qi)
+        if hp is not None:
+            return hp <= mp.mpf(float(space.scale)) * mp.mpf(space.rel_tol) ** 2
+    return False
+
+
+def brute_force_metric_segment(space, p, q):
+    pi, qi = space.index(p), space.index(q)
+    if pi == qi:
+        raise SamePoint("segment needs two distinct endpoints")
+    return tuple(
+        space.labels[ri]
+        for ri in range(space.n)
+        if brute_force_is_between(space, ri, pi, qi)
+    )
+
+
+def brute_force_strict_middles(space, p, q):
+    pi, qi = space.index(p), space.index(q)
+    if pi == qi:
+        raise SamePoint("betweenness needs two distinct endpoints")
+    return tuple(
+        space.labels[ri]
+        for ri in range(space.n)
+        if ri not in (pi, qi) and brute_force_is_between(space, ri, pi, qi)
+    )
+
+
+def brute_force_min_excess_ratio(space, p, q):
+    pi, qi = space.index(p), space.index(q)
+    if pi == qi:
+        raise SamePoint("pair must consist of distinct points")
+    best = None
+    witness = None
+    for ri in range(space.n):
+        if ri in (pi, qi):
+            continue
+        denom = min(space.dist[ri][pi], space.dist[ri][qi])
+        ratio = space.excess_raw(ri, pi, qi) / denom
+        if brute_force_is_between(space, ri, pi, qi):
+            ratio = Fraction(0) if space.mode == EXACT else 0.0
+        if best is None or ratio < best:
+            best, witness = ratio, space.labels[ri]
+    if best is None:
+        return math.inf, None
+    return best, witness
+
+
+def brute_force_modulus(space, p, q, eps_grid):
+    pi, qi = space.index(p), space.index(q)
+    if pi == qi:
+        raise SamePoint("modulus needs two distinct endpoints")
+    entries = []
+    for eps_n in _eps_values(space, eps_grid):
+        best = None
+        witness = None
+        for ri in range(space.n):
+            if space.dist[ri][pi] >= eps_n and space.dist[ri][qi] >= eps_n:
+                val = space.excess_raw(ri, pi, qi)
+                if best is None or val < best:
+                    best, witness = val, ri
+        if best is None:
+            entries.append(ModulusEntry(eps=eps_n, delta=math.inf, witness=None))
+        else:
+            entries.append(
+                ModulusEntry(eps=eps_n, delta=best, witness=space.labels[witness])
+            )
+    return ModulusTable(p=space.labels[pi], q=space.labels[qi], entries=tuple(entries))
+
+
+def brute_force_classify_pair(space, p, q, eps_grid=None):
+    pi, qi = space.index(p), space.index(q)
+    if pi == qi:
+        raise SamePoint("pair must consist of distinct points")
+    middles = brute_force_strict_middles(space, pi, qi)
+    ratio, ratio_witness = brute_force_min_excess_ratio(space, pi, qi)
+    grid = eps_grid if eps_grid is not None else _default_eps_grid(space, pi, qi)
+    modulus = brute_force_modulus(space, pi, qi, grid)
+    scan = _PairScan(
+        pi, qi, tuple(space.index(m) for m in middles), ratio,
+        None if ratio_witness is None else space.index(ratio_witness), modulus,
+    )
+    return _verdict(space, scan)
+
+
 def brute_force_aligned_triples(space):
     """Reference scan: every triple of points, each of its three points
     tried as the middle, sorted by index."""
@@ -126,7 +272,7 @@ def brute_force_aligned_triples(space):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 for mid, e1, e2 in ((i, j, k), (j, i, k), (k, i, j)):
-                    if space.is_between(mid, e1, e2):
+                    if brute_force_is_between(space, mid, e1, e2):
                         out.append((space.labels[mid], space.labels[e1], space.labels[e2]))
                         break
     out.sort(key=lambda t: tuple(space.index(x) for x in t))

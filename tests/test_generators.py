@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp
 
 import freelip as fl
+from freelip.classify import UnknownFamily
 from freelip.generators import (
     BadDepth,
     BadLambda,
@@ -228,3 +229,36 @@ def test_holder_of_family():
     assert sp.mode == "float"
     assert abs(sp.d("p", "e") - math.sqrt(2)) < 1e-12
     assert spec.probe_label("p", "e", 3) == "q3"
+
+
+def test_probe_labels_and_refusals_of_every_family():
+    c0 = FamilySpec("c0_counterexample")
+    specs = {
+        "planar_spiral": FamilySpec("planar_spiral", {"lam": F(1, 2)}),
+        "planar_spiral_one_sided": FamilySpec("planar_spiral_one_sided", {"lam": F(1, 2)}),
+        "c0_counterexample": c0,
+        "l2_nonholder": FamilySpec("l2_nonholder"),
+        "holder_of": FamilySpec("holder_of", {"base": c0, "alpha": F(1, 2)}),
+        "constant": FamilySpec("constant", {"space": None, "probe": "z"}),
+    }
+    expected = {
+        # family: (anchor pair, forward probe, backward probe, refusal)
+        "planar_spiral": (("p", "q"), "q3", "p3", "anchor pair must be ('p','q')"),
+        "planar_spiral_one_sided": (("p", "q"), "q3", None, "anchor pair must be ('p','q')"),
+        "c0_counterexample": (("p", "e"), "q3", "q3", "anchor pair must be {'p','e'}"),
+        "l2_nonholder": (("0", "e1"), "r3", "r3", "anchor pair must be {'0','e1'}"),
+        "holder_of": (("p", "e"), "q3", "q3", "anchor pair must be {'p','e'}"),
+        "constant": (("a", "b"), "z", "z", None),
+    }
+    for fam, ((p, q), fwd, bwd, refusal) in expected.items():
+        spec = specs[fam]
+        assert spec.probe_label(p, q, 3) == fwd
+        assert spec.probe_label(q, p, 3) == bwd
+        if refusal is not None:
+            with pytest.raises(UnknownFamily) as err:
+                spec.probe_label(p, "x", 3)
+            assert str(err.value) == f"{refusal}, got {(p, 'x')!r}"
+    bogus = FamilySpec("bogus")
+    for call in (lambda: bogus.generate(4), lambda: bogus.probe_label("p", "q", 3)):
+        with pytest.raises(UnknownFamily, match="^unknown family id 'bogus'$"):
+            call()

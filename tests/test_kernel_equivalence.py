@@ -1,19 +1,31 @@
-"""The one-pass classifier kernel against the per-pair reference functions.
+"""The one-pass classifier kernel against brute-force references.
 
-`classify_all` must return, for every pair, the same verdict as
-`classify_pair` (same values, number types and witnesses), and
-`aligned_triples` the same list as a brute-force scan of all triples.
+`classify_all`, `aligned_triples` and the per-pair functions
+(`strict_middles`, `metric_segment`, `min_excess_ratio`,
+`concavity_modulus`, `classify_pair` and float `is_between`) all run on
+the kernel `freelip.space._scan_pairs` or its betweenness rule. Each must
+give what the point-by-point reference of the same name in `support`
+gives, for both orientations of every pair: the same values, number types
+and witnesses, and the same error for the same bad arguments.
 """
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
 import freelip as fl
-from freelip.space import _scan_pairs
+from freelip.space import SpaceError, _default_eps_grid, _scan_pairs
 from support import (
+    CHAIN,
     brute_force_aligned_triples,
+    brute_force_classify_pair,
+    brute_force_is_between,
+    brute_force_metric_segment,
+    brute_force_min_excess_ratio,
+    brute_force_modulus,
+    brute_force_strict_middles,
     closure,
     inject_midpoint,
     labels_for,
@@ -94,20 +106,47 @@ def custom_grid(space):
     return [0.3, F(7, 5), 2.0, 1e3]
 
 
+def assert_same(got, want, *context):
+    assert got == want, context
+    # repr tells Fraction from float and 0 from 0.0, which == does not
+    assert repr(got) == repr(want), context
+
+
+def assert_per_pair_matches(space, eps_grid=None):
+    """Both orientations of every pair; grids are passed as one-shot
+    iterators, which must be read once."""
+    for p, q in permutations(space.labels, 2):
+        pi, qi = space.index(p), space.index(q)
+        grid = eps_grid if eps_grid is not None else _default_eps_grid(space, pi, qi)
+        got = (
+            fl.strict_middles(space, p, q),
+            fl.metric_segment(space, p, q),
+            fl.min_excess_ratio(space, p, q),
+            fl.concavity_modulus(space, p, q, iter(grid)),
+            fl.classify_pair(space, p, q, None if eps_grid is None else iter(eps_grid)),
+            tuple(space.is_between(r, p, q) for r in range(space.n)),
+        )
+        want = (
+            brute_force_strict_middles(space, p, q),
+            brute_force_metric_segment(space, p, q),
+            brute_force_min_excess_ratio(space, p, q),
+            brute_force_modulus(space, p, q, grid),
+            brute_force_classify_pair(space, p, q, eps_grid),
+            tuple(brute_force_is_between(space, r, p, q) for r in range(space.n)),
+        )
+        assert_same(got, want, p, q)
+
+
 def assert_kernel_matches(space, eps_grid=None):
     report = fl.classify_all(space, eps_grid)
-    reference = [
-        fl.classify_pair(space, p, q, eps_grid)
-        for p in range(space.n)
-        for q in range(p + 1, space.n)
-    ]
-    assert report.pair_verdicts == tuple(reference)
-    # repr tells Fraction from float and 0 from 0.0, which == does not
-    assert repr(report.pair_verdicts) == repr(tuple(reference))
+    pairs = [(p, q) for p in range(space.n) for q in range(p + 1, space.n)]
+    reference = tuple(brute_force_classify_pair(space, p, q, eps_grid) for p, q in pairs)
+    assert_same(report.pair_verdicts, reference)
     triples = brute_force_aligned_triples(space)
     assert report.violating_triples == triples
     assert fl.aligned_triples(space) == triples
     assert report.is_concave == (not triples)
+    assert_per_pair_matches(space, eps_grid)
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,7 +162,7 @@ def test_classify_all_equals_classify_pair(seed, n, build):
 def test_kernel_ratio_witness_equals_min_excess_ratio(seed, n, build):
     space = build(random.Random(seed), n)
     for scan in _scan_pairs(space):
-        ratio, witness = fl.min_excess_ratio(space, scan.p, scan.q)
+        ratio, witness = brute_force_min_excess_ratio(space, scan.p, scan.q)
         assert (scan.min_ratio, space.labels[scan.ratio_witness]) == (ratio, witness)
 
 
@@ -145,6 +184,70 @@ def test_snowflake_recheck_band():
     assert fl.classify_all(space).is_concave
 
 
+def test_float_tolerance_edge():
+    # scale 1000, so the tolerance is 1e-6: r (excess 5e-7) is a middle
+    # of p and q, t (excess 1.5e-6) is not
+    space = fl.validate(
+        [[0, 1, 0.5, 0.25, 1000], [1, 0, 0.5 + 5e-7, 0.75 + 1.5e-6, 1000],
+         [0.5, 0.5 + 5e-7, 0, 0.25 + 2e-6, 1000], [0.25, 0.75 + 1.5e-6, 0.25 + 2e-6, 0, 1000],
+         [1000] * 4 + [0]],
+        ["p", "q", "r", "t", "s"], mode="float",
+    )
+    assert fl.strict_middles(space, "p", "q") == ("r",)
+    assert_kernel_matches(space)
+
+
+def test_l2_near_collinear_point():
+    # r is off the line pq, with an excess far below the float tolerance:
+    # exact coordinates, not the tolerance, decide
+    doc = {"points": {"p": ["0", "0"], "q": ["1", "0"], "m": ["1/2", "0"],
+                      "r": ["1/2", "1/1000000"]}, "norm": "l2"}
+    space = fl.space_from_dict(doc)
+    assert space.excess_raw(3, 0, 1) <= space.abs_tol
+    assert space.is_between("m", "p", "q") and not space.is_between("r", "p", "q")
+    assert fl.strict_middles(space, "p", "q") == ("m",)
+    assert_kernel_matches(space)
+
+
 def test_spiral_and_l2_family():
     assert_kernel_matches(fl.gen_planar_spiral(F(1, 2), 5, seed=3))
     assert_kernel_matches(fl.gen_l2_nonholder(None, None, 6))
+
+
+def test_c0_family():
+    space = fl.gen_c0_counterexample(8)
+    assert_kernel_matches(space)
+    assert_kernel_matches(space, custom_grid(space))
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except SpaceError as exc:
+        return type(exc)
+    return None
+
+
+def test_errors_match_references():
+    # SamePoint before UnknownLabel only when both labels exist; the grid
+    # is checked (BadGrid) after the pair
+    pairs = (("a", "a"), ("a", "zz"), ("zz", "a"), ("zz", "zz"), (0, 3), ("a", "b"))
+    for fn, ref in (
+        (fl.strict_middles, brute_force_strict_middles),
+        (fl.metric_segment, brute_force_metric_segment),
+        (fl.min_excess_ratio, brute_force_min_excess_ratio),
+    ):
+        for pair in pairs[:-1]:
+            assert _raised(fn, CHAIN, *pair) == _raised(ref, CHAIN, *pair) is not None
+    for fn, ref in (
+        (fl.concavity_modulus, brute_force_modulus),
+        (fl.classify_pair, brute_force_classify_pair),
+    ):
+        for pair in pairs:
+            for grid in ([], [0], [F(1, 2), -1]):
+                got = _raised(fn, CHAIN, *pair, iter(grid))
+                assert got == _raised(ref, CHAIN, *pair, grid) is not None
+    for triple in (("c", "a", "a"), ("zz", "a", "b"), ("c", "a", "zz")):
+        assert _raised(CHAIN.is_between, *triple) == _raised(
+            brute_force_is_between, CHAIN, *triple
+        ) is not None

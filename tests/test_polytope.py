@@ -163,6 +163,17 @@ def test_is_vertex_agrees_with_classifier_eight_points():
                 assert fl.is_vertex(sp, p, q).vertex == verdict
 
 
+def test_is_vertex_rejects_bad_farkas_certificate(monkeypatch):
+    # an infeasible verdict whose multipliers separate nothing must fail
+    # loudly, not fall back to another LP
+    def bogus(a_eq, b_eq):
+        return fl.simplex.LPResult(fl.simplex.INFEASIBLE, farkas=(F(0),) * len(a_eq))
+
+    monkeypatch.setattr(fl.simplex, "feasible_combination", bogus)
+    with pytest.raises(fl.simplex.LPFailure):
+        fl.is_vertex(EQUILATERAL, "a", "b")
+
+
 def test_is_vertex_separating_functional_checks_out():
     rng = random.Random(19)
     sp = random_exact_space(rng, 5)
@@ -202,6 +213,22 @@ def test_decomposition_equilateral_not_convex():
     assert rep.coefficient_sum == 2
     assert not rep.is_convex_combination
     assert all(v == 0 for v in rep.residual)
+
+
+def test_decomposition_float_mode_follows_betweenness():
+    # excess(r;p,q) = 1e-8: inside the float tolerance 1e-9 * 1000 but
+    # outside a tolerance of 1e-9 on the coefficient sum
+    sp = fl.validate(
+        [[0, 1, 0.5, 1000], [1, 0, 0.5 + 1e-8, 1000],
+         [0.5, 0.5 + 1e-8, 0, 1000], [1000, 1000, 1000, 0]],
+        ["p", "q", "r", "s"], mode="float",
+    )
+    assert sp.is_between("r", "p", "q")
+    assert fl.strict_middles(sp, "p", "q") == ("r",)
+    assert fl.classify_pair(sp, "p", "q").witness_middle == "r"
+    rep = fl.decomposition_check(sp, "p", "q", "r")
+    assert rep.coefficient_sum > 1 + sp.rel_tol
+    assert rep.is_convex_combination
 
 
 def test_decomposition_requires_distinct_points():
