@@ -10,6 +10,7 @@ identical invocations; the timestamp lives outside it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -420,17 +421,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--one-sided", action="store_true")
     p.add_argument("--pair", nargs=2, metavar=("P", "Q"), required=True)
-    p.add_argument("--depths", nargs="+", type=int, default=[4, 8, 16, 32])
+    p.add_argument("--depths", nargs="+", type=int, default=cls.DEFAULT_DEPTHS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_diagnose)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one per process: argparse objects sit in reference cycles, and every
+    # default is immutable, so parsing never changes the shared parser
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 reserved for metric violations
         return EXIT_USAGE if exc.code not in (0, None) else 0

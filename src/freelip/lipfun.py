@@ -385,11 +385,11 @@ class _AttainmentLP:
                 nv += 1
         self.var_of = var_of
         self.nv = nv
-        a_ub: list[list[Fraction]] = []
+        a_ub: list[list[int]] = []
         b_ub: list[Fraction] = []
         for i in range(space.n):
             for j in range(i + 1, space.n):
-                row = [Fraction(0)] * nv
+                row = [0] * nv
                 if var_of[i] is not None:
                     row[var_of[i]] += 1
                 if var_of[j] is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+from weakref import WeakKeyDictionary
 
 from . import simplex
 from .space import FiniteMetricSpace, SamePoint, SpaceError
@@ -124,29 +125,37 @@ def molecule_vector(
     return Molecule(p=space.labels[pi], q=space.labels[qi], vector=tuple(vec))
 
 
+# molecules of each live space, built on first use; a space is immutable,
+# so its entry never goes stale, and the entry goes when the space does
+_MOLECULES: WeakKeyDictionary[FiniteMetricSpace, tuple[Molecule, ...]] = WeakKeyDictionary()
+
+
 def all_molecules(space: FiniteMetricSpace) -> list[Molecule]:
     """Both orientations of every pair, lexicographic by index pair."""
-    out = []
-    for i in range(space.n):
-        for j in range(space.n):
-            if i != j:
-                out.append(molecule_vector(space, i, j))
-    return out
+    mols = _MOLECULES.get(space)
+    if mols is None:
+        mols = _MOLECULES[space] = tuple(
+            molecule_vector(space, i, j)
+            for i in range(space.n)
+            for j in range(space.n)
+            if i != j
+        )
+    return list(mols)
 
 
 def _lip_ball_rows(space: FiniteMetricSpace, nonbase: list[int]):
     """Rows of |f(x) - f(y)| <= d(x,y) over variables f_x, x non-base."""
     pos = {x: k for k, x in enumerate(nonbase)}
     nv = len(nonbase)
-    a_ub: list[list[Fraction]] = []
+    a_ub: list[list[int]] = []
     b_ub: list[Fraction] = []
     for ii in range(space.n):
         for jj in range(ii + 1, space.n):
-            row = [Fraction(0)] * nv
+            row = [0] * nv
             if ii in pos:
-                row[pos[ii]] = Fraction(1)
+                row[pos[ii]] = 1
             if jj in pos:
-                row[pos[jj]] = Fraction(-1)
+                row[pos[jj]] = -1
             d = Fraction(space.dist[ii][jj])
             a_ub.append(row)
             b_ub.append(d)
@@ -212,10 +221,8 @@ def is_vertex(
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("a molecule needs two distinct points")
-    target = molecule_vector(space, pi, qi)
-    others = [
-        m for m in all_molecules(space) if (m.p, m.q) != (target.p, target.q)
-    ]
+    others = all_molecules(space)
+    target = others.pop(pi * (space.n - 1) + qi - (qi > pi))
     dim = len(target.vector)
     a_eq = [[m.vector[k] for m in others] for k in range(dim)]
     a_eq.append([Fraction(1)] * len(others))
@@ -229,14 +236,14 @@ def is_vertex(
         return VertexCertificate(
             vertex=False, separating=None, margin=None, weights=weights
         )
-    phi = _separating_from_farkas(res.farkas, target, others)
-    if phi is None:
-        raise simplex.LPFailure("Farkas certificate failed verification")
-    margin = min(
-        _dot(phi, target.vector) - _dot(phi, m.vector) for m in others
-    )
+    # The multipliers y satisfy y.col <= 0 for every column (m_i; 1) and
+    # y.(u_pq; 1) > 0, so phi = y[:-1] has <phi, u_pq> > <phi, m_i> for
+    # all i; re-verified here exactly, the margin being the least gap.
+    phi = list(res.farkas[:-1])
+    t_val = _dot(phi, target.vector)
+    margin = min(t_val - _dot(phi, m.vector) for m in others)
     if margin <= 0:
-        raise simplex.LPFailure("separating functional failed verification")
+        raise simplex.LPFailure("Farkas certificate failed verification")
     labels = [space.labels[i] for i in _nonbase(space)]
     return VertexCertificate(
         vertex=True,
@@ -247,33 +254,18 @@ def is_vertex(
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    # a molecule has at most two nonzero coordinates; zero terms add nothing
+    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
 
 
 def _check_combination(target: Molecule, others, weights) -> None:
-    dim = len(target.vector)
-    for k in range(dim):
-        s = sum((w * m.vector[k] for m, w in zip(others, weights)), Fraction(0))
+    support = [(m, w) for m, w in zip(others, weights) if w]
+    for k in range(len(target.vector)):
+        s = sum((w * m.vector[k] for m, w in support if m.vector[k]), Fraction(0))
         if s != target.vector[k]:
             raise simplex.LPFailure("combination certificate failed verification")
-    if sum(weights) != 1 or any(w < 0 for w in weights):
+    if sum(w for _, w in support) != 1 or any(w < 0 for w in weights):
         raise simplex.LPFailure("combination certificate failed verification")
-
-
-def _separating_from_farkas(farkas, target: Molecule, others):
-    """Turn infeasibility multipliers into a separating functional.
-
-    The multipliers y satisfy y.col <= 0 for every column (m_i; 1) and
-    y.(u_pq; 1) > 0, so phi = y[:-1] has <phi, u_pq> > <phi, m_i> for all
-    i. Returns None if the certificate does not check out exactly.
-    """
-    if farkas is None:
-        return None
-    phi = list(farkas[:-1])
-    t_val = _dot(phi, target.vector)
-    if all(t_val > _dot(phi, m.vector) for m in others):
-        return phi
-    return None
 
 
 def decomposition_check(

@@ -10,7 +10,8 @@ The brute-force references at the end decide betweenness, strict
 middles, metric segments, the min excess ratio, the concavity modulus,
 pair verdicts and aligned triples point by point, without the
 classifier kernel (``freelip.space._scan_pairs``) that the library
-routes all of these through.
+routes all of these through. ``reference_solve_nonneg`` is the textbook
+Fraction tableau that the integer simplex must match pivot for pivot.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from mpmath import mp
 
-from freelip import validate
+from freelip import simplex, validate
 from freelip.classify import _verdict
 from freelip.space import (
     EXACT,
@@ -277,3 +279,172 @@ def brute_force_aligned_triples(space):
                         break
     out.sort(key=lambda t: tuple(space.index(x) for x in t))
     return tuple(out)
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _frac(v) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def reference_solve_nonneg(
+    c: Sequence,
+    a_ub: Sequence[Sequence] = (),
+    b_ub: Sequence = (),
+    a_eq: Sequence[Sequence] = (),
+    b_eq: Sequence = (),
+    maximize: bool = False,
+) -> LPResult:
+    """Reference LP: the textbook Fraction tableau with the same Bland
+    pivots as ``freelip.simplex.solve_nonneg``, which must return equal
+    results. Optimizes c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0."""
+    n = len(c)
+    cvec = [_frac(v) for v in c]
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    kinds: list[str] = []
+    for a, b in zip(a_ub, b_ub, strict=True):
+        rows.append([_frac(v) for v in a])
+        rhs.append(_frac(b))
+        kinds.append("ub")
+    for a, b in zip(a_eq, b_eq, strict=True):
+        rows.append([_frac(v) for v in a])
+        rhs.append(_frac(b))
+        kinds.append("eq")
+    m = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise simplex.LPFailure("row length does not match objective length")
+
+    flipped = [False] * m
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+            flipped[i] = True
+
+    # Columns: structural, then one slack per ub row, then artificials on
+    # rows lacking a unit start (equalities and flipped inequalities).
+    ncols = n
+    slack_col: list[int | None] = [None] * m
+    for i in range(m):
+        if kinds[i] == "ub":
+            slack_col[i] = ncols
+            ncols += 1
+    art_col: list[int | None] = [None] * m
+    for i in range(m):
+        if kinds[i] == "eq" or flipped[i]:
+            art_col[i] = ncols
+            ncols += 1
+    art_set = {j for j in art_col if j is not None}
+
+    tab = [[_ZERO] * ncols for _ in range(m)]
+    for i in range(m):
+        trow = tab[i]
+        for j, v in enumerate(rows[i]):
+            trow[j] = v
+        sc = slack_col[i]
+        if sc is not None:
+            trow[sc] = -_ONE if flipped[i] else _ONE
+        ac = art_col[i]
+        if ac is not None:
+            trow[ac] = _ONE
+
+    basis = [art_col[i] if art_col[i] is not None else slack_col[i] for i in range(m)]
+    b = rhs[:]
+
+    def pivot(pr: int, pc: int) -> None:
+        prow = tab[pr]
+        inv = _ONE / prow[pc]
+        if inv != _ONE:
+            prow = [v * inv for v in prow]
+            tab[pr] = prow
+            b[pr] *= inv
+        bpr = b[pr]
+        for r in range(len(tab)):
+            if r == pr:
+                continue
+            f = tab[r][pc]
+            if f:
+                trow = tab[r]
+                tab[r] = [tv - f * pv for tv, pv in zip(trow, prow)]
+                b[r] -= f * bpr
+        basis[pr] = pc
+
+    def run(cost: list[Fraction], blocked: set[int]) -> str:
+        # Bland: entering = lowest-index column with negative reduced cost;
+        # leaving = min ratio, ties broken by lowest basic index.
+        while True:
+            cb = [(r, cost[bi]) for r, bi in enumerate(basis) if cost[bi]]
+            enter = -1
+            for j in range(ncols):
+                if j in blocked or j in basis:
+                    continue
+                red = cost[j]
+                for r, cr in cb:
+                    red -= cr * tab[r][j]
+                if red < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return simplex.OPTIMAL
+            leave = -1
+            best: Fraction | None = None
+            for r in range(len(tab)):
+                a = tab[r][enter]
+                if a > 0:
+                    ratio = b[r] / a
+                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                        best = ratio
+                        leave = r
+            if leave < 0:
+                return simplex.UNBOUNDED
+            pivot(leave, enter)
+
+    if art_set:
+        cost1 = [_ZERO] * ncols
+        for j in art_set:
+            cost1[j] = _ONE
+        if run(cost1, blocked=set()) != simplex.OPTIMAL:
+            raise simplex.LPFailure("phase one cannot be unbounded")
+        infeas = sum((b[r] for r, bi in enumerate(basis) if bi in art_set), _ZERO)
+        if infeas > 0:
+            # Duals from the unit probe columns: tab[:, e_i] = B^-1 e_i.
+            y = []
+            for i in range(m):
+                probe = art_col[i] if art_col[i] is not None else slack_col[i]
+                yi = _ZERO
+                for r, bi in enumerate(basis):
+                    if bi in art_set:
+                        yi += tab[r][probe]
+                y.append(yi)
+            farkas = tuple(-y[i] if flipped[i] else y[i] for i in range(m))
+            return simplex.LPResult(simplex.INFEASIBLE, farkas=farkas)
+        # Drive remaining artificials out of the basis; drop redundant rows.
+        r = 0
+        while r < len(tab):
+            if basis[r] in art_set:
+                for j in range(ncols):
+                    if j not in art_set and tab[r][j] != 0:
+                        pivot(r, j)
+                        break
+                else:
+                    del tab[r], b[r], basis[r]
+                    continue
+            r += 1
+
+    cost2 = [_ZERO] * ncols
+    for j in range(n):
+        cost2[j] = -cvec[j] if maximize else cvec[j]
+    status = run(cost2, blocked=art_set)
+    if status == simplex.UNBOUNDED:
+        return simplex.LPResult(simplex.UNBOUNDED)
+    x = [_ZERO] * n
+    for r, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = b[r]
+    obj = sum((cv * xv for cv, xv in zip(cvec, x)), _ZERO)
+    return simplex.LPResult(simplex.OPTIMAL, objective=obj, x=tuple(x))

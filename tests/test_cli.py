@@ -1,7 +1,14 @@
 """Exit codes, report determinism, round trips, and subcommand payloads."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import freelip
+from freelip import cli
 from freelip.cli import main
 
 
@@ -252,3 +259,54 @@ def test_point_cloud_ingestion(tmp_path, capsys):
     payload = json.loads(out)["payload"]
     assert payload["concave"] is False
     assert payload["aligned_triples"] == [["y", "o", "x"]]
+
+
+def _without_timestamp(out: str):
+    if not out.startswith("{"):
+        return out
+    envelope = json.loads(out)
+    envelope.pop("timestamp", None)
+    return envelope
+
+
+def _defaults(parser: argparse.ArgumentParser) -> dict:
+    out = {"": repr(parser._defaults)}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out[name] = _defaults(sub)
+        else:
+            out[action.dest] = repr(action.default)
+    return out
+
+
+def test_shared_parser_matches_fresh_process(tmp_path, capsys):
+    # one parser serves every call in a process; each call must print what
+    # the same command prints in a process of its own, and leave the
+    # parser's defaults as built
+    chain = write(tmp_path, "chain.json", CHAIN_SPACE)
+    commands = [
+        ["diagnose", "c0", "--pair", "p", "e", "--json"],
+        ["classify", chain, "--oracle", "--json"],
+        ["diagnose", "c0", "--pair", "p", "e", "--depths", "4", "6", "--json"],
+        ["modulus", chain, "a"],
+        ["attainment", chain, "a", "b", "--intervals", "full", "--json"],
+        ["validate", chain],
+        ["modulus", chain, "a", "b", "--eps", "1/2", "--json"],
+        ["diagnose", "c0", "--pair", "p", "e", "--json"],
+        ["classify", chain, "--pair", "b", "a"],
+    ]
+    before = _defaults(cli._parser())
+    assert cli._parser() is cli._parser()
+    shared = [(main(argv), _without_timestamp(capsys.readouterr().out)) for argv in commands]
+    assert _defaults(cli._parser()) == before
+    assert [code for code, _ in shared] == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+
+    src = str(Path(freelip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv, (code, out) in zip(commands, shared):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "freelip.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (fresh.returncode, _without_timestamp(fresh.stdout)) == (code, out), argv

@@ -1,4 +1,5 @@
-"""Pinned `classify --json` payloads on fixed-seed inputs.
+"""Pinned `classify --json` payloads on fixed-seed inputs, plus the
+LP-backed payloads of `classify --oracle`, `attainment` and `free_norm`.
 
 Each input is built here from a fixed seed and classified through the
 CLI. The SHA-256 of the report envelope without its timestamp was
@@ -138,3 +139,72 @@ def test_classify_payload_digest(name, tmp_path, capsys):
     path = _input_path(name, tmp_path, capsys)
     assert main(["classify", path, "--json"]) == 0
     assert envelope_digest(capsys.readouterr().out) == GOLDEN[name]
+
+
+# LP-backed payloads: the vertex oracle's certificates and the attainment
+# intervals come straight out of the simplex (optimal vertex, Farkas
+# multipliers), so these pin its pivot path, not just its verdicts. Recorded
+# before the simplex moved from a Fraction tableau to an integer one.
+
+
+def exact_7_midpoint():
+    rng = random.Random(4242)
+    matrix = random_exact_matrix(rng, 6, denominators=tuple(range(1, 13)))
+    matrix, _ = inject_midpoint(matrix, rng)
+    return _matrix_doc(matrix, "exact")
+
+
+def exact_7_plain():
+    # every distance in [1, 2): each triangle inequality is strict, so no
+    # point is a middle and every molecule is a vertex
+    rng = random.Random(707)
+    n = 7
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = F(rng.randint(60, 119), 60)
+    return _matrix_doc(m, "exact")
+
+
+LP_GOLDEN = {
+    "oracle-n7-midpoint": "a97c1a82cddc6073a57f2e630669ef3c1914e8c94659d05954159fc3730fe454",
+    "oracle-n7-plain": "24ca658b15046ded30b115c97cb99a768f4fdf661b9bbc87168f5772c0951135",
+    "attainment-n7-full": "78d95901c9620761544c0efe61aa27c6c37e8ed4f7e6961e45788231c791df15",
+    "attainment-n7-lazy": "bdee78bcae3d46ea63e9c5a836684b53db97ede4048718d7d1aa1bca3c3fc8eb",
+}
+FREE_NORM_GOLDEN = "6fd6b58b1b95316a38cce2516d0d0a3392b36d33462d253bc3f45c78ff9b8d22"
+
+
+def _lp_argv(name, tmp_path):
+    if name.startswith("oracle"):
+        doc = exact_7_midpoint() if name.endswith("midpoint") else exact_7_plain()
+        return ["classify", _write(tmp_path, name, doc), "--oracle", "--json"]
+    path = _write(tmp_path, name, exact_7_midpoint())
+    return ["attainment", path, "x1", "x4", "--intervals", name.rsplit("-", 1)[1], "--json"]
+
+
+@pytest.mark.parametrize("name", sorted(LP_GOLDEN))
+def test_lp_payload_digest(name, tmp_path, capsys):
+    assert main(_lp_argv(name, tmp_path)) == 0
+    assert envelope_digest(capsys.readouterr().out) == LP_GOLDEN[name]
+
+
+def test_free_norm_witness_digest():
+    from freelip import formats, polytope, validate
+
+    doc = exact_7_plain()
+    space = validate(
+        [[F(v) for v in row] for row in doc["matrix"]], doc["labels"], base="x0", mode="exact"
+    )
+    rng = random.Random(5)
+    coeffs = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(space.n - 1)]
+    value, witness = polytope.free_norm(space, coeffs, with_witness=True)
+    blob = json.dumps(
+        {
+            "value": formats.number_to_json(value),
+            "witness": {k: formats.number_to_json(v) for k, v in witness.items()},
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == FREE_NORM_GOLDEN
