@@ -224,6 +224,18 @@ def _require_family(family) -> None:
         raise UnknownFamily(f"not a generator-backed family: {family!r}")
 
 
+def _generate_pair(family, p: str, q: str, depth: int):
+    """The family's space at depth with the indices of p and q;
+    UnknownFamily when it lacks either point."""
+    sp = family.generate(depth)
+    try:
+        return sp, sp.index(p), sp.index(q)
+    except Exception as exc:
+        raise UnknownFamily(
+            f"family does not carry points {p!r},{q!r} at depth {depth}"
+        ) from exc
+
+
 def strongly_exposed_verdict(
     family,
     p: str,
@@ -242,13 +254,7 @@ def strongly_exposed_verdict(
     _require_family(family)
     records = []
     for depth in depths:
-        sp = family.generate(depth)
-        try:
-            pi, qi = sp.index(p), sp.index(q)
-        except Exception as exc:
-            raise UnknownFamily(
-                f"family does not carry points {p!r},{q!r} at depth {depth}"
-            ) from exc
+        sp, pi, qi = _generate_pair(family, p, q, depth)
         ratio, _ = min_excess_ratio(sp, pi, qi)
         records.append(
             DepthRecord(depth=depth, min_ratio=ratio, strongly_exposed=ratio > 0)
@@ -291,13 +297,7 @@ def sequence_diagnostics(
             flag=False,
             threshold=decay_threshold,
         )
-    deepest = family.generate(max(depths))
-    try:
-        pi, qi = deepest.index(p), deepest.index(q)
-    except Exception as exc:
-        raise UnknownFamily(
-            f"family does not carry points {p!r},{q!r} at depth {max(depths)}"
-        ) from exc
+    deepest, pi, qi = _generate_pair(family, p, q, max(depths))
     records = []
     for n in depths:
         probe = family.probe_label(p, q, n)

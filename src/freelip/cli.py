@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -20,6 +19,7 @@ from fractions import Fraction
 from . import __version__
 from . import classify as cls
 from . import formats, generators, lipfun, polytope
+from .formats import number_to_json
 from .space import (
     FLOAT,
     SpaceError,
@@ -36,14 +36,6 @@ EXIT_DISAGREEMENT = 3
 
 class OracleUnavailable(SpaceError):
     pass
-
-
-def _num(v):
-    if isinstance(v, Fraction):
-        return formats.number_to_json(v)
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return v
 
 
 def _payload_bytes(payload) -> str:
@@ -92,7 +84,7 @@ def _validation_payload(err: ValidationError) -> dict:
                 "i": v.i,
                 "j": v.j,
                 "k": v.k,
-                "deficit": _num(v.deficit),
+                "deficit": number_to_json(v.deficit),
             }
             for v in err.violations
         ],
@@ -131,9 +123,9 @@ def _verdict_payload(space, verdict: cls.PairVerdict) -> dict:
         "q": verdict.pair[1],
         "extreme": verdict.is_extreme,
         "witness": verdict.witness_middle,
-        "min_ratio": _num(verdict.min_ratio),
+        "min_ratio": number_to_json(verdict.min_ratio),
         "modulus": [
-            [_num(e.eps), _num(e.delta)] for e in verdict.modulus.entries
+            [number_to_json(e.eps), number_to_json(e.delta)] for e in verdict.modulus.entries
         ],
         "notes": list(verdict.notes),
     }
@@ -215,7 +207,7 @@ def cmd_classify(args) -> int:
     for v in verdicts:
         mark = "extreme" if v.is_extreme else f"NOT extreme (middle {v.witness_middle})"
         lines.append(
-            f"  u[{v.pair[0]},{v.pair[1]}]  {mark}  min_ratio={_num(v.min_ratio)}"
+            f"  u[{v.pair[0]},{v.pair[1]}]  {mark}  min_ratio={number_to_json(v.min_ratio)}"
         )
     if args.oracle:
         lines.append("oracle: all pairs agree")
@@ -227,12 +219,12 @@ def _cert_payload(cert: polytope.VertexCertificate) -> dict:
     if cert.vertex:
         return {
             "type": "separating_functional",
-            "functional": {k: _num(v) for k, v in cert.separating.items()},
-            "margin": _num(cert.margin),
+            "functional": {k: number_to_json(v) for k, v in cert.separating.items()},
+            "margin": number_to_json(cert.margin),
         }
     return {
         "type": "convex_weights",
-        "weights": {f"{p},{q}": _num(w) for (p, q), w in cert.weights.items()},
+        "weights": {f"{p},{q}": number_to_json(w) for (p, q), w in cert.weights.items()},
     }
 
 
@@ -248,12 +240,12 @@ def cmd_modulus(args) -> int:
         "p": table.p,
         "q": table.q,
         "entries": [
-            {"eps": _num(e.eps), "delta": _num(e.delta), "witness": e.witness}
+            {"eps": number_to_json(e.eps), "delta": number_to_json(e.delta), "witness": e.witness}
             for e in table.entries
         ],
     }
     lines = [f"modulus of ({table.p},{table.q})"] + [
-        f"  eps={_num(e.eps)}  delta={_num(e.delta)}  witness={e.witness}"
+        f"  eps={number_to_json(e.eps)}  delta={number_to_json(e.delta)}  witness={e.witness}"
         for e in table.entries
     ]
     _emit(args, "modulus", formats.space_digest(space), payload, "\n".join(lines))
@@ -286,7 +278,6 @@ def cmd_generate(args) -> int:
         spec = _family_from_args(args)
         out_space = spec.generate(args.depth)
         provenance = dict(out_space.meta)
-        provenance.pop("holder", None)
         provenance["depth"] = args.depth
     doc = formats.space_to_dict(out_space, provenance=provenance)
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -310,7 +301,7 @@ def cmd_attainment(args) -> int:
         "pair": list(result.pair),
         "members": [list(m) for m in result.members],
         "intervals": {
-            f"{x},{y}": [_num(lo), _num(hi)]
+            f"{x},{y}": [number_to_json(lo), number_to_json(hi)]
             for (x, y), (lo, hi) in sorted(result.intervals.items())
         },
     }
@@ -343,7 +334,7 @@ def cmd_diagnose(args) -> int:
             "records": [
                 {
                     "depth": r.depth,
-                    "min_ratio": _num(r.min_ratio),
+                    "min_ratio": number_to_json(r.min_ratio),
                     "strongly_exposed": r.strongly_exposed,
                 }
                 for r in trend.records

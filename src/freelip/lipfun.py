@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from . import simplex
+from .polytope import _lip_ball_rows
 from .space import FiniteMetricSpace, SamePoint, SpaceError
 
 Num = Union[Fraction, float]
@@ -385,24 +386,7 @@ class _AttainmentLP:
                 nv += 1
         self.var_of = var_of
         self.nv = nv
-        a_ub: list[list[int]] = []
-        b_ub: list[Fraction] = []
-        for i in range(space.n):
-            for j in range(i + 1, space.n):
-                row = [0] * nv
-                if var_of[i] is not None:
-                    row[var_of[i]] += 1
-                if var_of[j] is not None:
-                    row[var_of[j]] -= 1
-                d = Fraction(space.dist[i][j])
-                dh = self.h[i] - self.h[j]
-                if any(row):
-                    a_ub.append(row)
-                    b_ub.append(d - dh)
-                    a_ub.append([-v for v in row])
-                    b_ub.append(d + dh)
-        self.a_ub = a_ub
-        self.b_ub = b_ub
+        self.a_ub, self.b_ub = _lip_ball_rows(space, var_of, nv, self.h)
         self.last_witnesses: list[tuple[Num, ...]] = []
 
     def _to_f(self, g: Sequence[Fraction]) -> tuple[Num, ...]:

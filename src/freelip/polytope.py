@@ -143,24 +143,33 @@ def all_molecules(space: FiniteMetricSpace) -> list[Molecule]:
     return list(mols)
 
 
-def _lip_ball_rows(space: FiniteMetricSpace, nonbase: list[int]):
-    """Rows of |f(x) - f(y)| <= d(x,y) over variables f_x, x non-base."""
-    pos = {x: k for k, x in enumerate(nonbase)}
-    nv = len(nonbase)
+def _lip_ball_rows(
+    space: FiniteMetricSpace,
+    var_of: Sequence[int | None],
+    nv: int,
+    h: Sequence[Fraction] | None = None,
+):
+    """Rows of |f(x) - f(y)| <= d(x,y) over nv variables g = f - h.
+
+    Point x reads variable var_of[x] (None: fixed at 0); h defaults to
+    zero. Pairs whose row vanishes are left out.
+    """
     a_ub: list[list[int]] = []
     b_ub: list[Fraction] = []
-    for ii in range(space.n):
-        for jj in range(ii + 1, space.n):
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
             row = [0] * nv
-            if ii in pos:
-                row[pos[ii]] = 1
-            if jj in pos:
-                row[pos[jj]] = -1
-            d = Fraction(space.dist[ii][jj])
-            a_ub.append(row)
-            b_ub.append(d)
-            a_ub.append([-v for v in row])
-            b_ub.append(d)
+            if var_of[i] is not None:
+                row[var_of[i]] += 1
+            if var_of[j] is not None:
+                row[var_of[j]] -= 1
+            if any(row):
+                d = Fraction(space.dist[i][j])
+                dh = 0 if h is None else h[i] - h[j]
+                a_ub.append(row)
+                b_ub.append(d - dh)
+                a_ub.append([-v for v in row])
+                b_ub.append(d + dh)
     return a_ub, b_ub
 
 
@@ -188,7 +197,8 @@ def free_norm(
     if not any(coeffs):
         value = Fraction(0) if space.mode == "exact" else 0.0
         return (value, {space.labels[x]: Fraction(0) for x in nonbase}) if with_witness else value
-    a_ub, b_ub = _lip_ball_rows(space, nonbase)
+    pos = {x: k for k, x in enumerate(nonbase)}
+    a_ub, b_ub = _lip_ball_rows(space, [pos.get(x) for x in range(space.n)], len(nonbase))
     res = simplex.solve_free(coeffs, a_ub, b_ub, maximize=True)
     if res.status != simplex.OPTIMAL:
         raise simplex.LPFailure(f"free norm LP ended {res.status}")

@@ -23,19 +23,12 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from mpmath import mp
-
 Num = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
 
 DEFAULT_REL_TOL = 1e-9
-# Float-mode margins below this fraction of the scale trigger a recheck
-# at twice the working precision when the space carries enough provenance
-# (a snowflake of a known base, or exact coordinates).
-RECHECK_REL_MARGIN = 1e-6
-_RECHECK_DPS = 34  # ~2x IEEE double
 
 
 class SpaceError(Exception):
@@ -536,9 +529,8 @@ def _float_betweenness(space: FiniteMetricSpace):
 
     Exact l2 coordinates decide it by collinearity on integer-scaled
     coordinates (l2 is strictly convex, so metric and linear betweenness
-    coincide). Otherwise the excess is compared with the tolerance,
-    and an excess inside the recheck band is recomputed at twice the
-    working precision when the space carries the provenance to do so.
+    coincide). Otherwise r is between p and q when its excess is at
+    most the absolute tolerance.
     """
     if space._has_exact_l2_coords():
         _, pts = _scaled_ints(space.coords)
@@ -561,22 +553,11 @@ def _float_betweenness(space: FiniteMetricSpace):
         return between_for
 
     tol = space.abs_tol
-    band = RECHECK_REL_MARGIN * float(space.scale)
-    recheck_bound = mp.mpf(float(space.scale)) * mp.mpf(space.rel_tol) ** 2
 
-    def between_for(p, q):
-        def between(r, e):
-            if e <= tol:
-                return True
-            if e < band:
-                hp = _highprec_excess(space, r, p, q)
-                if hp is not None:
-                    return hp <= recheck_bound
-            return False
+    def between(r, e):
+        return e <= tol
 
-        return between
-
-    return between_for
+    return lambda p, q: between
 
 
 def holder_transform(space: FiniteMetricSpace, alpha) -> FiniteMetricSpace:
@@ -586,8 +567,8 @@ def holder_transform(space: FiniteMetricSpace, alpha) -> FiniteMetricSpace:
     have rational powers); when the input was exact the mode change is
     recorded in the output metadata. Subadditivity of t -> t**alpha makes
     the result a metric with strictly concave triangles, so the output
-    has no aligned triples; near-marginal float verdicts on it are
-    re-derived from the retained base space at twice the precision.
+    has no aligned triples. The base space and the exponent are kept
+    in ``meta["holder"]`` as provenance; no verdict reads them.
     """
     alpha_f = Fraction(alpha)
     if not 0 < alpha_f < 1:
@@ -613,45 +594,10 @@ def holder_transform(space: FiniteMetricSpace, alpha) -> FiniteMetricSpace:
     )
 
 
-# -- exact / high-precision helpers ------------------------------------
+# -- exact helpers -----------------------------------------------------
 
 
 def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """The common denominator of a rational matrix and the matrix times it."""
     unit = math.lcm(*{v.denominator for row in rows for v in row})
     return unit, [[v.numerator * (unit // v.denominator) for v in row] for row in rows]
-
-
-def _highprec_distance(space: FiniteMetricSpace, i: int, j: int):
-    if space._has_exact_l2_coords():
-        sq = sum(
-            (a - b) ** 2 for a, b in zip(space.coords[i], space.coords[j])
-        )
-        return mp.sqrt(mp.mpf(sq.numerator) / mp.mpf(sq.denominator))
-    v = space.dist[i][j]
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / mp.mpf(v.denominator)
-    return mp.mpf(v)
-
-
-def _highprec_excess(space: FiniteMetricSpace, ri: int, pi: int, qi: int):
-    """Excess recomputed at ~2x double precision, or None when the space
-    carries no provenance that would beat its own float matrix."""
-    holder = space.meta.get("holder") if space.meta else None
-    with mp.workdps(_RECHECK_DPS):
-        if holder is not None:
-            base: FiniteMetricSpace = holder["base"]
-            al = holder["alpha"]
-            a = mp.mpf(al.numerator) / mp.mpf(al.denominator)
-            return (
-                _highprec_distance(base, ri, pi) ** a
-                + _highprec_distance(base, ri, qi) ** a
-                - _highprec_distance(base, pi, qi) ** a
-            )
-        if space._has_exact_l2_coords():
-            return (
-                _highprec_distance(space, ri, pi)
-                + _highprec_distance(space, ri, qi)
-                - _highprec_distance(space, pi, qi)
-            )
-    return None

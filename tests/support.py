@@ -10,7 +10,10 @@ The brute-force references at the end decide betweenness, strict
 middles, metric segments, the min excess ratio, the concavity modulus,
 pair verdicts and aligned triples point by point, without the
 classifier kernel (``freelip.space._scan_pairs``) that the library
-routes all of these through. ``reference_solve_nonneg`` is the textbook
+routes all of these through. Their float betweenness keeps the library's
+former rule, which rechecked a snowflake's excess inside a band above
+the tolerance at 34 digits; the library now decides by the tolerance
+alone and must agree. ``reference_solve_nonneg`` is the textbook
 Fraction tableau that the integer simplex must match pivot for pivot.
 """
 
@@ -27,14 +30,12 @@ from freelip import simplex, validate
 from freelip.classify import _verdict
 from freelip.space import (
     EXACT,
-    RECHECK_REL_MARGIN,
     ModulusEntry,
     ModulusTable,
     SamePoint,
     _PairScan,
     _default_eps_grid,
     _eps_values,
-    _highprec_excess,
 )
 
 
@@ -162,11 +163,44 @@ def _linearly_between(coords, ri, pi, qi) -> bool:
     return all(rv == t * qv for rv, qv in zip(rp, qp))
 
 
+# Float excesses below this fraction of the scale are rechecked at
+# RECHECK_DPS digits when the space is a snowflake of a known base.
+RECHECK_REL_MARGIN = 1e-6
+RECHECK_DPS = 34  # ~2x IEEE double
+
+
+def _highprec_distance(space, i, j):
+    if space.coords is not None and space.coord_norm == "l2":
+        sq = sum((a - b) ** 2 for a, b in zip(space.coords[i], space.coords[j]))
+        return mp.sqrt(mp.mpf(sq.numerator) / mp.mpf(sq.denominator))
+    v = space.dist[i][j]
+    if isinstance(v, Fraction):
+        return mp.mpf(v.numerator) / mp.mpf(v.denominator)
+    return mp.mpf(v)
+
+
+def highprec_excess(space, ri, pi, qi):
+    """The excess of a snowflake recomputed at RECHECK_DPS digits from
+    its base space and exponent (``meta["holder"]``), or None for a
+    space without that provenance."""
+    holder = space.meta.get("holder") if space.meta else None
+    if holder is None:
+        return None
+    base, al = holder["base"], holder["alpha"]
+    with mp.workdps(RECHECK_DPS):
+        a = mp.mpf(al.numerator) / mp.mpf(al.denominator)
+        return (
+            _highprec_distance(base, ri, pi) ** a
+            + _highprec_distance(base, ri, qi) ** a
+            - _highprec_distance(base, pi, qi) ** a
+        )
+
+
 def brute_force_is_between(space, r, p, q) -> bool:
     """Does r lie (weakly) between p and q? Decided from the excess of
     this one triple: zero in exact mode, collinearity of exact l2
-    coordinates, else within the float tolerance, with an excess inside
-    the recheck band recomputed at high precision."""
+    coordinates, else within the float tolerance, with a snowflake's
+    excess inside the recheck band recomputed at high precision."""
     ri, pi, qi = space.index(r), space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("betweenness needs two distinct endpoints")
@@ -180,7 +214,7 @@ def brute_force_is_between(space, r, p, q) -> bool:
     if e <= space.abs_tol:
         return True
     if e < RECHECK_REL_MARGIN * float(space.scale):
-        hp = _highprec_excess(space, ri, pi, qi)
+        hp = highprec_excess(space, ri, pi, qi)
         if hp is not None:
             return hp <= mp.mpf(float(space.scale)) * mp.mpf(space.rel_tol) ** 2
     return False

@@ -173,6 +173,17 @@ def test_property_z_spiral_ratio_bound():
         prev = ratio
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: the float excess of an exact-coordinate spiral "
+    "point rounds to <= 0 at depth 18, so min_ratio is not positive",
+)
+def test_spiral_extreme_pair_has_positive_ratio_at_depth_18():
+    verdict = fl.classify_pair(fl.gen_planar_spiral(F(1, 2), 18, 0), "p", "q")
+    assert verdict.is_extreme
+    assert verdict.min_ratio > 0
+
+
 # -- family diagnostics ------------------------------------------------------
 
 

@@ -9,11 +9,14 @@ gives, for both orientations of every pair: the same values, number types
 and witnesses, and the same error for the same bad arguments.
 """
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from mpmath import mp
 
 import freelip as fl
 from freelip.space import SpaceError, _default_eps_grid, _scan_pairs
@@ -27,6 +30,7 @@ from support import (
     brute_force_modulus,
     brute_force_strict_middles,
     closure,
+    highprec_excess,
     inject_midpoint,
     labels_for,
     random_exact_matrix,
@@ -175,13 +179,120 @@ def test_two_point_space():
 def test_snowflake_recheck_band():
     # r sits 1e-9 from p on the segment pq. After the 3/4 snowflake its
     # excess is about 2e-7 of the scale: above the float tolerance but
-    # inside the band where the high-precision recheck decides.
+    # inside the band where the reference rule rechecks at high precision.
+    band = 1e-6
     t = F(1, 10**9)
     base = fl.validate([[0, 1, t], [1, 0, 1 - t], [t, 1 - t, 0]], ["p", "q", "r"])
     space = fl.holder_transform(base, F(3, 4))
-    assert fl.space.RECHECK_REL_MARGIN * space.scale > space.excess_raw(2, 0, 1) > space.abs_tol
+    assert band * space.scale > space.excess_raw(2, 0, 1) > space.abs_tol
     assert_kernel_matches(space)
     assert fl.classify_all(space).is_concave
+
+
+def snowflake_chain(rel_tol, gaps, bump, alpha):
+    """The alpha-snowflake of points on a line at the given gaps, every
+    distance raised by bump: an exact base when rel_tol is None, else
+    its float rounding validated with rel_tol."""
+    xs = [F(0)]
+    for gap in gaps:
+        xs.append(xs[-1] + gap)
+    n = len(xs)
+    matrix = [[0 if i == j else abs(x - y) + bump for j, y in enumerate(xs)] for i, x in enumerate(xs)]
+    if rel_tol is None:
+        base = fl.validate(matrix, labels_for(n))
+    else:
+        matrix = [[float(v) for v in row] for row in matrix]
+        base = fl.validate(matrix, labels_for(n), mode="float", rel_tol=rel_tol)
+    return fl.holder_transform(base, alpha)
+
+
+def band_triples(space, band=1e-6):
+    """Triples (r, p, q), p < q, whose float excess lies above the
+    tolerance and below band times the scale."""
+    top = band * space.scale
+    return [
+        (r, p, q)
+        for p in range(space.n)
+        for q in range(p + 1, space.n)
+        for r in range(space.n)
+        if r not in (p, q) and space.abs_tol < space.excess_raw(r, p, q) < top
+    ]
+
+
+# (base rel_tol or None for an exact base, gaps, bump, alpha)
+BAND_EXAMPLES = [
+    (None, (F(1, 10**9), 1), 0, F(3, 4)),
+    (None, (F(1, 10**12), 1), 0, F(1, 2)),
+    (None, (F(1, 10**7), 1), 0, 1 - F(1, 10)),
+    (1e-9, (F(1, 10**8), 1), F(1, 10**8), 1 - F(1, 10**12)),
+    (1e-12, (F(1, 10**9), 1), 0, F(3, 4)),
+    (1e-15, (1, 1, 1), F(1, 10**9), 1 - F(1, 10**40)),
+    (1e-15, (1, 1), F(1, 10**14), 1 - F(1, 10**40)),
+]
+
+
+@st.composite
+def chain_params(draw):
+    rel_tol = draw(st.sampled_from((None, 1e-9, 1e-12, 1e-15)))
+    # a float base needs every gap above its zero-distance tolerance
+    finest = 14 if rel_tol is None else round(-math.log10(rel_tol)) - 2
+    gaps = draw(st.lists(
+        st.builds(lambda m, k: F(m, 10**k), st.integers(1, 9), st.integers(0, finest)),
+        min_size=1, max_size=4,
+    ))
+    bump = draw(st.sampled_from((0, *(F(1, 10**k) for k in range(3, 41)))))
+    k = draw(st.integers(1, 40))
+    alpha = draw(st.one_of(
+        st.just(F(1, 10**min(k, 5))),
+        st.builds(lambda c, s: c + s * F(1, 10**k), st.sampled_from((F(1, 2), F(3, 4))),
+                  st.sampled_from((-1, 0, 1))),
+        st.just(1 - F(1, 10**k)),
+    ))
+    # the snowflake has no distance within its own zero-distance tolerance
+    # (holder_transform rejects such a space)
+    shortest = float((min(gaps) + bump) / (sum(gaps) + bump)) ** float(alpha)
+    assume(shortest > 2 * (rel_tol or fl.space.DEFAULT_REL_TOL))
+    return rel_tol, tuple(gaps), bump, alpha
+
+
+def with_band_examples(test):
+    for params in BAND_EXAMPLES:
+        test = example(params)(test)
+    return test
+
+
+@pytest.mark.parametrize("params", BAND_EXAMPLES)
+def test_band_examples_reach_the_band(params):
+    assert band_triples(snowflake_chain(*params))
+
+
+@with_band_examples
+@settings(max_examples=200, deadline=None)
+@given(chain_params())
+def test_snowflake_band_excess_clears_the_recheck_bound(params):
+    # The reference rule rechecks a snowflake excess in the band at 34
+    # digits and calls it "between" at or below rel_tol**2 * scale. For
+    # rel_tol >= 1e-15 the precise excess of every triple in the band
+    # stays above that bound, so the tolerance alone gives its verdicts.
+    space = snowflake_chain(*params)
+    bound = mp.mpf(float(space.scale)) * mp.mpf(space.rel_tol) ** 2
+    for r, p, q in band_triples(space):
+        assert highprec_excess(space, r, p, q) > bound
+        assert not space.is_between(r, p, q)
+
+
+def test_sub_ulp_rel_tol_snowflake_follows_the_tolerance():
+    # Below one ulp of the scale the float base itself breaks the triangle
+    # inequality within its tolerance: the 34-digit excess of x1 over
+    # (x0, x3) is negative while its float excess (1.6e-16 of the scale)
+    # is above the tolerance. The reference rule's recheck calls x1 a
+    # middle; the tolerance alone does not.
+    space = snowflake_chain(1e-23, (F(37, 30), F(25, 23), F(41)), 0, 1 - F(6, 10**17))
+    assert (1, 0, 3) in band_triples(space)
+    assert highprec_excess(space, 1, 0, 3) < 0
+    assert brute_force_is_between(space, 1, 0, 3)
+    assert not space.is_between(1, 0, 3)
+    assert fl.strict_middles(space, 0, 3) == ()
 
 
 def test_float_tolerance_edge():
@@ -194,6 +305,18 @@ def test_float_tolerance_edge():
         ["p", "q", "r", "t", "s"], mode="float",
     )
     assert fl.strict_middles(space, "p", "q") == ("r",)
+    assert_kernel_matches(space)
+
+
+def test_excess_equal_to_the_tolerance_is_between():
+    # powers of two: the excess of r is exactly the tolerance 2**-20
+    space = fl.validate(
+        [[0, 1, 0.5, 1024], [1, 0, 0.5 + 2**-20, 1024], [0.5, 0.5 + 2**-20, 0, 1024],
+         [1024] * 3 + [0]],
+        ["p", "q", "r", "s"], mode="float", rel_tol=2**-30,
+    )
+    assert space.excess_raw(2, 0, 1) == space.abs_tol
+    assert space.is_between("r", "p", "q")
     assert_kernel_matches(space)
 
 

@@ -238,9 +238,9 @@ def test_holder_rejects_bad_exponent():
 
 
 def test_holder_kills_alignment_even_near_margin():
-    # Distances with a tiny ratio push the snowflaked margin below the
-    # plain float tolerance window; the high-precision recheck must still
-    # say "not aligned".
+    # Distances with a tiny ratio leave the snowflaked margin small but
+    # far above the float tolerance, so the tolerance alone says "not
+    # aligned".
     eps = F(1, 10**8)
     sp = fl.validate(
         [[0, eps, 1], [eps, 0, 1 + eps], [1, 1 + eps, 0]],
