@@ -70,15 +70,6 @@ class ConcavityReport:
     is_concave: bool
     violating_triples: tuple[tuple[str, str, str], ...]
 
-    def summary(self) -> dict:
-        extreme = sum(1 for v in self.pair_verdicts if v.is_extreme)
-        return {
-            "pairs": len(self.pair_verdicts),
-            "extreme": extreme,
-            "non_extreme": len(self.pair_verdicts) - extreme,
-            "concave": self.is_concave,
-        }
-
 
 @dataclass(frozen=True)
 class DepthRecord:
@@ -110,10 +101,6 @@ class SequenceDiagnostics:
     decay_factor: float | None  # last ratio / first ratio
     flag: bool
     threshold: float
-
-    @property
-    def limit_estimate(self) -> float | None:
-        return self.records[-1].ratio if self.records else None
 
 
 def min_excess_ratio(

@@ -38,10 +38,6 @@ class OracleUnavailable(SpaceError):
     pass
 
 
-def _payload_bytes(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _emit(args, command: str, digest: str | None, payload, table: str) -> None:
     if args.json:
         envelope = {
@@ -117,7 +113,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _verdict_payload(space, verdict: cls.PairVerdict) -> dict:
+def _verdict_payload(verdict: cls.PairVerdict) -> dict:
     return {
         "p": verdict.pair[0],
         "q": verdict.pair[1],
@@ -182,7 +178,7 @@ def cmd_classify(args) -> int:
 
     payload: dict = {
         "space_digest": digest,
-        "pairs": [_verdict_payload(space, v) for v in verdicts],
+        "pairs": [_verdict_payload(v) for v in verdicts],
     }
     if concave is not None:
         payload["concave"] = concave

@@ -51,20 +51,10 @@ class LipFunction:
     def __init__(self, space: FiniteMetricSpace, values: Sequence):
         if len(values) != space.n:
             raise SpaceError("one value per point required")
-        if space.mode == "exact":
-            vals = tuple(Fraction(v) for v in values)
-        else:
-            vals = tuple(float(v) for v in values)
+        vals = tuple(space.num(v) for v in values)
         self.space = space
         self.values = vals
         self.lip_constant = lipschitz_constant(space, vals)
-
-    @classmethod
-    def from_mapping(cls, space: FiniteMetricSpace, mapping: Mapping) -> "LipFunction":
-        return cls(space, [mapping[lab] for lab in space.labels])
-
-    def __call__(self, point: Union[int, str]) -> Num:
-        return self.values[self.space.index(point)]
 
     @property
     def vanishes_at_base(self) -> bool:
@@ -76,9 +66,6 @@ class LipFunction:
 
     def sup_norm(self) -> Num:
         return max(abs(v) for v in self.values)
-
-    def phi(self, p: Union[int, str], q: Union[int, str]) -> Num:
-        return phi(self.space, self, p, q)
 
     def as_dict(self) -> dict[str, Num]:
         return dict(zip(self.space.labels, self.values))
@@ -104,7 +91,7 @@ def phi(space: FiniteMetricSpace, f, p: Union[int, str], q: Union[int, str]) -> 
 def lipschitz_constant(space: FiniteMetricSpace, values) -> Num:
     """Largest absolute difference quotient; zero iff values are constant."""
     vals = _values(space, values)
-    best: Num = Fraction(0) if space.mode == "exact" else 0.0
+    best = space.num(0)
     for i in range(space.n):
         for j in range(i + 1, space.n):
             quot = abs(vals[i] - vals[j]) / space.dist[i][j]
@@ -138,12 +125,9 @@ def mcshane_extend(
         gvals = list(g)
         if len(gvals) != len(idxs):
             raise SpaceError("one value per subset point required")
-    if space.mode == "exact":
-        gvals = [Fraction(v) for v in gvals]
-    else:
-        gvals = [float(v) for v in gvals]
+    gvals = [space.num(v) for v in gvals]
 
-    lip: Num = Fraction(0) if space.mode == "exact" else 0.0
+    lip = space.num(0)
     for a in range(len(idxs)):
         for b in range(a + 1, len(idxs)):
             quot = abs(gvals[a] - gvals[b]) / space.dist[idxs[a]][idxs[b]]
@@ -187,13 +171,12 @@ def peaking_margin(
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("peaking needs two distinct points")
-    one: Num = Fraction(1) if space.mode == "exact" else 1.0
-    c = one
+    c = space.num(1)
     for ri in range(space.n):
         if ri in (pi, qi):
             continue
         if space.is_between(ri, pi, qi):
-            return Fraction(0) if space.mode == "exact" else 0.0
+            return space.num(0)
         ratio = space.excess_raw(ri, pi, qi) / space.dist[ri][qi]
         if ratio < c:
             c = ratio
@@ -225,13 +208,13 @@ def peaking_candidate(
     if alpha is None:
         alpha = c / 2
     else:
-        alpha = Fraction(alpha) if space.mode == "exact" else float(alpha)
+        alpha = space.num(alpha)
         if alpha <= 0:
             raise BadAlpha("alpha must be positive")
         if alpha >= c:
             raise AlphaTooLarge(f"alpha must be below the peaking margin {c}")
 
-    one = Fraction(1) if space.mode == "exact" else 1.0
+    one = space.num(1)
     vals = []
     for x in range(space.n):
         if x == pi:
@@ -240,7 +223,7 @@ def peaking_candidate(
             vals.append((one - alpha) * space.dist[x][qi])
     f = LipFunction(space, vals).rebase()
 
-    zero = Fraction(0) if space.mode == "exact" else 0.0
+    zero = space.num(0)
     off_peak = zero
     near_peak = zero
     for i in range(space.n):
@@ -307,7 +290,7 @@ def attainment_set(
     # Feasible functions seen so far; any strict interior slope value on a
     # candidate rules its membership out without an LP.
     witnesses: list[tuple[Num, ...]] = [prob.h_primary(), prob.h_secondary()]
-    one = Fraction(1) if space.mode == "exact" else 1.0
+    one = space.num(1)
 
     out_intervals: dict[tuple[str, str], tuple[Num, Num]] = {}
     members: list[tuple[int, int]] = [(pi, qi), (qi, pi)]
@@ -330,7 +313,7 @@ def attainment_set(
         if space.mode == "exact":
             degenerate = lo == hi and abs(hi) == 1
         else:
-            degenerate = float(hi) - float(lo) <= tol and abs(float(hi)) >= 1 - tol
+            degenerate = hi - lo <= tol and abs(hi) >= 1 - tol
         if degenerate:
             members.append((i, j))
             members.append((j, i))
@@ -394,9 +377,7 @@ class _AttainmentLP:
         for x in range(self.space.n):
             gx = Fraction(0) if self.var_of[x] is None else g[self.var_of[x]]
             vals.append(gx + self.h[x])
-        if self.space.mode != "exact":
-            return tuple(float(v) for v in vals)
-        return tuple(vals)
+        return tuple(map(self.space.num, vals))
 
     def interval(self, i: int, j: int) -> tuple[Num, Num]:
         c = [Fraction(0)] * self.nv
@@ -416,25 +397,17 @@ class _AttainmentLP:
                 )
             bounds.append((res.objective + dh) / d)
             self.last_witnesses.append(self._to_f(res.x))
-        lo, hi = bounds
-        if self.space.mode != "exact":
-            return float(lo), float(hi)
-        return lo, hi
+        return tuple(map(self.space.num, bounds))
 
     def h_primary(self) -> tuple[Num, ...]:
-        if self.space.mode != "exact":
-            return tuple(float(v) for v in self.h)
-        return self.h
+        return tuple(map(self.space.num, self.h))
 
     def h_secondary(self) -> tuple[Num, ...]:
-        e = self.space.base_index
-        vals = tuple(
-            -Fraction(self.space.dist[x][self.pi]) + Fraction(self.space.dist[e][self.pi])
-            for x in range(self.space.n)
+        space, e = self.space, self.space.base_index
+        return tuple(
+            space.num(-Fraction(space.dist[x][self.pi]) + Fraction(space.dist[e][self.pi]))
+            for x in range(space.n)
         )
-        if self.space.mode != "exact":
-            return tuple(float(v) for v in vals)
-        return vals
 
 
 def pairing(space: FiniteMetricSpace, coefficients: Sequence, f) -> Num:
@@ -445,8 +418,6 @@ def pairing(space: FiniteMetricSpace, coefficients: Sequence, f) -> Num:
     nonbase = [i for i in range(space.n) if i != e]
     if len(coefficients) != len(nonbase):
         raise SpaceError(f"expected {len(nonbase)} coefficients")
-    total = sum(
-        (Fraction(a) if space.mode == "exact" else float(a)) * (vals[x] - vals[e])
-        for a, x in zip(coefficients, nonbase)
+    return sum(
+        space.num(a) * (vals[x] - vals[e]) for a, x in zip(coefficients, nonbase)
     )
-    return total

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-from weakref import WeakKeyDictionary
 
 from . import simplex
 from .space import FiniteMetricSpace, SamePoint, SpaceError
@@ -125,24 +124,6 @@ def molecule_vector(
     return Molecule(p=space.labels[pi], q=space.labels[qi], vector=tuple(vec))
 
 
-# molecules of each live space, built on first use; a space is immutable,
-# so its entry never goes stale, and the entry goes when the space does
-_MOLECULES: WeakKeyDictionary[FiniteMetricSpace, tuple[Molecule, ...]] = WeakKeyDictionary()
-
-
-def all_molecules(space: FiniteMetricSpace) -> list[Molecule]:
-    """Both orientations of every pair, lexicographic by index pair."""
-    mols = _MOLECULES.get(space)
-    if mols is None:
-        mols = _MOLECULES[space] = tuple(
-            molecule_vector(space, i, j)
-            for i in range(space.n)
-            for j in range(space.n)
-            if i != j
-        )
-    return list(mols)
-
-
 def _lip_ball_rows(
     space: FiniteMetricSpace,
     var_of: Sequence[int | None],
@@ -195,16 +176,14 @@ def free_norm(
         )
     coeffs = [Fraction(c) for c in coefficients]
     if not any(coeffs):
-        value = Fraction(0) if space.mode == "exact" else 0.0
+        value = space.num(0)
         return (value, {space.labels[x]: Fraction(0) for x in nonbase}) if with_witness else value
     pos = {x: k for k, x in enumerate(nonbase)}
     a_ub, b_ub = _lip_ball_rows(space, [pos.get(x) for x in range(space.n)], len(nonbase))
     res = simplex.solve_free(coeffs, a_ub, b_ub, maximize=True)
     if res.status != simplex.OPTIMAL:
         raise simplex.LPFailure(f"free norm LP ended {res.status}")
-    value = res.objective
-    if space.mode != "exact":
-        value = float(value)
+    value = space.num(res.objective)
     if with_witness:
         witness = {space.labels[x]: res.x[k] for k, x in enumerate(nonbase)}
         return value, witness
@@ -223,7 +202,9 @@ def is_vertex(
     molecules (the opposite orientation included) is solved exactly; the
     infeasibility multipliers yield a separating functional, which is
     re-verified by direct arithmetic before being returned; a certificate
-    that fails the check raises LPFailure.
+    that fails the check raises LPFailure. A molecule u_xy is 1/d(x,y) at
+    x and -1/d(x,y) at y, so the LP and both checks are built straight
+    from the distances.
     """
     if space.mode != "exact":
         raise FloatModeUnsupported("the vertex oracle requires exact mode")
@@ -231,27 +212,44 @@ def is_vertex(
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("a molecule needs two distinct points")
-    others = all_molecules(space)
-    target = others.pop(pi * (space.n - 1) + qi - (qi > pi))
-    dim = len(target.vector)
-    a_eq = [[m.vector[k] for m in others] for k in range(dim)]
-    a_eq.append([Fraction(1)] * len(others))
-    b_eq = list(target.vector) + [Fraction(1)]
-    res = simplex.feasible_combination(a_eq, b_eq)
+    n, e, dist = space.n, space.base_index, space.dist
+    # one column per other molecule u_xy, lexicographic by index pair; one
+    # row per point, the base row dropped, then the row of ones
+    others = [(x, y) for x in range(n) for y in range(n) if x != y and (x, y) != (pi, qi)]
+    a_eq = [[0] * len(others) for _ in range(n)]
+    for k, (x, y) in enumerate(others):
+        a_eq[x][k] = 1 / dist[x][y]
+        a_eq[y][k] = -a_eq[x][k]
+    del a_eq[e]
+    a_eq.append([1] * len(others))
+    target = [0] * n
+    target[pi] = 1 / dist[pi][qi]
+    target[qi] = -target[pi]
+    res = simplex.feasible_combination(a_eq, target[:e] + target[e + 1:] + [1])
     if res.status == simplex.OPTIMAL:
+        combo = [0] * n
+        for (x, y), w in zip(others, res.x):
+            if w:
+                combo[x] += w / dist[x][y]
+                combo[y] -= w / dist[x][y]
+        combo[e] = target[e]  # the base carries no coordinate
+        if combo != target or sum(res.x) != 1 or any(w < 0 for w in res.x):
+            raise simplex.LPFailure("combination certificate failed verification")
         weights = {
-            (m.p, m.q): w for m, w in zip(others, res.x) if w != 0
+            (space.labels[x], space.labels[y]): w for (x, y), w in zip(others, res.x) if w != 0
         }
-        _check_combination(target, others, res.x)
         return VertexCertificate(
             vertex=False, separating=None, margin=None, weights=weights
         )
-    # The multipliers y satisfy y.col <= 0 for every column (m_i; 1) and
-    # y.(u_pq; 1) > 0, so phi = y[:-1] has <phi, u_pq> > <phi, m_i> for
-    # all i; re-verified here exactly, the margin being the least gap.
+    # The multipliers y satisfy y.col <= 0 for every column (u_xy; 1) and
+    # y.(u_pq; 1) > 0, so phi = y[:-1], extended by phi(e) = 0, has a
+    # slope (phi(p) - phi(q)) / d(p,q) above every other slope
+    # (phi(x) - phi(y)) / d(x,y); re-verified here exactly, the margin
+    # being the least gap.
     phi = list(res.farkas[:-1])
-    t_val = _dot(phi, target.vector)
-    margin = min(t_val - _dot(phi, m.vector) for m in others)
+    f = phi[:e] + [0] + phi[e:]
+    t_val = (f[pi] - f[qi]) / dist[pi][qi]
+    margin = min(t_val - (f[x] - f[y]) / dist[x][y] for x, y in others)
     if margin <= 0:
         raise simplex.LPFailure("Farkas certificate failed verification")
     labels = [space.labels[i] for i in _nonbase(space)]
@@ -261,21 +259,6 @@ def is_vertex(
         margin=margin,
         weights=None,
     )
-
-
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    # a molecule has at most two nonzero coordinates; zero terms add nothing
-    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
-
-
-def _check_combination(target: Molecule, others, weights) -> None:
-    support = [(m, w) for m, w in zip(others, weights) if w]
-    for k in range(len(target.vector)):
-        s = sum((w * m.vector[k] for m, w in support if m.vector[k]), Fraction(0))
-        if s != target.vector[k]:
-            raise simplex.LPFailure("combination certificate failed verification")
-    if sum(w for _, w in support) != 1 or any(w < 0 for w in weights):
-        raise simplex.LPFailure("combination certificate failed verification")
 
 
 def decomposition_check(
@@ -295,22 +278,18 @@ def decomposition_check(
     u_pr = molecule_vector(space, pi, ri).vector
     u_rq = molecule_vector(space, ri, qi).vector
     residual = tuple(
-        t - (w1 * a + w2 * b) for t, a, b in zip(u_pq, u_pr, u_rq)
+        space.num(t - (w1 * a + w2 * b)) for t, a, b in zip(u_pq, u_pr, u_rq)
     )
-    total = w1 + w2
-    if space.mode != "exact":
-        w1, w2, total = float(w1), float(w2), float(total)
-        residual = tuple(float(v) for v in residual)
-    # in exact mode this is total == 1; in float mode it applies the
+    # in exact mode this is w1 + w2 == 1; in float mode it applies the
     # betweenness rule the classifier uses
     convex = space.is_between(ri, pi, qi)
     return DecompositionReport(
         p=space.labels[pi],
         q=space.labels[qi],
         r=space.labels[ri],
-        w1=w1,
-        w2=w2,
-        coefficient_sum=total,
+        w1=space.num(w1),
+        w2=space.num(w2),
+        coefficient_sum=space.num(w1 + w2),
         residual=residual,
         is_convex_combination=convex,
     )

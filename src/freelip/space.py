@@ -55,8 +55,8 @@ class BadGrid(SpaceError):
 class Violation:
     """One violated metric axiom, with the witnessing indices."""
 
-    kind: str  # not_square | bad_labels | bad_base | asymmetric | negative |
-    #            nonzero_diagonal | zero_distance | triangle | bad_entry
+    kind: str  # not_square | bad_labels | bad_base | bad_mode | asymmetric |
+    #            negative | nonzero_diagonal | zero_distance | triangle | bad_entry
     i: int | None = None
     j: int | None = None
     k: int | None = None
@@ -118,6 +118,10 @@ class FiniteMetricSpace:
     def _between_for(self):
         """Float mode: the betweenness rule of :func:`_float_betweenness`."""
         return _float_betweenness(self)
+
+    def num(self, v) -> Num:
+        """v in the space's number mode: a Fraction if exact, else a float."""
+        return Fraction(v) if self.mode == EXACT else float(v)
 
     @property
     def abs_tol(self) -> float:
@@ -198,8 +202,11 @@ def validate(
     negative entries, nonzero diagonal, zero distance between distinct
     labels, and triangle violations (with their deficit). In float mode
     a triangle deficit within the tolerance is repaired silently by
-    accepting the matrix as-is.
+    accepting the matrix as-is. A mode other than "exact" or "float"
+    is rejected at once as bad_mode.
     """
+    if mode not in (EXACT, FLOAT):
+        raise ValidationError([Violation("bad_mode")])
     violations: list[Violation] = []
     labels = tuple(str(x) for x in labels)
     n = len(labels)
@@ -209,9 +216,7 @@ def validate(
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValidationError([Violation("not_square"), *violations])
 
-    def coerce(v) -> Num:
-        return Fraction(v) if mode == EXACT else float(v)
-
+    coerce = Fraction if mode == EXACT else float
     try:
         d = tuple(tuple(coerce(v) for v in row) for row in rows)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -357,12 +362,6 @@ class ModulusTable:
     q: str
     entries: tuple[ModulusEntry, ...]
 
-    def delta(self, eps) -> Num:
-        for entry in self.entries:
-            if entry.eps == eps:
-                return entry.delta
-        raise KeyError(eps)
-
 
 def concavity_modulus(
     space: FiniteMetricSpace,
@@ -386,7 +385,7 @@ def concavity_modulus(
 def _eps_values(space: FiniteMetricSpace, eps_grid: Iterable) -> list[Num]:
     """The eps grid in the space's number mode; BadGrid unless nonempty
     and positive."""
-    grid = [float(eps) if space.mode == FLOAT else Fraction(eps) for eps in eps_grid]
+    grid = [space.num(eps) for eps in eps_grid]
     if not grid:
         raise BadGrid("eps grid must be nonempty")
     if any(eps <= 0 for eps in grid):
@@ -397,9 +396,7 @@ def _eps_values(space: FiniteMetricSpace, eps_grid: Iterable) -> list[Num]:
 def _default_eps_grid(space: FiniteMetricSpace, pi: int, qi: int) -> list[Num]:
     """Quarter, half and full pair distance."""
     d = space.dist[pi][qi]
-    if space.mode == EXACT:
-        return [d * Fraction(1, 4), d * Fraction(1, 2), d]
-    return [d * 0.25, d * 0.5, d]
+    return [d / 4, d / 2, d]
 
 
 # -- one-pass classifier kernel ----------------------------------------

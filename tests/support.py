@@ -14,7 +14,8 @@ routes all of these through. Their float betweenness keeps the library's
 former rule, which rechecked a snowflake's excess inside a band above
 the tolerance at 34 digits; the library now decides by the tolerance
 alone and must agree. ``reference_solve_nonneg`` is the textbook
-Fraction tableau that the integer simplex must match pivot for pivot.
+Fraction tableau that the integer simplex must match pivot for pivot,
+and ``reference_is_vertex`` the vertex oracle on dense molecule vectors.
 """
 
 from __future__ import annotations
@@ -482,3 +483,41 @@ def reference_solve_nonneg(
             x[bi] = b[r]
     obj = sum((cv * xv for cv, xv in zip(cvec, x)), _ZERO)
     return simplex.LPResult(simplex.OPTIMAL, objective=obj, x=tuple(x))
+
+
+def reference_is_vertex(space, p, q):
+    """Reference vertex oracle on dense molecule vectors: the constraint
+    columns are the coordinates of every other molecule u_xy (ordered
+    pairs x != y, lexicographic by index) with a 1 appended. Convex
+    weights and the separating functional are re-checked with Fraction
+    dot products. ``freelip.polytope.is_vertex`` builds the same LP from
+    the distances and must return an equal certificate."""
+    from freelip.polytope import VertexCertificate, molecule_vector
+
+    pi, qi = space.index(p), space.index(q)
+    others = [
+        molecule_vector(space, i, j)
+        for i in range(space.n)
+        for j in range(space.n)
+        if i != j and (i, j) != (pi, qi)
+    ]
+    target = molecule_vector(space, pi, qi).vector
+    a_eq = [[m.vector[k] for m in others] for k in range(len(target))]
+    a_eq.append([_ONE] * len(others))
+    res = simplex.feasible_combination(a_eq, list(target) + [_ONE])
+
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b)), _ZERO)
+
+    if res.status == simplex.OPTIMAL:
+        combo = [sum((w * m.vector[k] for m, w in zip(others, res.x)), _ZERO) for k in range(len(target))]
+        if tuple(combo) != target or sum(res.x) != 1 or any(w < 0 for w in res.x):
+            raise simplex.LPFailure("combination certificate failed verification")
+        weights = {(m.p, m.q): w for m, w in zip(others, res.x) if w != 0}
+        return VertexCertificate(vertex=False, separating=None, margin=None, weights=weights)
+    phi = list(res.farkas[:-1])
+    margin = min(dot(phi, target) - dot(phi, m.vector) for m in others)
+    if margin <= 0:
+        raise simplex.LPFailure("Farkas certificate failed verification")
+    labels = [lab for i, lab in enumerate(space.labels) if i != space.base_index]
+    return VertexCertificate(vertex=True, separating=dict(zip(labels, phi)), margin=margin, weights=None)

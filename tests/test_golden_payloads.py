@@ -208,3 +208,104 @@ def test_free_norm_witness_digest():
         separators=(",", ":"),
     )
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == FREE_NORM_GOLDEN
+
+
+# Library values in both number modes. The repr of each result was recorded
+# before the exact-or-float conversions of lipfun, polytope and space were
+# folded into FiniteMetricSpace.num, so a value that changes type or rounding
+# in either mode shows as a changed digest.
+
+
+def _mode_space(mode):
+    from support import random_float_space, random_space_with_midpoint
+
+    if mode == "float":
+        return random_float_space(random.Random(606), 6, base=2)
+    space, _ = random_space_with_midpoint(random.Random(607), 6, base=3)
+    return space
+
+
+def _plain(value):
+    """A repr-stable form: a LipFunction by its values and constant."""
+    from dataclasses import fields, is_dataclass
+
+    from freelip import LipFunction
+
+    if isinstance(value, LipFunction):
+        return ("LipFunction", _plain(value.values), _plain(value.lip_constant))
+    if is_dataclass(value):
+        return (type(value).__name__, *(_plain(getattr(value, f.name)) for f in fields(value)))
+    if isinstance(value, (list, tuple)):
+        return tuple(_plain(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, _plain(v)) for k, v in value.items())
+    return value
+
+
+def _mode_values(space, name):
+    import freelip as fl
+
+    n = space.n
+    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
+    # the first pair with no point between it, for peaking and attainment
+    p, q = next(pq for pq in pairs if fl.peaking_margin(space, *pq) > 0)
+    coeffs = [F(k * k - 4 * k + 1, 3) for k in range(n - 1)]
+    f = fl.LipFunction(space, [F(k * k - 3 * k, 7) for k in range(n)])
+    if name == "LipFunction":
+        return [f, f.rebase(), fl.LipFunction(space, [2, 0, F(1, 3), 5, -1, F(7, 4)])]
+    if name == "mcshane_extend":
+        return [
+            fl.mcshane_extend(space, [0, 2, 5], [F(1, 3), 2, F(-1, 2)]),
+            fl.mcshane_extend(space, ["x1", "x4"], {"x1": 1, "x4": F(5, 2)}, rebase=True),
+        ]
+    if name == "peaking_margin":
+        return [fl.peaking_margin(space, *pq) for pq in pairs]
+    if name == "peaking_candidate":
+        c = fl.peaking_margin(space, p, q)
+        return [fl.peaking_candidate(space, p, q), fl.peaking_candidate(space, p, q, alpha=F(c) / 3)]
+    if name == "attainment_set":
+        return [fl.attainment_set(space, p, q, intervals=k) for k in ("lazy", "full")]
+    if name == "pairing":
+        return [fl.pairing(space, coeffs, f), fl.pairing(space, [1] * (n - 1), f.as_dict())]
+    if name == "free_norm":
+        return [
+            fl.free_norm(space, coeffs, with_witness=True),
+            fl.free_norm(space, [0] * (n - 1), with_witness=True),
+            fl.free_norm(space, fl.molecule_vector(space, 1, 4).vector),
+        ]
+    if name == "decomposition_check":
+        return [fl.decomposition_check(space, *t) for t in ((0, 1, 2), (5, 3, 1), (4, 0, 5))]
+    if name == "concavity_modulus":
+        return [
+            [fl.classify_pair(space, *pq).modulus for pq in pairs],
+            fl.concavity_modulus(space, p, q, [F(1, 2), 1, F(7, 3), 100]),
+        ]
+    raise KeyError(name)
+
+
+MODE_GOLDEN = {
+    ("exact", "LipFunction"): "7a55e4edcc284f9e54d8dfa9eaac64fdec945ae03cde3adddd3d34f540eada20",
+    ("exact", "mcshane_extend"): "b0b82211161c5696de7e0024cf13926ceed4aa07498f49d040c93da5d4644af2",
+    ("exact", "peaking_margin"): "6762e58f2a4c080aa69fca6c1609d4dc94ded945782c61193bd07f5366c1f245",
+    ("exact", "peaking_candidate"): "4b44f2aae6671a8c7d4988261cdcf4ab66c122abe5660745e5962b01e9b0733f",
+    ("exact", "attainment_set"): "b6c2f4ca7eff01587d8081ddb17f1e0cbb3edfbd57845f4f1c7f5776c57ecd52",
+    ("exact", "pairing"): "0e99427d0164f2d30c7848410e909c25a4104f04badb48c96f33dd18b102e792",
+    ("exact", "free_norm"): "50a3255e1d0a6461f69394f6869e7683eeba65231b67b0ebaffa0e30a1e07606",
+    ("exact", "decomposition_check"): "a0483fa53c0b8cb307066dd4278eef064868b18558aedeb51840e3ee97a32b98",
+    ("exact", "concavity_modulus"): "094f0a8bddec0c215d9f6ef6d38f86e1dd132e2e33f0f523273a12980cc5f2d9",
+    ("float", "LipFunction"): "7d5b56ff5d8f49ecbed4463eb9b0dc1eb45f24d1731c9aa9cac223b0a65d275a",
+    ("float", "mcshane_extend"): "2116c4b325fbee9716bc9636436feaf8ec2448a5f232c024e0720f1d48daae89",
+    ("float", "peaking_margin"): "b514d91c577fcc8aacffa059a19a3f9385db25cc57ea24557bd7b66a7cd99c9a",
+    ("float", "peaking_candidate"): "00b328dbf90ccbe0dbba95d26a3121c7a0ea4af31180c52b8b6903c5963e4594",
+    ("float", "attainment_set"): "9592677afc3daf55918e15bac0cffa1ae121fd4f8a61d1a9ed5d49684f81bf68",
+    ("float", "pairing"): "f4da2c4f5710dd07c6e52a2bd22abdc36ad6eca9a89064e172ecb15b1a6ec8ac",
+    ("float", "free_norm"): "ff47beb2f8ef781043c44c75d8154d34c064bd95a2638501b7df6061140487f0",
+    ("float", "decomposition_check"): "ea2783fa7026462e9d194271fc26609a3e7a63a2eac312ca48c494d06733e0d2",
+    ("float", "concavity_modulus"): "b6d410cd9ccd869b1cbf2346c6aeea6051835bbaa6e2ba379ac9561dc950eeaa",
+}
+
+
+@pytest.mark.parametrize("mode, name", sorted(MODE_GOLDEN))
+def test_mode_value_digest(mode, name):
+    blob = repr(_plain(_mode_values(_mode_space(mode), name)))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == MODE_GOLDEN[mode, name]

@@ -17,9 +17,13 @@ from support import (
     CHAIN,
     EQUILATERAL,
     VEE,
+    inject_midpoint,
+    labels_for,
+    random_exact_matrix,
     random_exact_space,
     random_float_space,
     random_space_with_midpoint,
+    reference_is_vertex,
 )
 
 
@@ -103,6 +107,17 @@ def test_free_norm_duality_witness():
                     assert abs(fl.phi(sp, f, p, q)) <= 1
 
 
+def test_free_vector_serves_as_coefficients():
+    rng = random.Random(10)
+    sp = random_exact_space(rng, 5, base=2)
+    coeffs = (F(3, 2), F(-1), F(0), F(5, 7))
+    f = [F(rng.randint(-9, 9), 4) for _ in range(5)]
+    vec = fl.FreeVector(coeffs)
+    assert len(vec) == 4 and list(vec) == list(coeffs)
+    assert fl.pairing(sp, vec, f) == fl.pairing(sp, coeffs, f)
+    assert fl.free_norm(sp, vec) == fl.free_norm(sp, coeffs)
+
+
 def test_free_norm_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         fl.free_norm(EQUILATERAL, [1, 2, 3])
@@ -163,6 +178,21 @@ def test_is_vertex_agrees_with_classifier_eight_points():
                 assert fl.is_vertex(sp, p, q).vertex == verdict
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 8), st.integers(0, 2))
+def test_is_vertex_matches_reference_oracle(seed, n, midpoints):
+    rng = random.Random(seed)
+    matrix = random_exact_matrix(rng, n)
+    while len(matrix) < min(n + midpoints, 8):
+        matrix, _ = inject_midpoint(matrix, rng)
+    m = len(matrix)
+    sp = fl.validate(matrix, labels_for(m), base=rng.randrange(m), mode="exact")
+    for p in range(m):
+        for q in range(m):
+            if p != q:
+                assert repr(fl.is_vertex(sp, p, q)) == repr(reference_is_vertex(sp, p, q))
+
+
 def test_is_vertex_rejects_bad_farkas_certificate(monkeypatch):
     # an infeasible verdict whose multipliers separate nothing must fail
     # loudly, not fall back to another LP
@@ -177,8 +207,7 @@ def test_is_vertex_rejects_bad_farkas_certificate(monkeypatch):
 def test_is_vertex_separating_functional_checks_out():
     rng = random.Random(19)
     sp = random_exact_space(rng, 5)
-    from freelip.polytope import all_molecules
-
+    molecules = [fl.molecule_vector(sp, i, j) for i in range(5) for j in range(5) if i != j]
     for p in range(5):
         for q in range(p + 1, 5):
             cert = fl.is_vertex(sp, p, q)
@@ -188,7 +217,7 @@ def test_is_vertex_separating_functional_checks_out():
             phi_vec = [cert.separating[lab] for lab in labels]
             target = fl.molecule_vector(sp, p, q).vector
             t_val = sum(a * b for a, b in zip(phi_vec, target))
-            for m in all_molecules(sp):
+            for m in molecules:
                 if (m.p, m.q) == (sp.labels[p], sp.labels[q]):
                     continue
                 other = sum(a * b for a, b in zip(phi_vec, m.vector))

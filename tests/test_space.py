@@ -107,6 +107,15 @@ def test_validate_rejects_duplicate_labels_and_shape():
     assert err.value.violations[0].kind == "not_square"
 
 
+@pytest.mark.parametrize("mode", ["Exact", "FLOAT", "", None, "fraction"])
+def test_validate_rejects_unknown_mode(mode):
+    # a mode other than exact/float once gave float distances with a
+    # Fraction eps grid and a space_to_dict without its tolerance
+    with pytest.raises(ValidationError) as err:
+        fl.validate([[0, 1], [1, 0]], ["a", "b"], mode=mode)
+    assert [v.kind for v in err.value.violations] == ["bad_mode"]
+
+
 def test_validate_powered_l2_family_breaks_triangle():
     # Raising the concave family's distances to a power 1/alpha with
     # alpha < 1/lambda_n must break the triangle inequality.
