@@ -339,7 +339,7 @@ class _AttainmentLP:
     Works in the shifted variable g = f - h where h(x) = d(x,q) - d(e,q),
     a feasible point; the equality phi(f,p,q) = 1 then merges g(p) and
     g(q) into one variable and every right-hand side becomes nonnegative,
-    so each bound is a single phase-two simplex run.
+    so each bound is a single phase-two run on the one tableau built here.
     """
 
     def __init__(self, space: FiniteMetricSpace, pi: int, qi: int):
@@ -369,7 +369,8 @@ class _AttainmentLP:
                 nv += 1
         self.var_of = var_of
         self.nv = nv
-        self.a_ub, self.b_ub = _lip_ball_rows(space, var_of, nv, self.h)
+        a_ub, b_ub = _lip_ball_rows(space, var_of, nv, self.h)
+        self.lp = simplex.Tableau(nv, a_ub, b_ub, free=True)
         self.last_witnesses: list[tuple[Num, ...]] = []
 
     def _to_f(self, g: Sequence[Fraction]) -> tuple[Num, ...]:
@@ -390,7 +391,7 @@ class _AttainmentLP:
         self.last_witnesses = []
         bounds = []
         for maximize in (False, True):
-            res = simplex.solve_free(c, self.a_ub, self.b_ub, maximize=maximize)
+            res = self.lp.solve(c, maximize)
             if res.status != simplex.OPTIMAL:
                 raise simplex.LPFailure(
                     f"attainment LP ended {res.status}; the polytope is never empty"

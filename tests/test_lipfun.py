@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import freelip as fl
+from freelip import simplex
 from freelip.lipfun import AlphaTooLarge, BadAlpha, EmptySubset, MiddlePointExists
 from support import CHAIN, EQUILATERAL, VEE, random_exact_space, random_float_space
 
@@ -264,6 +266,51 @@ def test_attainment_alignment_consistency():
         sp, (p, q, m) = random_space_with_midpoint(rng, 5)
         att = fl.attainment_set(sp, p, q)
         assert (p, m) in att.members and (m, q) in att.members
+
+
+def test_full_attainment_builds_one_tableau(monkeypatch):
+    # Machine-independent: one Lipschitz-ball tableau, 2 * (C(n,2) - 1)
+    # objectives solved on it, and every row scaled to ints only once.
+    n = 7
+    sp = random_exact_space(random.Random(7), n)
+    built, solved, scaled = [], [], [0]
+    init, solve, int_row = simplex.Tableau.__init__, simplex.Tableau.solve, simplex._int_row
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_solve(self, *args, **kwargs):
+        solved.append(self)
+        return solve(self, *args, **kwargs)
+
+    def counting_int_row(values):
+        scaled[0] += 1
+        return int_row(values)
+
+    monkeypatch.setattr(simplex.Tableau, "__init__", counting_init)
+    monkeypatch.setattr(simplex.Tableau, "solve", counting_solve)
+    monkeypatch.setattr(simplex, "_int_row", counting_int_row)
+    fl.attainment_set(sp, 1, 2, intervals="full")
+    lps = 2 * (comb(n, 2) - 1)
+    assert len(built) == 1
+    assert len(solved) == lps and all(t is built[0] for t in solved)
+    # p and q share a variable, so only the row pair of (p, q) vanishes:
+    # 2 * (C(n,2) - 1) rows, then one objective per solve.
+    assert scaled[0] == 2 * (comb(n, 2) - 1) + lps
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=simplex.LPFailure,
+    reason="ROADMAP item 1: validate accepts a float triangle deficit of one "
+    "ulp, and the attainment LP, reading the floats as exact rationals, "
+    "then has an empty polytope",
+)
+def test_float_attainment_with_one_ulp_triangle_deficit():
+    sp = random_float_space(random.Random(1), 5)
+    att = fl.attainment_set(sp, 0, 3)
+    assert (sp.labels[0], sp.labels[3]) in att.members
 
 
 # -- duality pairing -----------------------------------------------------------

@@ -144,3 +144,66 @@ def test_solve_nonneg_equals_reference_tableau(lp):
     ref = reference_solve_nonneg(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
     assert got == ref
     assert repr(got) == repr(ref)
+
+
+def reference_solve_free(c, a_ub, b_ub, a_eq, b_eq, maximize):
+    """The reference tableau on the doubled columns x = x+ - x-, mapped back."""
+    n = len(c)
+    res = reference_solve_nonneg(
+        [*c, *(-F(v) for v in c)],
+        [[*a, *(-F(v) for v in a)] for a in a_ub],
+        b_ub,
+        [[*a, *(-F(v) for v in a)] for a in a_eq],
+        b_eq,
+        maximize=maximize,
+    )
+    if res.status != simplex.OPTIMAL:
+        return res
+    x = tuple(res.x[j] - res.x[n + j] for j in range(n))
+    return simplex.LPResult(simplex.OPTIMAL, objective=res.objective, x=x)
+
+
+ENTRY = st.builds(F, st.integers(-6, 6), st.sampled_from(WIDE))
+INFEASIBLE_LP = ([0, 0], [[1, 1], [-1, 0]], [1, -2], [[1, -1]], [F(1, 7)], False)
+REDUNDANT_LP = ([1, 2], [], [], [[1, 1], [2, 2]], [3, 6], False)
+OBJECTIVES = st.lists(
+    st.tuples(st.lists(ENTRY, min_size=5, max_size=5), st.booleans()), min_size=2, max_size=3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lps(), OBJECTIVES, st.booleans(), st.randoms(use_true_random=False))
+# infeasible: every solve returns the one stored Farkas certificate
+@example(INFEASIBLE_LP, [([1, 2, 0, 0, 0], True)] * 2, False, random.Random(0))
+@example(INFEASIBLE_LP, [([1, 2, 0, 0, 0], True)] * 2, True, random.Random(0))
+# the redundant equality row is deleted at build time
+@example(REDUNDANT_LP, [([-1, 1, 0, 0, 0], True)] * 2, False, random.Random(1))
+@example(REDUNDANT_LP, [([-1, 1, 0, 0, 0], False)] * 2, True, random.Random(1))
+def test_one_tableau_equals_fresh_reference_per_objective(lp, more, free, rng):
+    # A shared tableau must answer each objective, in either sense and in
+    # any order, exactly as a fresh solve would: a pivot that wrote into a
+    # prepared row would change the later answers.
+    c, a_ub, b_ub, a_eq, b_eq, maximize = lp
+    n = len(c)
+    objectives = [(c, maximize)] + [(obj[:n], mx) for obj, mx in more]
+    objectives += [(obj, not mx) for obj, mx in objectives]
+    rng.shuffle(objectives)
+    tab = simplex.Tableau(n, a_ub, b_ub, a_eq, b_eq, free=free)
+    prepared = [list(row) for row in tab.tab]
+    reference = reference_solve_free if free else reference_solve_nonneg
+    farkas = set()
+    for obj, mx in objectives:
+        got = tab.solve(obj, mx)
+        ref = reference(obj, a_ub, b_ub, a_eq, b_eq, maximize=mx)
+        assert got == ref
+        assert repr(got) == repr(ref)
+        if got.status == simplex.INFEASIBLE:
+            farkas.add(got.farkas)
+        assert tab.tab == prepared
+    assert len(farkas) <= 1
+
+
+def test_tableau_rejects_a_wrong_objective_length():
+    tab = simplex.Tableau(2, a_ub=[[1, 1]], b_ub=[1])
+    with pytest.raises(simplex.LPFailure, match="objective length"):
+        tab.solve([1, 2, 3])
