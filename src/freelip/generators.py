@@ -2,11 +2,11 @@
 
 Three families recur throughout the test surface of this package:
 
-* a planar double spiral around a unit pair (p, q): points p_n drift
-  into p and q_n into q inside shrinking balls of radius lambda**(2n)
-  centered at p + lambda**n (q-p) and its mirror, chosen with exact
-  rational coordinates and verified non-collinear, so the space has no
-  aligned triples at any depth while the excess ratios decay;
+* a planar double spiral around a unit pair (p, q): points p_n -> p and
+  q_n -> q in balls of radius lambda**(2n) at p + lambda**n (q-p) and its
+  mirror, with exact rational coordinates; a candidate is drawn again if it
+  meets a placed point or sees two at one exact slope, so no triple is
+  aligned at any depth while the excess ratios decay;
 * a sup-norm family {e, p, q_n} whose excesses are exactly 2/n: no point
   ever lies between p and e, yet the concavity modulus collapses as the
   truncation deepens (the finite shadow of a non-compact counterexample);
@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 from typing import Mapping, Sequence
 
 from mpmath import mp
@@ -95,8 +95,17 @@ _TANG_MAX = Fraction(2, 100)
 _GRID = 2**20
 
 
-def _collinear(a, b, c) -> bool:
-    return (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
+def _aligned_with(c, pts) -> bool:
+    """Whether c coincides with one of the points or sees two of them at
+    one exact slope dy/dx (None if vertical): c is collinear with two."""
+    slopes = set()
+    for x, y in pts:
+        dx, dy = x - c[0], y - c[1]
+        slope = dy / dx if dx else None
+        if slope in slopes or not (dx or dy):
+            return True
+        slopes.add(slope)
+    return False
 
 
 def _spiral_points(lam: Fraction, depth: int, seed, one_sided: bool):
@@ -117,14 +126,8 @@ def _spiral_points(lam: Fraction, depth: int, seed, one_sided: bool):
             s = _TANG_MAX * Fraction(rng.randrange(-_GRID, _GRID + 1), _GRID)
             sign = 1 if rng.random() < 0.5 else -1
             cand = (center_x + s * radius, sign * gamma * radius)
-            existing = list(pts.values())
-            if any(
-                _collinear(cand, existing[a], existing[b])
-                for a in range(len(existing))
-                for b in range(a + 1, len(existing))
-            ):
-                continue
-            return cand
+            if not _aligned_with(cand, pts.values()):
+                return cand
         raise RejectionBudgetExceeded(
             "could not place a non-collinear point; try another seed"
         )
@@ -141,13 +144,14 @@ def _euclidean_space(
     pts: Mapping[str, tuple[Fraction, ...]], base: str, meta: Mapping | None = None
 ) -> FiniteMetricSpace:
     labels = list(pts)
-    matrix = []
-    for a in labels:
-        row = []
-        for b in labels:
-            sq = sum((x - y) ** 2 for x, y in zip(pts[a], pts[b]))
-            row.append(sqrt(float(sq)))
-        matrix.append(row)
+    # ints over one denominator: int / int rounds as float(Fraction) does
+    den = lcm(*(x.denominator for v in pts.values() for x in v))
+    ints = [[x.numerator * (den // x.denominator) for x in pts[a]] for a in labels]
+    matrix = [[0.0] * len(labels) for _ in labels]
+    for i, u in enumerate(ints):
+        for j in range(i + 1, len(ints)):
+            sq = sum((x - y) ** 2 for x, y in zip(u, ints[j]))
+            matrix[i][j] = matrix[j][i] = sqrt(sq / den**2)
     return validate(
         matrix,
         labels,

@@ -15,7 +15,10 @@ former rule, which rechecked a snowflake's excess inside a band above
 the tolerance at 34 digits; the library now decides by the tolerance
 alone and must agree. ``reference_solve_nonneg`` is the textbook
 Fraction tableau that the integer simplex must match pivot for pivot,
-and ``reference_is_vertex`` the vertex oracle on dense molecule vectors.
+``reference_is_vertex`` the vertex oracle on dense molecule vectors,
+and ``reference_spiral_points`` with ``reference_euclidean_matrix`` the
+spiral generator's pairwise alignment test and the Fraction distance
+matrix.
 """
 
 from __future__ import annotations
@@ -521,3 +524,54 @@ def reference_is_vertex(space, p, q):
         raise simplex.LPFailure("Farkas certificate failed verification")
     labels = [lab for i, lab in enumerate(space.labels) if i != space.base_index]
     return VertexCertificate(vertex=True, separating=dict(zip(labels, phi)), margin=margin, weights=None)
+
+
+def reference_collinear(a, b, c) -> bool:
+    """Exact orientation test: cross(b - a, c - a) == 0."""
+    return (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
+
+
+def reference_spiral_points(lam: Fraction, depth: int, seed, one_sided: bool):
+    """The spiral generator with the pairwise alignment test: a candidate
+    is drawn again when it is collinear with any pair of placed points.
+    ``freelip.generators._spiral_points`` decides the same predicate with
+    one slope set per candidate and must place the same points."""
+    from freelip.generators import (
+        _GRID, _PERP_LO, _PERP_SPAN, _TANG_MAX, REJECTION_BUDGET, RejectionBudgetExceeded,
+    )
+
+    rng = random.Random(seed)
+    pts = {"p": (Fraction(0), Fraction(0)), "q": (Fraction(1), Fraction(0))}
+
+    def sample(center_x: Fraction, radius: Fraction):
+        for _ in range(REJECTION_BUDGET):
+            gamma = _PERP_LO + _PERP_SPAN * Fraction(rng.randrange(_GRID), _GRID)
+            s = _TANG_MAX * Fraction(rng.randrange(-_GRID, _GRID + 1), _GRID)
+            sign = 1 if rng.random() < 0.5 else -1
+            cand = (center_x + s * radius, sign * gamma * radius)
+            existing = list(pts.values())
+            if any(
+                reference_collinear(cand, existing[a], existing[b])
+                for a in range(len(existing))
+                for b in range(a + 1, len(existing))
+            ):
+                continue
+            return cand
+        raise RejectionBudgetExceeded("could not place a non-collinear point")
+
+    for n in range(1, depth + 1):
+        radius = lam ** (2 * n)
+        if not one_sided:
+            pts[f"p{n}"] = sample(lam**n, radius)
+        pts[f"q{n}"] = sample(1 - lam**n, radius)
+    return pts
+
+
+def reference_euclidean_matrix(pts) -> list[list[float]]:
+    """Every ordered pair's distance as sqrt(float(squared distance)), the
+    squared distance summed in Fractions."""
+    labels = list(pts)
+    return [
+        [math.sqrt(float(sum((x - y) ** 2 for x, y in zip(pts[a], pts[b])))) for b in labels]
+        for a in labels
+    ]

@@ -175,7 +175,7 @@ def test_property_z_spiral_ratio_bound():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 5: the float excess of an exact-coordinate spiral "
+    reason="ROADMAP item 1: the float excess of an exact-coordinate spiral "
     "point rounds to <= 0 at depth 18, so min_ratio is not positive",
 )
 def test_spiral_extreme_pair_has_positive_ratio_at_depth_18():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import freelip
 from freelip import cli
 from freelip.cli import main
@@ -196,6 +198,28 @@ def test_diagnose_spiral_flags(capsys):
     assert payload["sequence"]["flag"] is True
     assert payload["exposure"]["limit_property_z_flag"] is True
     assert all(r["strongly_exposed"] for r in payload["exposure"]["records"])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: at depth 32 validate rejects spiral points within "
+    "2^-30 of p as zero_distance under the float tolerance, so the command exits 1",
+)
+def test_diagnose_spiral_at_default_depths_exits_0(capsys):
+    code, _, err = run(capsys, "diagnose", "spiral", "--pair", "p", "q", "--json")
+    assert code == 0, err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the fixed l2 margin 2^-40 cannot be met at n=23 "
+    "even at b=0 ('no admissible b at n=23'), so the command exits 1",
+)
+def test_diagnose_l2_at_default_depths_exits_0(capsys):
+    code, _, err = run(capsys, "diagnose", "l2", "--pair", "0", "e1", "--json")
+    assert code == 0, err
 
 
 def test_oracle_disagreement_exit_3(tmp_path, capsys, monkeypatch):

@@ -4,17 +4,22 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import freelip as fl
+from freelip import generators
 from freelip.classify import UnknownFamily
 from freelip.generators import (
     BadDepth,
     BadLambda,
     BadSequences,
     FamilySpec,
+    _aligned_with,
+    _spiral_points,
     family_at_depths,
 )
+from support import reference_collinear, reference_euclidean_matrix, reference_spiral_points
 
 
 # -- sup-norm family -----------------------------------------------------------
@@ -101,17 +106,87 @@ def test_spiral_points_inside_stated_balls_exact():
                 assert (x - center[0]) ** 2 + (y - center[1]) ** 2 < r2
 
 
+def _no_collinear_triple(pts) -> bool:
+    """Brute-force check over every triple, on ints over one denominator."""
+    den = math.lcm(*(x.denominator for pt in pts for x in pt))
+    ints = [tuple(int(x * den) for x in pt) for pt in pts]
+    return not any(
+        reference_collinear(ints[i], ints[j], ints[k])
+        for i in range(len(ints))
+        for j in range(i + 1, len(ints))
+        for k in range(j + 1, len(ints))
+    )
+
+
 def test_spiral_no_collinear_triples_exact():
     for seed in range(3):
-        sp = fl.gen_planar_spiral(F(1, 2), 5, seed=seed)
-        pts = list(sp.coords)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                for k in range(j + 1, len(pts)):
-                    ax, ay = pts[i]
-                    bx, by = pts[j]
-                    cx, cy = pts[k]
-                    assert (bx - ax) * (cy - ay) != (by - ay) * (cx - ax)
+        assert _no_collinear_triple(fl.gen_planar_spiral(F(1, 2), 5, seed=seed).coords)
+        # depth 32 is the deepest default depth of `diagnose spiral`; the
+        # space fails validation there (ROADMAP item 1), so take the points
+        pts = _spiral_points(F(1, 2), 32, seed, False)
+        assert len(pts) == 66 and _no_collinear_triple(list(pts.values()))
+
+
+def test_spiral_points_equal_pairwise_reference():
+    # the reference draws depth by depth, so its depth-d points are the
+    # first 2 + d (one-sided) or 2 + 2d entries of its depth-12 points
+    for lam in (F(1, 2), F(2, 3), F(3, 4)):
+        for seed in range(5):
+            for one_sided in (False, True):
+                ref = list(reference_spiral_points(lam, 12, seed, one_sided).items())
+                for depth in range(1, 13):
+                    size = 2 + depth * (1 if one_sided else 2)
+                    assert list(_spiral_points(lam, depth, seed, one_sided).items()) == ref[:size]
+
+
+def _hex(matrix):
+    return [[float(v).hex() for v in row] for row in matrix]
+
+
+def test_euclidean_distances_bit_identical_to_fraction_reference():
+    for lam, depth, seed in ((F(1, 2), 12, 0), (F(2, 3), 9, 3), (F(3, 4), 6, 4)):
+        for gen, one_sided in (
+            (fl.gen_planar_spiral, False),
+            (fl.gen_planar_spiral_one_sided, True),
+        ):
+            sp = gen(lam, depth, seed)
+            ref = reference_euclidean_matrix(reference_spiral_points(lam, depth, seed, one_sided))
+            assert _hex(sp.dist) == _hex(ref)
+    sp = fl.gen_l2_nonholder(None, None, 12)
+    assert _hex(sp.dist) == _hex(reference_euclidean_matrix(dict(zip(sp.labels, sp.coords))))
+
+
+def test_depth_32_spiral_equals_reference(monkeypatch):
+    # the one deep case: the pairwise reference takes about a second here
+    pts = _spiral_points(F(1, 2), 32, 0, False)
+    assert list(pts.items()) == list(reference_spiral_points(F(1, 2), 32, 0, False).items())
+    # validation rejects this space (ROADMAP item 1); compare the matrix
+    # the builder hands to validate
+    monkeypatch.setattr(generators, "validate", lambda matrix, *args, **kwargs: matrix)
+    assert _hex(generators._euclidean_space(pts, "p")) == _hex(reference_euclidean_matrix(pts))
+
+
+_coord = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+_point = st.tuples(_coord, _coord)
+_O = (F(0), F(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point, st.lists(_point, min_size=2, max_size=7))
+@example(_O, [(F(1), F(1)), _O])  # a point coincides with c
+@example(_O, [(F(1), F(1)), (F(2), F(3))])  # in general position
+@example(_O, [(F(0), F(1)), (F(0), F(-2))])  # vertical line through c
+@example(_O, [(F(0), F(1)), (F(1), F(0))])  # one vertical, one horizontal
+@example(_O, [(F(1), F(0)), (F(-1, 2), F(0))])  # horizontal line through c
+@example(_O, [(F(1), F(2)), (F(5), F(1)), (F(-1, 2), F(-1)), (F(3), F(6))])  # three on one line
+@example((F(1), F(1)), [(F(2), F(1)), (F(1), F(3)), (F(3), F(2))])  # slopes 0, vertical, 1/2
+def test_slope_set_equals_pairwise_cross_product(c, pts):
+    pairwise = any(
+        reference_collinear(c, pts[a], pts[b])
+        for a in range(len(pts))
+        for b in range(a + 1, len(pts))
+    )
+    assert _aligned_with(c, pts) == pairwise
 
 
 def test_spiral_one_sided_isolated_endpoint():
