@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from . import simplex
@@ -203,8 +204,9 @@ def is_vertex(
     infeasibility multipliers yield a separating functional, which is
     re-verified by direct arithmetic before being returned; a certificate
     that fails the check raises LPFailure. A molecule u_xy is 1/d(x,y) at
-    x and -1/d(x,y) at y, so the LP and both checks are built straight
-    from the distances.
+    x and -1/d(x,y) at y, so the LP and the combination check read the
+    inverse distances, computed once per space; the separating functional
+    is checked on integers, over the space's common distance denominator.
     """
     if space.mode != "exact":
         raise FloatModeUnsupported("the vertex oracle requires exact mode")
@@ -212,28 +214,28 @@ def is_vertex(
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("a molecule needs two distinct points")
-    n, e, dist = space.n, space.base_index, space.dist
+    n, e, inv = space.n, space.base_index, space._inverse_dist
     # one column per other molecule u_xy, lexicographic by index pair; one
     # row per point, the base row dropped, then the row of ones
     others = [(x, y) for x in range(n) for y in range(n) if x != y and (x, y) != (pi, qi)]
     a_eq = [[0] * len(others) for _ in range(n)]
     for k, (x, y) in enumerate(others):
-        a_eq[x][k] = 1 / dist[x][y]
-        a_eq[y][k] = -a_eq[x][k]
+        a_eq[x][k] = inv[x][y]
+        a_eq[y][k] = -inv[x][y]
     del a_eq[e]
     a_eq.append([1] * len(others))
     target = [0] * n
-    target[pi] = 1 / dist[pi][qi]
-    target[qi] = -target[pi]
+    target[pi] = inv[pi][qi]
+    target[qi] = -inv[pi][qi]
     res = simplex.feasible_combination(a_eq, target[:e] + target[e + 1:] + [1])
     if res.status == simplex.OPTIMAL:
         combo = [0] * n
         for (x, y), w in zip(others, res.x):
             if w:
-                combo[x] += w / dist[x][y]
-                combo[y] -= w / dist[x][y]
+                combo[x] += w * inv[x][y]
+                combo[y] -= w * inv[x][y]
         combo[e] = target[e]  # the base carries no coordinate
-        if combo != target or sum(res.x) != 1 or any(w < 0 for w in res.x):
+        if combo != target or sum(w for w in res.x if w) != 1 or any(w < 0 for w in res.x):
             raise simplex.LPFailure("combination certificate failed verification")
         weights = {
             (space.labels[x], space.labels[y]): w for (x, y), w in zip(others, res.x) if w != 0
@@ -245,11 +247,23 @@ def is_vertex(
     # y.(u_pq; 1) > 0, so phi = y[:-1], extended by phi(e) = 0, has a
     # slope (phi(p) - phi(q)) / d(p,q) above every other slope
     # (phi(x) - phi(y)) / d(x,y); re-verified here exactly, the margin
-    # being the least gap.
+    # being the least gap. With phi = g / F and d = D / L on integers g
+    # and D, a slope is (g(x) - g(y)) / D(x,y) times L / F > 0, so the
+    # largest other slope is found by cross-multiplication (D > 0 off
+    # the diagonal).
     phi = list(res.farkas[:-1])
     f = phi[:e] + [0] + phi[e:]
-    t_val = (f[pi] - f[qi]) / dist[pi][qi]
-    margin = min(t_val - (f[x] - f[y]) / dist[x][y] for x, y in others)
+    f_den = lcm(*{v.denominator for v in f})
+    g = [v.numerator * (f_den // v.denominator) for v in f]
+    unit, dm = space._int_matrix
+    top, bot = g[pi] - g[qi], dm[pi][qi]
+    hi, hi_d = -top, bot  # u_qp is always among the others
+    for x, y in others:
+        s = g[x] - g[y]
+        if s * hi_d > hi * dm[x][y]:
+            hi, hi_d = s, dm[x][y]
+    # t - max slope: the least gap, over the positive denominator F*D*D'
+    margin = Fraction(unit * (top * hi_d - hi * bot), f_den * bot * hi_d)
     if margin <= 0:
         raise simplex.LPFailure("Farkas certificate failed verification")
     labels = [space.labels[i] for i in _nonbase(space)]

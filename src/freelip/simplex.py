@@ -50,9 +50,7 @@ def _exact(v) -> int | Fraction:
 def _int_row(values: Sequence) -> tuple[list[int], int]:
     """The values as integers over one positive denominator, the LCM of theirs."""
     vals = [_exact(v) for v in values]
-    den = 1
-    for v in vals:
-        den = lcm(den, v.denominator)
+    den = lcm(*{v.denominator for v in vals})
     return [v.numerator * (den // v.denominator) for v in vals], den
 
 
@@ -186,9 +184,12 @@ class Tableau:
         # exactly when one artificial is
         art_basic = [r for r, bi in enumerate(basis) if bi in art_set]
         if any(tab[r][-1] > 0 for r in art_basic):
-            # Duals from the unit start columns: T[:, e_i] = B^-1 e_i.
-            y = [sum((Fraction(tab[r][j], den[r]) for r in art_basic), ZERO) for j in start]
-            farkas = tuple(-v if f else v for v, f in zip(y, flipped))
+            # Duals from the unit start columns: T[:, e_i] = B^-1 e_i, summed
+            # over the artificial rows as ints over the LCM of their dens.
+            common = lcm(*(den[r] for r in art_basic))
+            weighted = [(tab[r], common // den[r]) for r in art_basic]
+            y = [sum(trow[j] * w for trow, w in weighted) for j in start]
+            farkas = tuple(Fraction(-v if f else v, common) for v, f in zip(y, flipped))
             self.infeasible = LPResult(INFEASIBLE, farkas=farkas)
             return
         # Drive remaining artificials out of the basis; drop redundant rows.
@@ -228,7 +229,7 @@ class Tableau:
                 x[bi] = Fraction(tab[r][-1], den[r])
         if self.free:
             x = [x[j] - x[n + j] for j in range(n)]
-        obj = sum((cv * xv for cv, xv in zip(cvec, x)), ZERO)
+        obj = sum((cv * xv for cv, xv in zip(cvec, x) if cv and xv), ZERO)
         return LPResult(OPTIMAL, objective=obj, x=tuple(x))
 
 

@@ -494,7 +494,8 @@ def reference_is_vertex(space, p, q):
     pairs x != y, lexicographic by index) with a 1 appended. Convex
     weights and the separating functional are re-checked with Fraction
     dot products. ``freelip.polytope.is_vertex`` builds the same LP from
-    the distances and must return an equal certificate."""
+    the space's cached inverse distances, checks its certificates on
+    integers, and must return an equal certificate."""
     from freelip.polytope import VertexCertificate, molecule_vector
 
     pi, qi = space.index(p), space.index(q)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import freelip as fl
 from freelip.polytope import (
@@ -178,11 +178,21 @@ def test_is_vertex_agrees_with_classifier_eight_points():
                 assert fl.is_vertex(sp, p, q).vertex == verdict
 
 
+# entry denominators: the default narrow set, or primes up to 97, which
+# make the common denominators of the distances and of phi large
+NARROW = (1, 1, 2, 3)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 8), st.integers(0, 2))
-def test_is_vertex_matches_reference_oracle(seed, n, midpoints):
+@given(st.integers(0, 10**6), st.integers(2, 8), st.integers(0, 2), st.sampled_from([NARROW, PRIMES]))
+@example(0, 2, 0, NARROW)
+@example(1, 8, 0, PRIMES)
+@example(2, 6, 2, PRIMES)
+@example(3, 5, 1, NARROW)
+def test_is_vertex_matches_reference_oracle(seed, n, midpoints, denominators):
     rng = random.Random(seed)
-    matrix = random_exact_matrix(rng, n)
+    matrix = random_exact_matrix(rng, n, denominators)
     while len(matrix) < min(n + midpoints, 8):
         matrix, _ = inject_midpoint(matrix, rng)
     m = len(matrix)
@@ -204,6 +214,46 @@ def test_is_vertex_rejects_bad_farkas_certificate(monkeypatch):
         fl.is_vertex(EQUILATERAL, "a", "b")
 
 
+def _fake_combination(monkeypatch, weights_by_pair, n, pq):
+    # an OPTIMAL result with the given weights on the columns of is_vertex:
+    # the other ordered index pairs, lexicographic
+    cols = [(x, y) for x in range(n) for y in range(n) if x != y and (x, y) != pq]
+    x = tuple(F(weights_by_pair.get(c, 0)) for c in cols)
+
+    def fake(a_eq, b_eq):
+        assert len(a_eq[0]) == len(cols)
+        return fl.simplex.LPResult(fl.simplex.OPTIMAL, objective=F(0), x=x)
+
+    monkeypatch.setattr(fl.simplex, "feasible_combination", fake)
+
+
+def test_is_vertex_rejects_weights_that_miss_the_molecule(monkeypatch):
+    # VEE is e, a, b: all weight on u_ea sums to 1 but is not u_ab
+    _fake_combination(monkeypatch, {(0, 1): 1}, 3, (1, 2))
+    with pytest.raises(fl.simplex.LPFailure, match="combination certificate failed verification"):
+        fl.is_vertex(VEE, "a", "b")
+
+
+def test_is_vertex_rejects_a_negative_weight(monkeypatch):
+    # 3/4 u_ae + 1/4 u_ea + 1/4 u_eb - 1/4 u_be is u_ab and sums to 1, so
+    # only the sign check can refuse it
+    weights = {(1, 0): F(3, 4), (0, 1): F(1, 4), (0, 2): F(1, 4), (2, 0): F(-1, 4)}
+    _fake_combination(monkeypatch, weights, 3, (1, 2))
+    with pytest.raises(fl.simplex.LPFailure, match="combination certificate failed verification"):
+        fl.is_vertex(VEE, "a", "b")
+
+
+def test_is_vertex_rejects_a_farkas_functional_with_zero_gap(monkeypatch):
+    # EQUILATERAL is a, b, c with base a; phi(b) = -1, phi(c) = 0 gives u_ab
+    # and u_cb the same slope 1, above every other, so the least gap is 0
+    def tie(a_eq, b_eq):
+        return fl.simplex.LPResult(fl.simplex.INFEASIBLE, farkas=(F(-1), F(0), F(1)))
+
+    monkeypatch.setattr(fl.simplex, "feasible_combination", tie)
+    with pytest.raises(fl.simplex.LPFailure, match="Farkas certificate failed verification"):
+        fl.is_vertex(EQUILATERAL, "a", "b")
+
+
 def test_is_vertex_separating_functional_checks_out():
     rng = random.Random(19)
     sp = random_exact_space(rng, 5)
@@ -217,11 +267,12 @@ def test_is_vertex_separating_functional_checks_out():
             phi_vec = [cert.separating[lab] for lab in labels]
             target = fl.molecule_vector(sp, p, q).vector
             t_val = sum(a * b for a, b in zip(phi_vec, target))
-            for m in molecules:
-                if (m.p, m.q) == (sp.labels[p], sp.labels[q]):
-                    continue
-                other = sum(a * b for a, b in zip(phi_vec, m.vector))
-                assert t_val - other >= cert.margin
+            gaps = [
+                t_val - sum(a * b for a, b in zip(phi_vec, m.vector))
+                for m in molecules
+                if (m.p, m.q) != (sp.labels[p], sp.labels[q])
+            ]
+            assert min(gaps) == cert.margin > 0
 
 
 # -- decomposition --------------------------------------------------------------
