@@ -6,9 +6,10 @@ Three input formats are supported:
   "mode": "exact"|"float", "tolerance": ...}; exact entries may be
   integers or "num/den" strings.
 * JSON point cloud: {"points": {label: [coords...]}, "norm":
-  "l2"|"linf"|"l1", "base": ...}. Rational coordinates under "linf"/"l1"
-  give exact rational distances (exact mode); "l2" gives float distances
-  with the exact coordinates retained for alignment tests.
+  "l2"|"linf"|"l1", "base": ...}, built by ``space.from_points`` as the
+  generated families are: "linf"/"l1" give exact rational distances,
+  "l2" correctly rounded floats, and the rational coordinates are kept
+  for exact alignment tests.
 * CSV square matrix with a header row of labels; the base point defaults
   to the first label.
 
@@ -27,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .space import EXACT, FLOAT, DEFAULT_REL_TOL, FiniteMetricSpace, validate
+from .space import EXACT, FLOAT, DEFAULT_REL_TOL, FiniteMetricSpace, from_points, validate
 
 
 class FormatError(Exception):
@@ -89,22 +90,38 @@ def space_from_dict(
     if "points" in obj:
         return _space_from_cloud(obj, base=base, rel_tol=rel_tol)
     if "matrix" in obj:
-        labels = [str(x) for x in obj["labels"]]
-        raw = obj["matrix"]
+        labels = _array(obj, "labels")
+        raw = _array(obj, "matrix")
+        if not all(isinstance(row, list) for row in raw):
+            raise FormatError("every 'matrix' row must be an array")
         eff_mode = mode or obj.get("mode")
-        if eff_mode is None:
-            eff_mode = (
-                EXACT
-                if all(_entry_is_exact(v) for row in raw for v in row)
-                else FLOAT
-            )
-        if eff_mode not in (EXACT, FLOAT):
+        if eff_mode not in (None, EXACT, FLOAT):
             raise FormatError(f"unknown mode {eff_mode!r}")
-        matrix = [[parse_number(v) for v in row] for row in raw]
-        eff_base = base if base is not None else obj.get("base", 0)
-        tol = float(obj.get("tolerance", rel_tol))
-        return validate(matrix, labels, base=eff_base, mode=eff_mode, rel_tol=tol)
+        return _matrix_space(
+            [str(x) for x in labels],
+            raw,
+            eff_mode,
+            base if base is not None else obj.get("base", 0),
+            obj.get("tolerance", rel_tol),
+        )
     raise FormatError("JSON object has neither 'matrix' nor 'points'")
+
+
+def _array(obj: Mapping, key: str) -> list:
+    if key not in obj:
+        raise FormatError(f"JSON object has no {key!r}")
+    if not isinstance(obj[key], list):
+        raise FormatError(f"{key!r} must be an array")
+    return obj[key]
+
+
+def _matrix_space(labels, raw, mode, base, rel_tol) -> FiniteMetricSpace:
+    """Parse and validate a matrix of raw entries; without a mode it is
+    exact when every entry is."""
+    if mode is None:
+        mode = EXACT if all(_entry_is_exact(v) for row in raw for v in row) else FLOAT
+    matrix = [[parse_number(v) for v in row] for row in raw]
+    return validate(matrix, labels, base=base, mode=mode, rel_tol=float(rel_tol))
 
 
 def _space_from_cloud(obj: Mapping, base=None, rel_tol: float = DEFAULT_REL_TOL):
@@ -112,44 +129,17 @@ def _space_from_cloud(obj: Mapping, base=None, rel_tol: float = DEFAULT_REL_TOL)
     if norm not in ("l2", "linf", "l1"):
         raise FormatError(f"unknown norm {norm!r}")
     raw_points = obj["points"]
-    labels = [str(k) for k in raw_points]
+    if not isinstance(raw_points, dict):
+        raise FormatError("'points' must be an object of coordinate arrays")
     coords: dict[str, tuple[Fraction, ...]] = {}
-    dims = set()
-    for lab in labels:
-        vec = tuple(Fraction(parse_number(c)) for c in raw_points[lab])
-        coords[lab] = vec
-        dims.add(len(vec))
-    if len(dims) != 1:
+    for lab, vec in raw_points.items():
+        if not isinstance(vec, list):
+            raise FormatError(f"the coordinates of {lab!r} must be an array")
+        coords[str(lab)] = tuple(Fraction(parse_number(c)) for c in vec)
+    if len({len(vec) for vec in coords.values()}) != 1:
         raise FormatError("all points need the same dimension")
-    eff_base = base if base is not None else obj.get("base", labels[0])
-
-    def dist(a: str, b: str):
-        diff = [x - y for x, y in zip(coords[a], coords[b])]
-        if norm == "l1":
-            return sum(abs(v) for v in diff)
-        if norm == "linf":
-            return max((abs(v) for v in diff), default=Fraction(0))
-        return math.sqrt(float(sum(v * v for v in diff)))
-
-    matrix = [[dist(a, b) for b in labels] for a in labels]
-    if norm == "l2":
-        return validate(
-            matrix,
-            labels,
-            base=eff_base,
-            mode=FLOAT,
-            rel_tol=rel_tol,
-            coords=coords,
-            coord_norm="l2",
-        )
-    return validate(
-        matrix,
-        labels,
-        base=eff_base,
-        mode=EXACT,
-        coords=coords,
-        coord_norm=norm,
-    )
+    eff_base = base if base is not None else obj.get("base", next(iter(coords)))
+    return from_points(coords, norm, eff_base, rel_tol)
 
 
 def space_from_csv(
@@ -165,14 +155,9 @@ def space_from_csv(
     body = [[c.strip() for c in row] for row in rows[1:]]
     if len(body) != len(labels) or any(len(r) != len(labels) for r in body):
         raise FormatError("CSV body must be square with one row per label")
-    eff_mode = mode
-    if eff_mode is None:
-        eff_mode = (
-            EXACT if all(_entry_is_exact(v) for row in body for v in row) else FLOAT
-        )
-    matrix = [[parse_number(v) for v in row] for row in body]
-    eff_base = base if base is not None else labels[0]
-    return validate(matrix, labels, base=eff_base, mode=eff_mode, rel_tol=rel_tol)
+    return _matrix_space(
+        labels, body, mode, base if base is not None else labels[0], rel_tol
+    )
 
 
 def load_space(

@@ -16,7 +16,8 @@ Three families recur throughout the test surface of this package:
 
 All generators are deterministic in (parameters, seed), nest across
 depths (the depth-N space is a prefix of the depth-M one for N < M), and
-emit spaces that pass validation.
+emit spaces that pass validation. The spiral and Euclidean families build
+their spaces with ``space.from_points``, as the point-cloud reader does.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, sqrt
 from typing import Mapping, Sequence
 
 from mpmath import mp
 
-from .space import FiniteMetricSpace, SpaceError, holder_transform, validate
+from .space import FiniteMetricSpace, SpaceError, from_points, holder_transform, validate
 from .classify import UnknownFamily
 
 REJECTION_BUDGET = 1000
@@ -140,34 +140,11 @@ def _spiral_points(lam: Fraction, depth: int, seed, one_sided: bool):
     return pts
 
 
-def _euclidean_space(
-    pts: Mapping[str, tuple[Fraction, ...]], base: str, meta: Mapping | None = None
-) -> FiniteMetricSpace:
-    labels = list(pts)
-    # ints over one denominator: int / int rounds as float(Fraction) does
-    den = lcm(*(x.denominator for v in pts.values() for x in v))
-    ints = [[x.numerator * (den // x.denominator) for x in pts[a]] for a in labels]
-    matrix = [[0.0] * len(labels) for _ in labels]
-    for i, u in enumerate(ints):
-        for j in range(i + 1, len(ints)):
-            sq = sum((x - y) ** 2 for x, y in zip(u, ints[j]))
-            matrix[i][j] = matrix[j][i] = sqrt(sq / den**2)
-    return validate(
-        matrix,
-        labels,
-        base=base,
-        mode="float",
-        coords=pts,
-        coord_norm="l2",
-        meta=meta,
-    )
-
-
 def gen_planar_spiral(lam, depth: int, seed=0) -> FiniteMetricSpace:
     """Both accumulating sequences; labels p, q, p1, q1, ..., pN, qN."""
     pts = _spiral_points(Fraction(lam), depth, seed, one_sided=False)
     meta = {"family": "planar_spiral", "lambda": str(Fraction(lam)), "seed": seed}
-    return _euclidean_space(pts, base="p", meta=meta)
+    return from_points(pts, base="p", meta=meta)
 
 
 def gen_planar_spiral_one_sided(lam, depth: int, seed=0) -> FiniteMetricSpace:
@@ -178,7 +155,7 @@ def gen_planar_spiral_one_sided(lam, depth: int, seed=0) -> FiniteMetricSpace:
         "lambda": str(Fraction(lam)),
         "seed": seed,
     }
-    return _euclidean_space(pts, base="p", meta=meta)
+    return from_points(pts, base="p", meta=meta)
 
 
 # -- sup-norm counterexample family -------------------------------------
@@ -219,20 +196,22 @@ def gen_c0_counterexample(depth: int) -> FiniteMetricSpace:
 # -- Euclidean concave non-snowflake family ------------------------------
 
 
+def _mpf(x: Fraction) -> mp.mpf:
+    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+
+
+def _power_sum(a: Fraction, lam: Fraction, b: Fraction) -> mp.mpf:
+    """(a^2+b^2)^(lam/2) + ((1-a)^2+b^2)^(lam/2) at the working precision."""
+    half = _mpf(lam) / 2
+    return _mpf(a**2 + b**2) ** half + _mpf((1 - a) ** 2 + b**2) ** half
+
+
 def _certified_below(a: Fraction, lam: Fraction, b: Fraction, bound: Fraction) -> bool:
     """Certify (a^2+b^2)^(lam/2) + ((1-a)^2+b^2)^(lam/2) <= bound, with a
     numeric guard well under the certification margin."""
     with mp.workdps(_CERT_DPS):
-        lam_mp = mp.mpf(lam.numerator) / mp.mpf(lam.denominator)
-
-        def term(x: Fraction) -> mp.mpf:
-            return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-
-        val = (term(a**2 + b**2)) ** (lam_mp / 2) + (
-            term((1 - a) ** 2 + b**2)
-        ) ** (lam_mp / 2)
         guard = mp.mpf(10) ** (-(_CERT_DPS - 10))
-        return val < term(bound) - guard
+        return _power_sum(a, lam, b) < _mpf(bound) - guard
 
 
 def gen_l2_nonholder(
@@ -286,29 +265,15 @@ def gen_l2_nonholder(
             )
         b[n] = lo
         with mp.workdps(2 * _CERT_DPS):
-            lam_mp = mp.mpf(lam[n].numerator) / mp.mpf(lam[n].denominator)
-            s1 = mp.mpf((a[n] ** 2 + b[n] ** 2).numerator) / mp.mpf(
-                (a[n] ** 2 + b[n] ** 2).denominator
-            )
-            t2 = (1 - a[n]) ** 2 + b[n] ** 2
-            s2 = mp.mpf(t2.numerator) / mp.mpf(t2.denominator)
-            val = s1 ** (lam_mp / 2) + s2 ** (lam_mp / 2)
-            if not val < 1 - mp.mpf(L2_MARGIN.numerator) / mp.mpf(L2_MARGIN.denominator):
+            val = _power_sum(a[n], lam[n], b[n])
+            if not val < 1 - _mpf(L2_MARGIN):
                 raise ConstraintUnsatisfiable(f"post-hoc recheck failed at n={n}")
             margins[f"r{n}"] = float(1 - val)
 
-    dim = depth
-    pts: dict[str, tuple[Fraction, ...]] = {
-        "0": tuple(Fraction(0) for _ in range(dim)),
-        "e1": tuple(
-            Fraction(1) if k == 0 else Fraction(0) for k in range(dim)
-        ),
-    }
+    zero = (Fraction(0),) * depth
+    pts = {"0": zero, "e1": (Fraction(1),) + zero[1:]}
     for n in ns:
-        vec = [Fraction(0)] * dim
-        vec[0] = a[n]
-        vec[n - 1] = b[n]
-        pts[f"r{n}"] = tuple(vec)
+        pts[f"r{n}"] = (a[n],) + zero[1 : n - 1] + (b[n],) + zero[n:]
     meta = {
         "family": "l2_nonholder",
         "depth": depth,
@@ -317,7 +282,7 @@ def gen_l2_nonholder(
         "a_seq": {n: str(a[n]) for n in ns},
         "b_seq": {n: str(b[n]) for n in ns},
     }
-    return _euclidean_space(pts, base="0", meta=meta)
+    return from_points(pts, base="0", meta=meta)
 
 
 # -- family table ------------------------------------------------------

@@ -17,7 +17,7 @@ from both endpoints), and the snowflake transform d -> d^alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -153,21 +153,9 @@ class FiniteMetricSpace:
 
     def with_base(self, base: Union[int, str]) -> "FiniteMetricSpace":
         """Same space re-pointed at another base point."""
-        return FiniteMetricSpace(
-            labels=self.labels,
-            base_index=self.index(base),
-            dist=self.dist,
-            mode=self.mode,
-            rel_tol=self.rel_tol,
-            coords=self.coords,
-            coord_norm=self.coord_norm,
-            meta=self.meta,
-        )
+        return replace(self, base_index=self.index(base))
 
     # -- betweenness ---------------------------------------------------
-
-    def _has_exact_l2_coords(self) -> bool:
-        return self.coords is not None and self.coord_norm == "l2"
 
     def is_between(self, r: Union[int, str], p: Union[int, str], q: Union[int, str]) -> bool:
         """Does r lie (weakly) between p and q, i.e. excess(r;p,q) = 0?
@@ -284,6 +272,40 @@ def validate(
         coords=frozen_coords,
         coord_norm=coord_norm,
         meta=dict(meta) if meta else {},
+    )
+
+
+def from_points(
+    points: Mapping[str, Sequence[Fraction]],
+    norm: str = "l2",
+    base: Union[int, str] = 0,
+    rel_tol: float = DEFAULT_REL_TOL,
+    meta: Mapping | None = None,
+) -> FiniteMetricSpace:
+    """The validated space of labelled rational points under the norm
+    "l2", "l1" or "linf", keeping the coordinates.
+
+    Distances are computed once for i < j, on the coordinates scaled to
+    integers over one denominator den. l1 and linf give an exact space,
+    sum or max |x - y| over den; l2 a float space of correctly rounded
+    sqrt(S / den**2), S the squared distance. ``rel_tol`` is l2's alone.
+    """
+    labels = list(points)
+    den, ints = _scaled_ints([points[lab] for lab in labels])
+    exact = norm != "l2"
+    matrix = [[Fraction(0) if exact else 0.0] * len(ints) for _ in ints]
+    for i, u in enumerate(ints):
+        for j in range(i + 1, len(ints)):
+            diff = [abs(x - y) for x, y in zip(u, ints[j])]
+            if exact:
+                v = Fraction(sum(diff) if norm == "l1" else max(diff, default=0), den)
+            else:
+                v = math.sqrt(sum(x * x for x in diff) / den**2)
+            matrix[i][j] = matrix[j][i] = v
+    return validate(
+        matrix, labels, base=base, mode=EXACT if exact else FLOAT,
+        rel_tol=DEFAULT_REL_TOL if exact else rel_tol,
+        coords=points, coord_norm=norm, meta=meta,
     )
 
 
@@ -534,7 +556,7 @@ def _float_betweenness(space: FiniteMetricSpace):
     coincide). Otherwise r is between p and q when its excess is at
     most the absolute tolerance.
     """
-    if space._has_exact_l2_coords():
+    if space.coords is not None and space.coord_norm == "l2":
         _, pts = _scaled_ints(space.coords)
         dims = len(pts[0]) if pts else 0
         minors = [(a, b) for a in range(dims) for b in range(a + 1, dims)]

@@ -16,9 +16,9 @@ the tolerance at 34 digits; the library now decides by the tolerance
 alone and must agree. ``reference_solve_nonneg`` is the textbook
 Fraction tableau that the integer simplex must match pivot for pivot,
 ``reference_is_vertex`` the vertex oracle on dense molecule vectors,
-and ``reference_spiral_points`` with ``reference_euclidean_matrix`` the
-spiral generator's pairwise alignment test and the Fraction distance
-matrix.
+``reference_spiral_points`` the spiral generator's pairwise alignment
+test, and ``reference_cloud_matrix`` the Fraction distance matrix of a
+point cloud.
 """
 
 from __future__ import annotations
@@ -568,11 +568,18 @@ def reference_spiral_points(lam: Fraction, depth: int, seed, one_sided: bool):
     return pts
 
 
-def reference_euclidean_matrix(pts) -> list[list[float]]:
-    """Every ordered pair's distance as sqrt(float(squared distance)), the
-    squared distance summed in Fractions."""
-    labels = list(pts)
-    return [
-        [math.sqrt(float(sum((x - y) ** 2 for x, y in zip(pts[a], pts[b])))) for b in labels]
-        for a in labels
-    ]
+def reference_cloud_matrix(points, norm="l2"):
+    """Every ordered pair's distance from Fraction coordinate differences:
+    sum or max |x - y| under l1 or linf, and sqrt(float(squared
+    distance)) under l2. ``freelip.space.from_points`` computes them on
+    integers over one denominator and must return equal matrices."""
+
+    def dist(a, b):
+        diff = [x - y for x, y in zip(a, b)]
+        if norm == "l1":
+            return sum(abs(v) for v in diff)
+        if norm == "linf":
+            return max((abs(v) for v in diff), default=Fraction(0))
+        return math.sqrt(float(sum(v * v for v in diff)))
+
+    return [[dist(a, b) for b in points.values()] for a in points.values()]

@@ -73,6 +73,23 @@ def test_validate_malformed_json_exit_1(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"matrix": [[0, 1], [1, 0]]},
+        {"labels": ["a", "b"], "matrix": [0, 1]},
+        {"points": [[0, 0], [1, 0]]},
+        {"labels": "ab", "matrix": [[0, 1], [1, 0]]},
+    ],
+    ids=["no-labels", "rows-not-arrays", "points-array", "labels-string"],
+)
+def test_malformed_space_object_exit_1(tmp_path, capsys, doc):
+    path = write(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/nowhere.json")
     assert code == 1
@@ -125,6 +142,30 @@ def test_no_analysis_for_invalid_space(tmp_path, capsys):
     assert "pairs" not in payload
 
 
+@pytest.mark.parametrize(
+    "argv", [["modulus", "a", "b", "--eps", "1/2"], ["attainment", "a", "b"]]
+)
+def test_invalid_space_exit_2_with_payload(tmp_path, capsys, argv):
+    path = write(tmp_path, "sp.json", BROKEN_SPACE)
+    code, out, _ = run(capsys, argv[0], path, *argv[1:], "--json")
+    assert code == 2
+    payload = json.loads(out)["payload"]
+    assert payload["valid"] is False
+    assert payload["violations"][0]["kind"] == "triangle"
+
+
+def test_classify_oracle_guarded_at_12_points(tmp_path, capsys):
+    n = 13
+    sp = {
+        "labels": [f"x{i}" for i in range(n)],
+        "matrix": [[int(i != j) for j in range(n)] for i in range(n)],
+    }
+    path = write(tmp_path, "sp.json", sp)
+    code, out, err = run(capsys, "classify", path, "--oracle")
+    assert code == 1 and out == ""
+    assert err == "error: the polytope oracle is guarded at 12 points\n"
+
+
 def test_modulus_c0_fixture(tmp_path, capsys):
     gen_path = str(tmp_path / "c0.json")
     code, _, _ = run(capsys, "generate", "c0", "--depth", "10", "--out", gen_path)
@@ -166,7 +207,7 @@ def test_generate_round_trip_and_sizes(tmp_path, capsys):
     assert code == 0
     assert run(capsys, "validate", holder)[0] == 0
 
-    doc = json.loads(open(spiral).read())
+    doc = json.loads(Path(spiral).read_text())
     assert doc["provenance"]["family"] == "planar_spiral"
     assert doc["provenance"]["seed"] == 1
 
@@ -175,7 +216,7 @@ def test_generate_l2(tmp_path, capsys):
     out_path = str(tmp_path / "l2.json")
     code, _, _ = run(capsys, "generate", "l2", "--depth", "8", "--out", out_path)
     assert code == 0
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     assert "margins" in doc["provenance"]
     assert run(capsys, "validate", out_path)[0] == 0
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import freelip as fl
-from freelip import generators
+from freelip import space
 from freelip.classify import UnknownFamily
 from freelip.generators import (
     BadDepth,
@@ -19,7 +19,7 @@ from freelip.generators import (
     _spiral_points,
     family_at_depths,
 )
-from support import reference_collinear, reference_euclidean_matrix, reference_spiral_points
+from support import reference_cloud_matrix, reference_collinear, reference_spiral_points
 
 
 # -- sup-norm family -----------------------------------------------------------
@@ -150,10 +150,10 @@ def test_euclidean_distances_bit_identical_to_fraction_reference():
             (fl.gen_planar_spiral_one_sided, True),
         ):
             sp = gen(lam, depth, seed)
-            ref = reference_euclidean_matrix(reference_spiral_points(lam, depth, seed, one_sided))
+            ref = reference_cloud_matrix(reference_spiral_points(lam, depth, seed, one_sided))
             assert _hex(sp.dist) == _hex(ref)
     sp = fl.gen_l2_nonholder(None, None, 12)
-    assert _hex(sp.dist) == _hex(reference_euclidean_matrix(dict(zip(sp.labels, sp.coords))))
+    assert _hex(sp.dist) == _hex(reference_cloud_matrix(dict(zip(sp.labels, sp.coords))))
 
 
 def test_depth_32_spiral_equals_reference(monkeypatch):
@@ -162,8 +162,8 @@ def test_depth_32_spiral_equals_reference(monkeypatch):
     assert list(pts.items()) == list(reference_spiral_points(F(1, 2), 32, 0, False).items())
     # validation rejects this space (ROADMAP item 1); compare the matrix
     # the builder hands to validate
-    monkeypatch.setattr(generators, "validate", lambda matrix, *args, **kwargs: matrix)
-    assert _hex(generators._euclidean_space(pts, "p")) == _hex(reference_euclidean_matrix(pts))
+    monkeypatch.setattr(space, "validate", lambda matrix, *args, **kwargs: matrix)
+    assert _hex(space.from_points(pts, base="p")) == _hex(reference_cloud_matrix(pts))
 
 
 _coord = st.builds(F, st.integers(-3, 3), st.integers(1, 3))

@@ -262,6 +262,20 @@ def test_holder_kills_alignment_even_near_margin():
         assert fl.aligned_triples(out) == ()
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValidationError,
+    reason="ROADMAP item 1: holder_transform validates the snowflake under the "
+    "float tolerance, so a distance whose ratio to the largest, raised to alpha, "
+    "falls to 1e-9 is rejected as zero_distance",
+)
+def test_holder_of_valid_base_with_tiny_distance():
+    t = F(1, 10**10)
+    sp = fl.validate([[0, 1, 1 + t], [1, 0, t], [1 + t, t, 0]], ["a", "b", "c"])
+    out = fl.holder_transform(sp, F(9, 10))
+    assert fl.aligned_triples(out) == ()
+
+
 # -- properties -------------------------------------------------------------
 
 
