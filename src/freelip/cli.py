@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: validate, classify, modulus, generate, attainment, diagnose.
-Exit codes: 0 success, 1 parse/usage errors, 2 metric violations,
-3 classifier/oracle disagreement (an internal inconsistency). JSON output
+Exit codes: 0 success, 1 parse/usage errors and failed LPs, 2 metric
+violations, 3 classifier/oracle disagreement (an internal inconsistency).
+Errors print as one "error: ..." line on stderr. JSON output
 carries a report envelope whose payload region is byte-identical across
 identical invocations; the timestamp lives outside it.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import classify as cls
-from . import formats, generators, lipfun, polytope
+from . import formats, generators, lipfun, polytope, simplex
 from .formats import number_to_json
 from .space import (
     FLOAT,
@@ -433,7 +434,7 @@ def main(argv=None) -> int:
     except (formats.FormatError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SpaceError, cls.UnknownFamily, ValueError) as exc:
+    except (SpaceError, simplex.LPFailure, cls.UnknownFamily, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

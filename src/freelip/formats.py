@@ -9,7 +9,8 @@ Three input formats are supported:
   "l2"|"linf"|"l1", "base": ...}, built by ``space.from_points`` as the
   generated families are: "linf"/"l1" give exact rational distances,
   "l2" correctly rounded floats, and the rational coordinates are kept
-  for exact alignment tests.
+  for exact alignment tests. An optional "tolerance" applies to "l2"; a
+  "mode" that disagrees with the norm is an error.
 * CSV square matrix with a header row of labels; the base point defaults
   to the first label.
 
@@ -88,7 +89,7 @@ def space_from_dict(
     the exact-alignment machinery stays available.
     """
     if "points" in obj:
-        return _space_from_cloud(obj, base=base, rel_tol=rel_tol)
+        return _space_from_cloud(obj, mode=mode, base=base, rel_tol=rel_tol)
     if "matrix" in obj:
         labels = _array(obj, "labels")
         raw = _array(obj, "matrix")
@@ -124,10 +125,19 @@ def _matrix_space(labels, raw, mode, base, rel_tol) -> FiniteMetricSpace:
     return validate(matrix, labels, base=base, mode=mode, rel_tol=float(rel_tol))
 
 
-def _space_from_cloud(obj: Mapping, base=None, rel_tol: float = DEFAULT_REL_TOL):
+def _space_from_cloud(obj: Mapping, mode=None, base=None, rel_tol: float = DEFAULT_REL_TOL):
+    """The norm fixes the mode: l2 is float, l1 and linf are exact. A mode
+    given as an argument or in the object must agree; the tolerance (the
+    object's, as for a matrix) is l2's alone."""
     norm = obj.get("norm", "l2")
     if norm not in ("l2", "linf", "l1"):
         raise FormatError(f"unknown norm {norm!r}")
+    eff_mode = mode or obj.get("mode")
+    if eff_mode not in (None, EXACT, FLOAT):
+        raise FormatError(f"unknown mode {eff_mode!r}")
+    norm_mode = FLOAT if norm == "l2" else EXACT
+    if eff_mode not in (None, norm_mode):
+        raise FormatError(f"an {norm} point cloud is {norm_mode}, not {eff_mode}")
     raw_points = obj["points"]
     if not isinstance(raw_points, dict):
         raise FormatError("'points' must be an object of coordinate arrays")
@@ -139,7 +149,7 @@ def _space_from_cloud(obj: Mapping, base=None, rel_tol: float = DEFAULT_REL_TOL)
     if len({len(vec) for vec in coords.values()}) != 1:
         raise FormatError("all points need the same dimension")
     eff_base = base if base is not None else obj.get("base", next(iter(coords)))
-    return from_points(coords, norm, eff_base, rel_tol)
+    return from_points(coords, norm, eff_base, float(obj.get("tolerance", rel_tol)))
 
 
 def space_from_csv(

@@ -6,10 +6,15 @@ phi(f, x, y) = (f(x) - f(y)) / d(x,y); its sup norm is the Lipschitz
 constant. Functions vanishing at the base point pair against free
 vectors, and the pairing never exceeds norm times Lipschitz constant.
 
-Norm attainment of a pair (p,q) is computed as a finite LP family: over
-all f in the Lipschitz unit ball with phi(f,p,q) = 1, the achievable
-values of phi(f,x,y) form an interval, and (x,y) belongs to the
-attainment set exactly when that interval is the single point +1 or -1.
+Norm attainment of a pair (p,q): over all f in the Lipschitz unit ball
+with phi(f,p,q) = 1, the achievable values of phi(f,x,y) form an
+interval, and (x,y) belongs to the attainment set exactly when that
+interval is the single point +1 or -1. Every constraint on such f bounds
+a difference f(v) - f(u), so each interval end is a shortest-path length
+in the metric with the one edge p -> q weighted -d(p,q): full mode reads
+all intervals off one Floyd-Warshall pass on integers. Lazy mode bounds
+only the candidates that no feasible function rules out, by exact LPs
+over one shared tableau.
 """
 
 from __future__ import annotations
@@ -250,7 +255,8 @@ def peaking_candidate(
 @dataclass(frozen=True)
 class AttainmentSet:
     """Pairs at which every norm-attaining function of (p,q) must also
-    attain its norm, with the LP interval certificates that were run."""
+    attain its norm, with the slope intervals that were computed: every
+    one in full mode, those the lazy shortcut left to an LP otherwise."""
 
     pair: tuple[str, str]
     members: tuple[tuple[str, str], ...]
@@ -265,31 +271,33 @@ def attainment_set(
 ) -> AttainmentSet:
     """Membership of each ordered pair (x,y) in the attainment set of (p,q).
 
-    For each candidate, two exact LPs bound phi(f,x,y) over the polytope
+    A candidate's interval is the range of phi(f,x,y) over the polytope
     {L(f) <= 1, f(e) = 0, phi(f,p,q) = 1}; membership means the interval
     degenerates to +1 or -1 (within the space tolerance in float mode).
-    (p,q) and (q,p) are always members. intervals="lazy" skips the LPs
-    for candidates already disqualified by a feasible function produced
-    along the way; intervals="full" runs every LP. Both modes return
-    identical members.
+    (p,q) and (q,p) are always members. intervals="full" reports every
+    interval, read off one shortest-path pass (:func:`_path_intervals`);
+    no LP runs. intervals="lazy" bounds a candidate by two exact LPs and
+    skips them for candidates already disqualified by a feasible function
+    produced along the way. Both modes return identical members, and
+    the intervals lazy mode reports equal those of full mode.
     """
     if intervals not in ("lazy", "full"):
         raise ValueError("intervals must be 'lazy' or 'full'")
     pi, qi = space.index(p), space.index(q)
     if pi == qi:
         raise SamePoint("attainment needs two distinct points")
-    prob = _AttainmentLP(space, pi, qi)
 
     tol = 0.0 if space.mode == "exact" else space.rel_tol
+    if intervals == "full":
+        interval = _path_intervals(space, pi, qi)
+    else:
+        interval = _lazy_intervals(space, pi, qi, tol)
     candidates = [
         (i, j)
         for i in range(space.n)
         for j in range(i + 1, space.n)
         if {i, j} != {pi, qi}
     ]
-    # Feasible functions seen so far; any strict interior slope value on a
-    # candidate rules its membership out without an LP.
-    witnesses: list[tuple[Num, ...]] = [prob.h_primary(), prob.h_secondary()]
     one = space.num(1)
 
     out_intervals: dict[tuple[str, str], tuple[Num, Num]] = {}
@@ -297,17 +305,11 @@ def attainment_set(
     out_intervals[(space.labels[pi], space.labels[qi])] = (one, one)
     out_intervals[(space.labels[qi], space.labels[pi])] = (-one, -one)
 
-    def disqualified(i: int, j: int) -> bool:
-        # 2*tol guard keeps the lazy shortcut conservative in float mode.
-        return any(
-            abs(_slope(space, w, i, j)) < 1 - 2 * tol for w in witnesses
-        )
-
     for i, j in candidates:
-        if intervals == "lazy" and disqualified(i, j):
+        bounds = interval(i, j)
+        if bounds is None:
             continue
-        lo, hi = prob.interval(i, j)
-        witnesses.extend(prob.last_witnesses)
+        lo, hi = bounds
         out_intervals[(space.labels[i], space.labels[j])] = (lo, hi)
         out_intervals[(space.labels[j], space.labels[i])] = (-hi, -lo)
         if space.mode == "exact":
@@ -327,6 +329,61 @@ def attainment_set(
         members=tuple(member_labels),
         intervals=out_intervals,
     )
+
+
+def _path_intervals(space: FiniteMetricSpace, pi: int, qi: int):
+    """Every candidate interval of the attainment polytope of (p,q), from
+    one all-pairs shortest-path pass.
+
+    Each constraint is a difference constraint f(v) - f(u) <= w(u,v):
+    w(u,v) = d(u,v) for every ordered pair, except that phi(f,p,q) = 1
+    adds f(q) - f(p) <= -d(p,q), so w(p,q) = -d(p,q). Over the polytope,
+    max f(v) - f(u) is the length D[u][v] of a shortest u-v path, and the
+    polytope is empty exactly when some cycle is negative (Cormen et al.,
+    Introduction to Algorithms, 3rd ed., section 24.4). Floyd-Warshall
+    runs on the distances read as exact rationals and scaled to ints; the
+    scale cancels in phi(f,x,y), whose interval is [-D[x][y], D[y][x]]
+    over d(x,y). Returns the map (x, y) -> (lo, hi), in the space's
+    number mode; the values equal the LP's.
+    """
+    _, m = space._int_matrix
+    n = space.n
+    short = [list(row) for row in m]
+    short[pi][qi] = -m[pi][qi]
+    for k in range(n):
+        via = short[k]
+        for row in short:
+            ik = row[k]
+            for j, kj in enumerate(via):
+                if ik + kj < row[j]:
+                    row[j] = ik + kj
+    if any(short[i][i] < 0 for i in range(n)):
+        raise simplex.LPFailure(
+            f"attainment LP ended {simplex.INFEASIBLE}; the polytope is never empty"
+        )
+    num = space.num
+    return lambda i, j: (
+        num(Fraction(-short[i][j], m[i][j])),
+        num(Fraction(short[j][i], m[i][j])),
+    )
+
+
+def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int, tol: float):
+    """The map (x, y) -> LP interval, or None when a feasible function seen
+    so far has a slope strictly inside (-1, 1) there, which rules (x,y)
+    out without an LP. The 2*tol guard keeps the shortcut conservative in
+    float mode."""
+    prob = _AttainmentLP(space, pi, qi)
+    witnesses: list[tuple[Num, ...]] = [prob.h_primary(), prob.h_secondary()]
+
+    def interval(i: int, j: int):
+        if any(abs(_slope(space, w, i, j)) < 1 - 2 * tol for w in witnesses):
+            return None
+        bounds = prob.interval(i, j)
+        witnesses.extend(prob.last_witnesses)
+        return bounds
+
+    return interval
 
 
 def _slope(space: FiniteMetricSpace, values: tuple[Num, ...], i: int, j: int) -> Num:

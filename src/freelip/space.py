@@ -111,8 +111,11 @@ class FiniteMetricSpace:
 
     @cached_property
     def _int_matrix(self) -> tuple[int, list[list[int]]]:
-        """Exact mode: the common denominator and the distances times it."""
-        return _scaled_ints(self.dist)
+        """The common denominator and the distances times it; float mode
+        reads each float as the rational it is exactly."""
+        if self.mode == EXACT:
+            return _scaled_ints(self.dist)
+        return _scaled_ints([[Fraction(v) for v in row] for row in self.dist])
 
     @cached_property
     def _inverse_dist(self) -> list[list[Fraction]]:

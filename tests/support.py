@@ -16,9 +16,10 @@ the tolerance at 34 digits; the library now decides by the tolerance
 alone and must agree. ``reference_solve_nonneg`` is the textbook
 Fraction tableau that the integer simplex must match pivot for pivot,
 ``reference_is_vertex`` the vertex oracle on dense molecule vectors,
-``reference_spiral_points`` the spiral generator's pairwise alignment
-test, and ``reference_cloud_matrix`` the Fraction distance matrix of a
-point cloud.
+``reference_full_attainment`` the full attainment intervals by one pair
+of LPs per candidate, ``reference_spiral_points`` the spiral generator's
+pairwise alignment test, and ``reference_cloud_matrix`` the Fraction
+distance matrix of a point cloud.
 """
 
 from __future__ import annotations
@@ -525,6 +526,41 @@ def reference_is_vertex(space, p, q):
         raise simplex.LPFailure("Farkas certificate failed verification")
     labels = [lab for i, lab in enumerate(space.labels) if i != space.base_index]
     return VertexCertificate(vertex=True, separating=dict(zip(labels, phi)), margin=margin, weights=None)
+
+
+def reference_full_attainment(space, p, q):
+    """``attainment_set(space, p, q, intervals="full")`` as two exact LPs
+    per candidate pair on the shared attainment tableau
+    (``freelip.lipfun._AttainmentLP``). The library reads the same
+    intervals off shortest paths and must return an equal set, or raise
+    the same ``LPFailure`` when the polytope is empty."""
+    from freelip.lipfun import AttainmentSet, _AttainmentLP
+
+    pi, qi = space.index(p), space.index(q)
+    lab = space.labels
+    prob = _AttainmentLP(space, pi, qi)
+    tol = 0.0 if space.mode == EXACT else space.rel_tol
+    one = space.num(1)
+    intervals = {(lab[pi], lab[qi]): (one, one), (lab[qi], lab[pi]): (-one, -one)}
+    members = {(pi, qi), (qi, pi)}
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            if {i, j} == {pi, qi}:
+                continue
+            lo, hi = prob.interval(i, j)
+            intervals[(lab[i], lab[j])] = (lo, hi)
+            intervals[(lab[j], lab[i])] = (-hi, -lo)
+            if space.mode == EXACT:
+                degenerate = lo == hi and abs(hi) == 1
+            else:
+                degenerate = hi - lo <= tol and abs(hi) >= 1 - tol
+            if degenerate:
+                members |= {(i, j), (j, i)}
+    return AttainmentSet(
+        pair=(lab[pi], lab[qi]),
+        members=tuple((lab[a], lab[b]) for a, b in sorted(members)),
+        intervals=intervals,
+    )
 
 
 def reference_collinear(a, b, c) -> bool:

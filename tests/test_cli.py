@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import freelip
 from freelip import cli
 from freelip.cli import main
+from support import random_float_space
 
 
 def run(capsys, *argv):
@@ -227,6 +229,18 @@ def test_attainment_equilateral(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)["payload"]
     assert payload["members"] == [["a", "b"], ["b", "a"]]
+
+
+def test_attainment_lp_failure_is_one_error_line(tmp_path, capsys):
+    # The float space passes validation, but read as exact rationals its
+    # distances break a triangle by one ulp, so the attainment polytope of
+    # (x0, x3) is empty (ROADMAP item 3); the CLI reports it, no traceback.
+    space = random_float_space(random.Random(1), 5)
+    path = write(tmp_path, "float.json", freelip.space_to_dict(space))
+    for intervals in ("lazy", "full"):
+        code, out, err = run(capsys, "attainment", path, "x0", "x3", "--intervals", intervals, "--json")
+        assert code == 1 and out == ""
+        assert err == "error: attainment LP ended infeasible; the polytope is never empty\n"
 
 
 def test_diagnose_spiral_flags(capsys):

@@ -26,6 +26,33 @@ def test_linf_cloud_is_exact():
     assert all(isinstance(v, F) for row in sp.dist for v in row)
 
 
+def test_l2_cloud_honours_its_tolerance():
+    cloud = {"points": {"o": [0, 0], "x": [1, 0], "y": [0, 1]}, "norm": "l2", "tolerance": 1e-6}
+    sp = fl.space_from_dict(cloud)
+    assert sp.mode == "float" and sp.rel_tol == 1e-6
+    assert fl.space_from_dict(fl.space_to_dict(sp)).rel_tol == 1e-6
+    # exact norms compare exactly, whatever the tolerance
+    assert fl.space_from_dict({**cloud, "norm": "l1"}).abs_tol == 0
+
+
+@pytest.mark.parametrize("given", ["argument", "object"])
+def test_exact_mode_on_l2_cloud_raises_format_error(given):
+    cloud = {"points": {"o": [0, 0], "x": [1, 1]}, "norm": "l2"}
+    with pytest.raises(FormatError, match="an l2 point cloud is float, not exact"):
+        if given == "argument":
+            fl.space_from_dict(cloud, mode="exact")
+        else:
+            fl.space_from_dict({**cloud, "mode": "exact"})
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+def test_exact_norm_cloud_keeps_exact_mode(norm):
+    cloud = {"points": {"o": [0, 0], "x": [1, "1/2"]}, "norm": norm}
+    assert fl.space_from_dict(cloud, mode="exact").mode == "exact"
+    with pytest.raises(FormatError, match=f"an {norm} point cloud is exact, not float"):
+        fl.space_from_dict(cloud, mode="float")
+
+
 def test_matrix_mode_inferred_from_entries():
     doc = {"labels": ["a", "b", "c"], "matrix": [[0, 1, "1/2"], [1, 0, 1], ["1/2", 1, 0]]}
     exact = fl.space_from_dict(doc)
@@ -40,10 +67,11 @@ def test_matrix_mode_inferred_from_entries():
     [
         ({"labels": ["a", "b"], "matrix": [[0, 1], [1, 0]], "mode": "fuzzy"}, "unknown mode 'fuzzy'"),
         ({"points": {"a": [0], "b": [1]}, "norm": "l3"}, "unknown norm 'l3'"),
+        ({"points": {"a": [0], "b": [1]}, "mode": "fuzzy"}, "unknown mode 'fuzzy'"),
         ({"points": {"a": [0, 0], "b": [1]}}, "all points need the same dimension"),
         ({"labels": ["a"], "base": "a"}, "neither 'matrix' nor 'points'"),
     ],
-    ids=["mode", "norm", "mixed-dimension", "no-matrix-no-points"],
+    ids=["mode", "norm", "cloud-mode", "mixed-dimension", "no-matrix-no-points"],
 )
 def test_malformed_object_raises_format_error(doc, message):
     with pytest.raises(FormatError, match=message):
