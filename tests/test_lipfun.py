@@ -295,8 +295,8 @@ def test_full_attainment_matches_lp_reference(seed, n, exact):
 
 
 def _count_tableaux(monkeypatch):
-    built, solved = [], []
-    init, solve = simplex.Tableau.__init__, simplex.Tableau.solve
+    built, solved, scaled = [], [], [0]
+    init, solve, int_row = simplex.Tableau.__init__, simplex.Tableau.solve, simplex._int_row
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
@@ -306,25 +306,34 @@ def _count_tableaux(monkeypatch):
         solved.append(self)
         return solve(self, *args, **kwargs)
 
+    def counting_int_row(values):
+        scaled[0] += 1
+        return int_row(values)
+
     monkeypatch.setattr(simplex.Tableau, "__init__", counting_init)
     monkeypatch.setattr(simplex.Tableau, "solve", counting_solve)
-    return built, solved
+    monkeypatch.setattr(simplex, "_int_row", counting_int_row)
+    return built, solved, scaled
 
 
 def test_full_attainment_runs_no_lp(monkeypatch):
-    built, solved = _count_tableaux(monkeypatch)
+    built, solved, _ = _count_tableaux(monkeypatch)
     fl.attainment_set(random_exact_space(random.Random(7), 7), 1, 2, intervals="full")
     assert built == [] and solved == []
 
 
 def test_lazy_attainment_builds_one_tableau(monkeypatch):
-    # Machine-independent: one Lipschitz-ball tableau, and every objective
-    # solved on it, at most 2 * (C(n,2) - 1) of them.
+    # Machine-independent: one Lipschitz-ball tableau, at most
+    # 2 * (C(n,2) - 1) objectives solved on it, and every row scaled to
+    # ints only once.
     n = 7
-    built, solved = _count_tableaux(monkeypatch)
+    built, solved, scaled = _count_tableaux(monkeypatch)
     fl.attainment_set(random_exact_space(random.Random(7), n), 1, 2, intervals="lazy")
     assert len(built) == 1
     assert 0 < len(solved) <= 2 * (comb(n, 2) - 1) and all(t is built[0] for t in solved)
+    # p and q share a variable, so only the row pair of (p, q) vanishes:
+    # 2 * (C(n,2) - 1) rows, then one objective per solve.
+    assert scaled[0] == 2 * (comb(n, 2) - 1) + len(solved)
 
 
 @pytest.mark.xfail(
