@@ -12,7 +12,8 @@ Three families recur throughout the test surface of this package:
   truncation deepens (the finite shadow of a non-compact counterexample);
 * a Euclidean family {0, e1, r_n} that is concave but, by construction,
   cannot be a snowflake of any metric: its distances violate the triangle
-  inequality after being raised to a power 1/alpha > some lambda_n.
+  inequality after being raised to a power 1/alpha > some lambda_n; its
+  defining inequality is certified on integers, rounded up at every step.
 
 All generators are deterministic in (parameters, seed), nest across
 depths (the depth-N space is a prefix of the depth-M one for N < M), and
@@ -22,12 +23,11 @@ their spaces with ``space.from_points``, as the point-cloud reader does.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-from mpmath import mp
 
 from .space import FiniteMetricSpace, SpaceError, from_points, holder_transform, validate
 from .classify import UnknownFamily
@@ -35,7 +35,8 @@ from .classify import UnknownFamily
 REJECTION_BUDGET = 1000
 L2_MARGIN = Fraction(1, 2**40)
 _BISECTION_STEPS = 64
-_CERT_DPS = 50
+_FIXED = 256  # fractional bits of the l2 certificate's fixed point
+_EXP_BITS = 128  # bits kept of a non-dyadic exponent
 
 
 class BadLambda(SpaceError):
@@ -196,22 +197,35 @@ def gen_c0_counterexample(depth: int) -> FiniteMetricSpace:
 # -- Euclidean concave non-snowflake family ------------------------------
 
 
-def _mpf(x: Fraction) -> mp.mpf:
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+def _power_bound(x: Fraction, e: Fraction) -> int:
+    """An integer U with x**e <= U / 2**_FIXED, for rational x > 0 and e > 0.
+
+    x is rounded up to fixed point, and a non-dyadic e is cut to _EXP_BITS
+    bits in the direction that can only raise x**e. Then x**e is x**floor(e)
+    times the nested integer square roots x**(2**-i) for the set bits i of
+    e (Brent and Zimmermann, Modern Computer Arithmetic, 2010, section 1.5),
+    every step rounded up.
+    """
+    one = 1 << _FIXED
+    s = -(-x.numerator * one // x.denominator)
+    if e.denominator & (e.denominator - 1):
+        cut = e * (1 << _EXP_BITS)
+        e = Fraction(math.floor(cut) if x < 1 else math.ceil(cut), 1 << _EXP_BITS)
+    whole, frac = divmod(e, 1)
+    u = one
+    for _ in range(whole):
+        u = -(-u * s >> _FIXED)
+    bits = frac.denominator.bit_length() - 1
+    for i in range(bits - 1, -1, -1):
+        s = 1 + math.isqrt((s << _FIXED) - 1)
+        if frac.numerator >> i & 1:
+            u = -(-u * s >> _FIXED)
+    return u
 
 
-def _power_sum(a: Fraction, lam: Fraction, b: Fraction) -> mp.mpf:
-    """(a^2+b^2)^(lam/2) + ((1-a)^2+b^2)^(lam/2) at the working precision."""
-    half = _mpf(lam) / 2
-    return _mpf(a**2 + b**2) ** half + _mpf((1 - a) ** 2 + b**2) ** half
-
-
-def _certified_below(a: Fraction, lam: Fraction, b: Fraction, bound: Fraction) -> bool:
-    """Certify (a^2+b^2)^(lam/2) + ((1-a)^2+b^2)^(lam/2) <= bound, with a
-    numeric guard well under the certification margin."""
-    with mp.workdps(_CERT_DPS):
-        guard = mp.mpf(10) ** (-(_CERT_DPS - 10))
-        return _power_sum(a, lam, b) < _mpf(bound) - guard
+def _power_sum_bound(a: Fraction, lam: Fraction, b: Fraction) -> int:
+    """An integer U with (a^2+b^2)^(lam/2) + ((1-a)^2+b^2)^(lam/2) <= U / 2**_FIXED."""
+    return _power_bound(a**2 + b**2, lam / 2) + _power_bound((1 - a) ** 2 + b**2, lam / 2)
 
 
 def gen_l2_nonholder(
@@ -221,10 +235,12 @@ def gen_l2_nonholder(
 
     Defaults: a_n = 2^-n and lambda_n = 1 + 2^-n. Each b_n is the largest
     64-step dyadic rational whose defining constraint
-    (a_n^2+b_n^2)^(lam_n/2) + ((1-a_n)^2+b_n^2)^(lam_n/2) < 1 is certified
-    with margin at least 2^-40 in high-precision arithmetic; the margins
-    land in the space metadata. Distances are Euclidean floats, while the
-    retained rational coordinates make alignment tests exact.
+    (a_n^2+b_n^2)^(lam_n/2) + ((1-a_n)^2+b_n^2)^(lam_n/2) < 1 holds with
+    margin at least 2^-40 under an integer upper bound on the left side
+    (256-bit fixed point, rounded up at every step), so each b_n is
+    certified by construction; the margins under that bound land in the
+    space metadata. Distances are Euclidean floats, while the retained
+    rational coordinates make alignment tests exact.
     """
     if depth < 2:
         raise BadDepth("depth must be at least 2")
@@ -248,14 +264,15 @@ def gen_l2_nonholder(
         if not lam[m] < lam[n]:
             raise BadSequences("lambda_n must be strictly decreasing")
 
-    bound = 1 - L2_MARGIN
+    one = 1 << _FIXED
+    cap = (1 - L2_MARGIN) * one
     b: dict[int, Fraction] = {}
     margins: dict[str, float] = {}
     for n in ns:
         lo, hi = Fraction(0), Fraction(1)
         for _ in range(_BISECTION_STEPS):
             mid = (lo + hi) / 2
-            if _certified_below(a[n], lam[n], mid, bound):
+            if _power_sum_bound(a[n], lam[n], mid) < cap:
                 lo = mid
             else:
                 hi = mid
@@ -264,11 +281,10 @@ def gen_l2_nonholder(
                 f"no admissible b at n={n}; the margin bound cannot be met"
             )
         b[n] = lo
-        with mp.workdps(2 * _CERT_DPS):
-            val = _power_sum(a[n], lam[n], b[n])
-            if not val < 1 - _mpf(L2_MARGIN):
-                raise ConstraintUnsatisfiable(f"post-hoc recheck failed at n={n}")
-            margins[f"r{n}"] = float(1 - val)
+        total = _power_sum_bound(a[n], lam[n], b[n])
+        if not total < cap:
+            raise ConstraintUnsatisfiable(f"post-hoc recheck failed at n={n}")
+        margins[f"r{n}"] = (one - total) / one
 
     zero = (Fraction(0),) * depth
     pts = {"0": zero, "e1": (Fraction(1),) + zero[1:]}
@@ -331,10 +347,6 @@ _FAMILIES = {
             params["base"].generate(depth), params["alpha"]
         ),
         lambda params, p, q, n: params["base"].probe_label(p, q, n),
-    ),
-    "constant": (
-        lambda params, depth: params["space"],
-        lambda params, p, q, n: params["probe"],
     ),
 }
 

@@ -312,11 +312,7 @@ def attainment_set(
         lo, hi = bounds
         out_intervals[(space.labels[i], space.labels[j])] = (lo, hi)
         out_intervals[(space.labels[j], space.labels[i])] = (-hi, -lo)
-        if space.mode == "exact":
-            degenerate = lo == hi and abs(hi) == 1
-        else:
-            degenerate = hi - lo <= tol and abs(hi) >= 1 - tol
-        if degenerate:
+        if hi - lo <= tol and abs(hi) >= 1 - tol:
             members.append((i, j))
             members.append((j, i))
 

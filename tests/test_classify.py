@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -175,7 +176,7 @@ def test_property_z_spiral_ratio_bound():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: the float excess of an exact-coordinate spiral "
+    reason="ROADMAP item 3: the float excess of an exact-coordinate spiral "
     "point rounds to <= 0 at depth 18, so min_ratio is not positive",
 )
 def test_spiral_extreme_pair_has_positive_ratio_at_depth_18():
@@ -187,8 +188,19 @@ def test_spiral_extreme_pair_has_positive_ratio_at_depth_18():
 # -- family diagnostics ------------------------------------------------------
 
 
-def constant_family(space, probe):
-    return FamilySpec("constant", {"space": space, "probe": probe})
+@dataclass(frozen=True)
+class ConstantFamily:
+    """The same space at every depth and one probe label for every pair:
+    duck-typed, as classify accepts any object with these two methods."""
+
+    space: object
+    probe: str
+
+    def generate(self, depth):
+        return self.space
+
+    def probe_label(self, p, q, n):
+        return self.probe
 
 
 def test_sequence_diagnostics_c0():
@@ -210,7 +222,7 @@ def test_sequence_diagnostics_c0_shallow_depths_no_flag():
 
 
 def test_sequence_diagnostics_constant_family():
-    spec = constant_family(EQUILATERAL, "c")
+    spec = ConstantFamily(EQUILATERAL, "c")
     diag = fl.sequence_diagnostics(spec, "a", "b", depths=(4, 8, 16))
     assert all(r.ratio == 1.0 for r in diag.records)
     assert not diag.flag
@@ -233,14 +245,14 @@ def test_strongly_exposed_trend_spiral():
 
 
 def test_strongly_exposed_constant_family_no_flag():
-    spec = constant_family(EQUILATERAL, "c")
+    spec = ConstantFamily(EQUILATERAL, "c")
     trend = fl.strongly_exposed_verdict(spec, "a", "b", depths=(4, 8, 16))
     assert all(r.min_ratio == 1 for r in trend.records)
     assert not trend.limit_property_z_flag
 
 
 def test_strongly_exposed_with_middle_every_depth():
-    spec = constant_family(CHAIN, "c")
+    spec = ConstantFamily(CHAIN, "c")
     trend = fl.strongly_exposed_verdict(spec, "a", "b", depths=(4, 8))
     assert all(not r.strongly_exposed for r in trend.records)
     assert all(r.min_ratio == 0 for r in trend.records)

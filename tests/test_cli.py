@@ -258,7 +258,7 @@ def test_diagnose_spiral_flags(capsys):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 1: at depth 32 validate rejects spiral points within "
+    reason="ROADMAP item 3: at depth 32 validate rejects spiral points within "
     "2^-30 of p as zero_distance under the float tolerance, so the command exits 1",
 )
 def test_diagnose_spiral_at_default_depths_exits_0(capsys):
@@ -269,7 +269,7 @@ def test_diagnose_spiral_at_default_depths_exits_0(capsys):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 1: the fixed l2 margin 2^-40 cannot be met at n=23 "
+    reason="ROADMAP item 4: the fixed l2 margin 2^-40 cannot be met at n=23 "
     "even at b=0 ('no admissible b at n=23'), so the command exits 1",
 )
 def test_diagnose_l2_at_default_depths_exits_0(capsys):
@@ -389,3 +389,14 @@ def test_shared_parser_matches_fresh_process(tmp_path, capsys):
             capture_output=True, text=True, env=env, check=False,
         )
         assert (fresh.returncode, _without_timestamp(fresh.stdout)) == (code, out), argv
+
+
+def test_cli_import_pulls_in_no_third_party_package():
+    # freelip runs on the standard library; mpmath is a test-only reference
+    src = str(Path(freelip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, freelip.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.strip() == "False"

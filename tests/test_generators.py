@@ -1,5 +1,6 @@
 """The example families: paper-exact values, nesting, and constraints."""
 
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -14,7 +15,10 @@ from freelip.generators import (
     BadDepth,
     BadLambda,
     BadSequences,
+    ConstraintUnsatisfiable,
     FamilySpec,
+    _FIXED,
+    _power_bound,
     _aligned_with,
     _spiral_points,
     family_at_depths,
@@ -122,7 +126,7 @@ def test_spiral_no_collinear_triples_exact():
     for seed in range(3):
         assert _no_collinear_triple(fl.gen_planar_spiral(F(1, 2), 5, seed=seed).coords)
         # depth 32 is the deepest default depth of `diagnose spiral`; the
-        # space fails validation there (ROADMAP item 1), so take the points
+        # space fails validation there (ROADMAP item 3), so take the points
         pts = _spiral_points(F(1, 2), 32, seed, False)
         assert len(pts) == 66 and _no_collinear_triple(list(pts.values()))
 
@@ -160,7 +164,7 @@ def test_depth_32_spiral_equals_reference(monkeypatch):
     # the one deep case: the pairwise reference takes about a second here
     pts = _spiral_points(F(1, 2), 32, 0, False)
     assert list(pts.items()) == list(reference_spiral_points(F(1, 2), 32, 0, False).items())
-    # validation rejects this space (ROADMAP item 1); compare the matrix
+    # validation rejects this space (ROADMAP item 3); compare the matrix
     # the builder hands to validate
     monkeypatch.setattr(space, "validate", lambda matrix, *args, **kwargs: matrix)
     assert _hex(space.from_points(pts, base="p")) == _hex(reference_cloud_matrix(pts))
@@ -263,6 +267,54 @@ def test_l2_prefix_property():
             assert deep.dist[i][j] == shallow.dist[i][j]
 
 
+# sha256 over repr((labels, dist, coords, rel_tol, mode, sorted(meta.items())))
+# of gen_l2_nonholder(None, None, 22), recorded with the 50-digit mpmath
+# certificate that the integer bound replaced; margins included.
+L2_DEPTH_22_GOLDEN = "b7768f8ce94bc77f957f43058bfaa541c8183951e0ceaeb95b5878c67b670d92"
+
+
+def test_l2_depth_22_golden_digest():
+    sp = fl.gen_l2_nonholder(None, None, 22)
+    key = (sp.labels, sp.dist, sp.coords, sp.rel_tol, sp.mode, sorted(sp.meta.items()))
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == L2_DEPTH_22_GOLDEN
+
+
+def test_l2_depth_23_has_no_admissible_b():
+    # perfbench/workloads.KNOWN_FAILURES matches this message
+    with pytest.raises(ConstraintUnsatisfiable, match="^no admissible b at n=23"):
+        fl.gen_l2_nonholder(None, None, 23)
+
+
+def _fractions(lo, hi, dens):
+    """Fractions in (lo, hi] over a denominator drawn from dens."""
+    return dens.flatmap(
+        lambda d: st.builds(F, st.integers(math.floor(lo * d) + 1, math.floor(hi * d)), st.just(d))
+    )
+
+
+_base = _fractions(0, 4, st.integers(1, 10**6))
+_exponent = st.one_of(
+    _fractions(F(1, 2), 3, st.just(2**12)),  # dyadic: kept exactly
+    _fractions(F(1, 2), 3, st.integers(1, 10**4)),  # mostly not: cut to 128 bits
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_base, _exponent)
+@example(F(4), F(1, 2))  # exact: the root of a power of two
+@example(F(1), F(7, 3))  # x = 1 with a non-dyadic exponent
+@example(F(1, 10**6), F(3))  # tiny base, whole exponent
+@example(F(2), F(1, 2) + F(1, 2**23))  # the default l2 exponent at n = 22
+def test_power_bound_is_a_tight_upper_bound(x, e):
+    with mp.workdps(100):
+        ref = (mp.mpf(x.numerator) / x.denominator) ** (mp.mpf(e.numerator) / e.denominator)
+        bound = mp.mpf(_power_bound(x, e)) / mp.mpf(2) ** _FIXED
+        # 10^-90 covers the reference's own rounding; one unit of the
+        # bound's fixed point, 2^-256, is far larger
+        assert bound >= ref - mp.mpf(10) ** -90
+        assert bound - ref <= mp.mpf(2) ** -100
+
+
 # -- family plumbing -------------------------------------------------------------------
 
 
@@ -314,7 +366,6 @@ def test_probe_labels_and_refusals_of_every_family():
         "c0_counterexample": c0,
         "l2_nonholder": FamilySpec("l2_nonholder"),
         "holder_of": FamilySpec("holder_of", {"base": c0, "alpha": F(1, 2)}),
-        "constant": FamilySpec("constant", {"space": None, "probe": "z"}),
     }
     expected = {
         # family: (anchor pair, forward probe, backward probe, refusal)
@@ -323,17 +374,17 @@ def test_probe_labels_and_refusals_of_every_family():
         "c0_counterexample": (("p", "e"), "q3", "q3", "anchor pair must be {'p','e'}"),
         "l2_nonholder": (("0", "e1"), "r3", "r3", "anchor pair must be {'0','e1'}"),
         "holder_of": (("p", "e"), "q3", "q3", "anchor pair must be {'p','e'}"),
-        "constant": (("a", "b"), "z", "z", None),
     }
     for fam, ((p, q), fwd, bwd, refusal) in expected.items():
         spec = specs[fam]
         assert spec.probe_label(p, q, 3) == fwd
         assert spec.probe_label(q, p, 3) == bwd
-        if refusal is not None:
-            with pytest.raises(UnknownFamily) as err:
-                spec.probe_label(p, "x", 3)
-            assert str(err.value) == f"{refusal}, got {(p, 'x')!r}"
-    bogus = FamilySpec("bogus")
-    for call in (lambda: bogus.generate(4), lambda: bogus.probe_label("p", "q", 3)):
-        with pytest.raises(UnknownFamily, match="^unknown family id 'bogus'$"):
-            call()
+        with pytest.raises(UnknownFamily) as err:
+            spec.probe_label(p, "x", 3)
+        assert str(err.value) == f"{refusal}, got {(p, 'x')!r}"
+    # "constant" is a test-only family (tests/test_classify.py), not in the table
+    for fam in ("bogus", "constant"):
+        bogus = FamilySpec(fam)
+        for call in (lambda: bogus.generate(4), lambda: bogus.probe_label("p", "q", 3)):
+            with pytest.raises(UnknownFamily, match=f"^unknown family id '{fam}'$"):
+                call()

@@ -339,7 +339,7 @@ def test_lazy_attainment_builds_one_tableau(monkeypatch):
 @pytest.mark.xfail(
     strict=True,
     raises=simplex.LPFailure,
-    reason="ROADMAP item 1: validate accepts a float triangle deficit of one "
+    reason="ROADMAP item 3: validate accepts a float triangle deficit of one "
     "ulp, and the attainment LP, reading the floats as exact rationals, "
     "then has an empty polytope",
 )

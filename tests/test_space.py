@@ -265,7 +265,7 @@ def test_holder_kills_alignment_even_near_margin():
 @pytest.mark.xfail(
     strict=True,
     raises=ValidationError,
-    reason="ROADMAP item 1: holder_transform validates the snowflake under the "
+    reason="ROADMAP item 3: holder_transform validates the snowflake under the "
     "float tolerance, so a distance whose ratio to the largest, raised to alpha, "
     "falls to 1e-9 is rejected as zero_distance",
 )
