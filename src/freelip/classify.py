@@ -27,7 +27,6 @@ from typing import Sequence, Union
 from .space import (
     FiniteMetricSpace,
     ModulusTable,
-    SamePoint,
     _PairScan,
     _aligned,
     _scan_pairs,
@@ -112,9 +111,7 @@ def min_excess_ratio(
     zero exactly when some point lies strictly between p and q, and it is
     the exact threshold below which the eps-form of property (Z) fails.
     """
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("pair must consist of distinct points")
+    pi, qi = space.pair(p, q)
     (scan,) = _scan_pairs(space, pairs=[(pi, qi)])
     witness = scan.ratio_witness
     return scan.min_ratio, None if witness is None else space.labels[witness]
@@ -135,9 +132,7 @@ def classify_pair(
     (default: quarter, half, and full pair distance), and the exact
     minimum excess ratio that underlies the strongly-exposed question.
     """
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("pair must consist of distinct points")
+    pi, qi = space.pair(p, q)
     (scan,) = _scan_pairs(space, eps_grid, [(pi, qi)])
     return _verdict(space, scan)
 

@@ -3,9 +3,12 @@
 Subcommands: validate, classify, modulus, generate, attainment, diagnose.
 Exit codes: 0 success, 1 parse/usage errors and failed LPs, 2 metric
 violations, 3 classifier/oracle disagreement (an internal inconsistency).
-Errors print as one "error: ..." line on stderr. JSON output
-carries a report envelope whose payload region is byte-identical across
-identical invocations; the timestamp lives outside it.
+Errors print as one "error: ..." line on stderr. :func:`main` loads the
+space file of validate, classify, modulus and attainment, so an invalid
+one gets the same itemized report from each; the ``cmd_*`` function of
+such a command receives the loaded space. JSON output carries a report
+envelope whose payload region is byte-identical across identical
+invocations; the timestamp lives outside it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from . import classify as cls
 from . import formats, generators, lipfun, polytope, simplex
 from .formats import number_to_json
 from .space import (
-    FLOAT,
     SpaceError,
     ValidationError,
     concavity_modulus,
@@ -33,10 +35,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_DISAGREEMENT = 3
-
-
-class OracleUnavailable(SpaceError):
-    pass
 
 
 def _emit(args, command: str, digest: str | None, payload, table: str) -> None:
@@ -54,22 +52,18 @@ def _emit(args, command: str, digest: str | None, payload, table: str) -> None:
         print(table)
 
 
-def _load(args):
-    return formats.load_space(
-        args.path,
-        fmt=args.format,
-        mode=args.mode,
-        base=args.base,
-        rel_tol=args.tolerance,
-    )
-
-
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", help="space file (JSON matrix, JSON point cloud, or CSV)")
     p.add_argument("--format", choices=["json", "csv"], default=None)
     p.add_argument("--mode", choices=["exact", "float"], default=None)
     p.add_argument("--base", default=None, help="base point label")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=None)
+
+
+def _add_family_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lambda", dest="lam", default="1/2", help="rational, e.g. 1/2")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--one-sided", action="store_true")
 
 
 def _validation_payload(err: ValidationError) -> dict:
@@ -88,16 +82,7 @@ def _validation_payload(err: ValidationError) -> dict:
     }
 
 
-def cmd_validate(args) -> int:
-    try:
-        space = _load(args)
-    except ValidationError as err:
-        payload = _validation_payload(err)
-        lines = ["INVALID"] + [
-            "  " + v.describe() for v in err.violations
-        ]
-        _emit(args, "validate", None, payload, "\n".join(lines))
-        return EXIT_INVALID
+def cmd_validate(args, space) -> int:
     payload = {
         "valid": True,
         "points": space.n,
@@ -128,19 +113,10 @@ def _verdict_payload(verdict: cls.PairVerdict) -> dict:
     }
 
 
-def cmd_classify(args) -> int:
-    try:
-        space = _load(args)
-    except ValidationError as err:
-        _emit(args, "classify", None, _validation_payload(err), "INVALID")
-        return EXIT_INVALID
+def cmd_classify(args, space) -> int:
     digest = formats.space_digest(space)
-    if args.oracle and space.mode == FLOAT:
-        raise OracleUnavailable("the polytope oracle requires exact mode")
-    if args.oracle and space.n > polytope.MAX_ORACLE_POINTS:
-        raise OracleUnavailable(
-            f"the polytope oracle is guarded at {polytope.MAX_ORACLE_POINTS} points"
-        )
+    if args.oracle:
+        polytope.oracle_guard(space)
 
     if args.pair:
         verdicts = [cls.classify_pair(space, args.pair[0], args.pair[1])]
@@ -225,12 +201,7 @@ def _cert_payload(cert: polytope.VertexCertificate) -> dict:
     }
 
 
-def cmd_modulus(args) -> int:
-    try:
-        space = _load(args)
-    except ValidationError as err:
-        _emit(args, "modulus", None, _validation_payload(err), "INVALID")
-        return EXIT_INVALID
+def cmd_modulus(args, space) -> int:
     eps_grid = [formats.parse_number(e) for e in args.eps]
     table = concavity_modulus(space, args.p, args.q, eps_grid)
     payload = {
@@ -287,12 +258,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_attainment(args) -> int:
-    try:
-        space = _load(args)
-    except ValidationError as err:
-        _emit(args, "attainment", None, _validation_payload(err), "INVALID")
-        return EXIT_INVALID
+def cmd_attainment(args, space) -> int:
     result = lipfun.attainment_set(space, args.p, args.q, intervals=args.intervals)
     payload = {
         "pair": list(result.pair),
@@ -387,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a family truncation as a space file")
     p.add_argument("family", choices=["c0", "spiral", "l2", "holder"])
     p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--lambda", dest="lam", default="1/2", help="rational, e.g. 1/2")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--one-sided", action="store_true")
+    _add_family_flags(p)
     p.add_argument("--alpha", default="1/2", help="snowflake exponent (holder)")
     p.add_argument("--input", help="input space for holder")
     p.add_argument("--out", help="output path (stdout if omitted)")
@@ -405,9 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="depth-trend diagnostics for a family pair")
     p.add_argument("family", choices=["c0", "spiral", "l2"])
-    p.add_argument("--lambda", dest="lam", default="1/2")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--one-sided", action="store_true")
+    _add_family_flags(p)
     p.add_argument("--pair", nargs=2, metavar=("P", "Q"), required=True)
     p.add_argument("--depths", nargs="+", type=int, default=cls.DEFAULT_DEPTHS)
     p.add_argument("--json", action="store_true")
@@ -430,11 +392,20 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; keep 2 reserved for metric violations
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except (formats.FormatError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SpaceError, simplex.LPFailure, cls.UnknownFamily, ValueError) as exc:
+        if "path" not in args:
+            return args.fn(args)
+        try:
+            space = formats.load_space(
+                args.path, fmt=args.format, mode=args.mode, base=args.base, rel_tol=args.tolerance
+            )
+        except ValidationError as err:
+            lines = ["INVALID"] + ["  " + v.describe() for v in err.violations]
+            _emit(args, args.command, None, _validation_payload(err), "\n".join(lines))
+            return EXIT_INVALID
+        return args.fn(args, space)
+    except (
+        formats.FormatError, OSError, SpaceError, simplex.LPFailure, cls.UnknownFamily, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

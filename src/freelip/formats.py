@@ -14,6 +14,9 @@ Three input formats are supported:
 * CSV square matrix with a header row of labels; the base point defaults
   to the first label.
 
+A mode, base or tolerance given to a reader wins over the object's
+value, which wins over the default.
+
 Exact numbers serialize canonically as "num/den" strings. The content
 digest hashes the canonicalized matrix (labels sorted, entries in
 rational normal form), so it is stable across label orderings.
@@ -80,31 +83,33 @@ def space_from_dict(
     obj: Mapping,
     mode: str | None = None,
     base=None,
-    rel_tol: float = DEFAULT_REL_TOL,
+    rel_tol: float | None = None,
 ) -> FiniteMetricSpace:
     """Build a space from a parsed JSON object (matrix or point cloud).
 
-    When both "points" and "matrix" are present (as in generated files)
-    the point cloud wins: distances are rebuilt from the coordinates and
-    the exact-alignment machinery stays available.
+    Each of mode, base and tolerance is the argument when it is given,
+    else the object's value, else the default: no mode (the entries or
+    the norm decide), index 0, DEFAULT_REL_TOL. When both "points" and
+    "matrix" are present (as in generated files) the point cloud wins:
+    distances are rebuilt from the coordinates and the exact-alignment
+    machinery stays available.
     """
+    mode = mode if mode is not None else obj.get("mode")
+    if mode not in (None, EXACT, FLOAT):
+        raise FormatError(f"unknown mode {mode!r}")
+    base = base if base is not None else obj.get("base", 0)
+    rel_tol = float(rel_tol if rel_tol is not None else obj.get("tolerance", DEFAULT_REL_TOL))
     if "points" in obj:
-        return _space_from_cloud(obj, mode=mode, base=base, rel_tol=rel_tol)
+        return _space_from_cloud(obj, mode, base, rel_tol)
     if "matrix" in obj:
         labels = _array(obj, "labels")
         raw = _array(obj, "matrix")
         if not all(isinstance(row, list) for row in raw):
             raise FormatError("every 'matrix' row must be an array")
-        eff_mode = mode or obj.get("mode")
-        if eff_mode not in (None, EXACT, FLOAT):
-            raise FormatError(f"unknown mode {eff_mode!r}")
-        return _matrix_space(
-            [str(x) for x in labels],
-            raw,
-            eff_mode,
-            base if base is not None else obj.get("base", 0),
-            obj.get("tolerance", rel_tol),
-        )
+        if mode is None:
+            mode = EXACT if all(_entry_is_exact(v) for row in raw for v in row) else FLOAT
+        matrix = [[parse_number(v) for v in row] for row in raw]
+        return validate(matrix, [str(x) for x in labels], base=base, mode=mode, rel_tol=rel_tol)
     raise FormatError("JSON object has neither 'matrix' nor 'points'")
 
 
@@ -116,28 +121,15 @@ def _array(obj: Mapping, key: str) -> list:
     return obj[key]
 
 
-def _matrix_space(labels, raw, mode, base, rel_tol) -> FiniteMetricSpace:
-    """Parse and validate a matrix of raw entries; without a mode it is
-    exact when every entry is."""
-    if mode is None:
-        mode = EXACT if all(_entry_is_exact(v) for row in raw for v in row) else FLOAT
-    matrix = [[parse_number(v) for v in row] for row in raw]
-    return validate(matrix, labels, base=base, mode=mode, rel_tol=float(rel_tol))
-
-
-def _space_from_cloud(obj: Mapping, mode=None, base=None, rel_tol: float = DEFAULT_REL_TOL):
-    """The norm fixes the mode: l2 is float, l1 and linf are exact. A mode
-    given as an argument or in the object must agree; the tolerance (the
-    object's, as for a matrix) is l2's alone."""
+def _space_from_cloud(obj: Mapping, mode, base, rel_tol: float) -> FiniteMetricSpace:
+    """The norm fixes the mode: l2 is float, l1 and linf are exact, and a
+    mode that is given must agree. The tolerance is l2's alone."""
     norm = obj.get("norm", "l2")
     if norm not in ("l2", "linf", "l1"):
         raise FormatError(f"unknown norm {norm!r}")
-    eff_mode = mode or obj.get("mode")
-    if eff_mode not in (None, EXACT, FLOAT):
-        raise FormatError(f"unknown mode {eff_mode!r}")
     norm_mode = FLOAT if norm == "l2" else EXACT
-    if eff_mode not in (None, norm_mode):
-        raise FormatError(f"an {norm} point cloud is {norm_mode}, not {eff_mode}")
+    if mode not in (None, norm_mode):
+        raise FormatError(f"an {norm} point cloud is {norm_mode}, not {mode}")
     raw_points = obj["points"]
     if not isinstance(raw_points, dict):
         raise FormatError("'points' must be an object of coordinate arrays")
@@ -148,15 +140,14 @@ def _space_from_cloud(obj: Mapping, mode=None, base=None, rel_tol: float = DEFAU
         coords[str(lab)] = tuple(Fraction(parse_number(c)) for c in vec)
     if len({len(vec) for vec in coords.values()}) != 1:
         raise FormatError("all points need the same dimension")
-    eff_base = base if base is not None else obj.get("base", next(iter(coords)))
-    return from_points(coords, norm, eff_base, float(obj.get("tolerance", rel_tol)))
+    return from_points(coords, norm, base, rel_tol)
 
 
 def space_from_csv(
     text: str,
     mode: str | None = None,
     base=None,
-    rel_tol: float = DEFAULT_REL_TOL,
+    rel_tol: float | None = None,
 ) -> FiniteMetricSpace:
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
@@ -165,9 +156,7 @@ def space_from_csv(
     body = [[c.strip() for c in row] for row in rows[1:]]
     if len(body) != len(labels) or any(len(r) != len(labels) for r in body):
         raise FormatError("CSV body must be square with one row per label")
-    return _matrix_space(
-        labels, body, mode, base if base is not None else labels[0], rel_tol
-    )
+    return space_from_dict({"labels": labels, "matrix": body}, mode, base, rel_tol)
 
 
 def load_space(
@@ -175,7 +164,7 @@ def load_space(
     fmt: str | None = None,
     mode: str | None = None,
     base=None,
-    rel_tol: float = DEFAULT_REL_TOL,
+    rel_tol: float | None = None,
 ) -> FiniteMetricSpace:
     """Load a space from a file; format inferred from the extension."""
     if fmt is None:

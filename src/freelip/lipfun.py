@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from . import simplex
-from .polytope import _lip_ball_rows
-from .space import FiniteMetricSpace, SamePoint, SpaceError
+from .polytope import _coefficients, _lip_ball_rows
+from .space import FiniteMetricSpace, SpaceError
 
 Num = Union[Fraction, float]
 
@@ -54,9 +54,7 @@ class LipFunction:
     __slots__ = ("space", "values", "lip_constant")
 
     def __init__(self, space: FiniteMetricSpace, values: Sequence):
-        if len(values) != space.n:
-            raise SpaceError("one value per point required")
-        vals = tuple(space.num(v) for v in values)
+        vals = tuple(space.num(v) for v in _values(space, values))
         self.space = space
         self.values = vals
         self.lip_constant = lipschitz_constant(space, vals)
@@ -77,18 +75,22 @@ class LipFunction:
 
 
 def _values(space: FiniteMetricSpace, f) -> Sequence[Num]:
+    """The values of a function argument, one per point: a LipFunction,
+    a label -> value mapping or a sequence in index order."""
     if isinstance(f, LipFunction):
-        return f.values
-    if isinstance(f, Mapping):
-        return [f[lab] for lab in space.labels]
-    return list(f)
+        vals = f.values
+    elif isinstance(f, Mapping):
+        vals = [f[lab] for lab in space.labels]
+    else:
+        vals = list(f)
+    if len(vals) != space.n:
+        raise SpaceError("one value per point required")
+    return vals
 
 
 def phi(space: FiniteMetricSpace, f, p: Union[int, str], q: Union[int, str]) -> Num:
     """Difference quotient (f(p) - f(q)) / d(p,q); antisymmetric in p,q."""
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("the slope map needs two distinct points")
+    pi, qi = space.pair(p, q)
     vals = _values(space, f)
     return (vals[pi] - vals[qi]) / space.dist[pi][qi]
 
@@ -173,9 +175,7 @@ def peaking_margin(
 ) -> Num:
     """c = min(1, min over r of excess(r;p,q)/d(r,q)); zero iff a strict
     middle point exists."""
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("peaking needs two distinct points")
+    pi, qi = space.pair(p, q)
     c = space.num(1)
     for ri in range(space.n):
         if ri in (pi, qi):
@@ -202,9 +202,7 @@ def peaking_candidate(
     AlphaTooLarge when alpha >= c. The certificate fields are recomputed
     from the finished function by brute force over all pairs.
     """
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("peaking needs two distinct points")
+    pi, qi = space.pair(p, q)
     c = peaking_margin(space, pi, qi)
     if c == 0:
         raise MiddlePointExists(
@@ -283,9 +281,7 @@ def attainment_set(
     """
     if intervals not in ("lazy", "full"):
         raise ValueError("intervals must be 'lazy' or 'full'")
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("attainment needs two distinct points")
+    pi, qi = space.pair(p, q)
 
     tol = 0.0 if space.mode == "exact" else space.rel_tol
     if intervals == "full":
@@ -469,9 +465,7 @@ def pairing(space: FiniteMetricSpace, coefficients: Sequence, f) -> Num:
     sum_x a_x (f(x) - f(e)) over the non-base points."""
     vals = _values(space, f)
     e = space.base_index
-    nonbase = [i for i in range(space.n) if i != e]
-    if len(coefficients) != len(nonbase):
-        raise SpaceError(f"expected {len(nonbase)} coefficients")
+    nonbase, coefficients = _coefficients(space, coefficients)
     return sum(
         space.num(a) * (vals[x] - vals[e]) for a, x in zip(coefficients, nonbase)
     )

@@ -19,7 +19,7 @@ from math import lcm
 from typing import Sequence, Union
 
 from . import simplex
-from .space import FiniteMetricSpace, SamePoint, SpaceError
+from .space import EXACT, FiniteMetricSpace, SpaceError
 
 MAX_ORACLE_POINTS = 12
 
@@ -100,18 +100,33 @@ def _nonbase(space: FiniteMetricSpace) -> list[int]:
 
 def _guard(space: FiniteMetricSpace, max_points: int) -> None:
     if space.n > max_points:
-        raise TooManyPoints(
-            f"oracle guard: {space.n} points exceeds the limit of {max_points}"
+        raise TooManyPoints(f"the polytope oracle is guarded at {max_points} points")
+
+
+def oracle_guard(space: FiniteMetricSpace, max_points: int = MAX_ORACLE_POINTS) -> None:
+    """Refuse what the vertex oracle does not decide: float mode, or more than max_points points."""
+    if space.mode != EXACT:
+        raise FloatModeUnsupported("the polytope oracle requires exact mode")
+    _guard(space, max_points)
+
+
+def _coefficients(space: FiniteMetricSpace, coefficients: Sequence):
+    """The non-base points and one coefficient per point; DimensionMismatch otherwise."""
+    nonbase = _nonbase(space)
+    if isinstance(coefficients, FreeVector):
+        coefficients = coefficients.coefficients
+    if len(coefficients) != len(nonbase):
+        raise DimensionMismatch(
+            f"expected {len(nonbase)} coefficients, got {len(coefficients)}"
         )
+    return nonbase, coefficients
 
 
 def molecule_vector(
     space: FiniteMetricSpace, p: Union[int, str], q: Union[int, str]
 ) -> Molecule:
     """Coordinates of u_pq over the non-base points, exact in exact mode."""
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("a molecule needs two distinct points")
+    pi, qi = space.pair(p, q)
     d = space.dist[pi][qi]
     inv = Fraction(1) / Fraction(d)
     vec = []
@@ -168,13 +183,7 @@ def free_norm(
     f as a label -> value dict for independent re-checking.
     """
     _guard(space, max_points)
-    nonbase = _nonbase(space)
-    if isinstance(coefficients, FreeVector):
-        coefficients = coefficients.coefficients
-    if len(coefficients) != len(nonbase):
-        raise DimensionMismatch(
-            f"expected {len(nonbase)} coefficients, got {len(coefficients)}"
-        )
+    nonbase, coefficients = _coefficients(space, coefficients)
     coeffs = [Fraction(c) for c in coefficients]
     if not any(coeffs):
         value = space.num(0)
@@ -208,12 +217,8 @@ def is_vertex(
     inverse distances, computed once per space; the separating functional
     is checked on integers, over the space's common distance denominator.
     """
-    if space.mode != "exact":
-        raise FloatModeUnsupported("the vertex oracle requires exact mode")
-    _guard(space, max_points)
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("a molecule needs two distinct points")
+    oracle_guard(space, max_points)
+    pi, qi = space.pair(p, q)
     n, e, inv = space.n, space.base_index, space._inverse_dist
     # one column per other molecule u_xy, lexicographic by index pair; one
     # row per point, the base row dropped, then the row of ones

@@ -148,6 +148,14 @@ class FiniteMetricSpace:
         except ValueError:
             raise UnknownLabel(f"no point labeled {point!r}") from None
 
+    def pair(self, p: Union[int, str], q: Union[int, str]) -> tuple[int, int]:
+        """The indices of p and q, resolved in that order; SamePoint when
+        they name one point, since the molecule u_pq needs p != q."""
+        pi, qi = self.index(p), self.index(q)
+        if pi == qi:
+            raise SamePoint(f"a pair needs two distinct points, not {self.labels[pi]!r} twice")
+        return pi, qi
+
     def d(self, p: Union[int, str], q: Union[int, str]) -> Num:
         return self.dist[self.index(p)][self.index(q)]
 
@@ -167,9 +175,8 @@ class FiniteMetricSpace:
         point by :func:`_float_betweenness`, the rule the classifier
         kernel uses, so every betweenness verdict comes from one place.
         """
-        ri, pi, qi = self.index(r), self.index(p), self.index(q)
-        if pi == qi:
-            raise SamePoint("betweenness needs two distinct endpoints")
+        ri = self.index(r)
+        pi, qi = self.pair(p, q)
         if ri == pi or ri == qi:
             return True
         e = self.excess_raw(ri, pi, qi)
@@ -331,9 +338,8 @@ def excess(
     p: Union[int, str],
     q: Union[int, str],
 ) -> ExcessValue:
-    ri, pi, qi = space.index(r), space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("excess needs two distinct endpoints")
+    ri = space.index(r)
+    pi, qi = space.pair(p, q)
     return ExcessValue(
         r=space.labels[ri],
         p=space.labels[pi],
@@ -349,9 +355,7 @@ def metric_segment(
 
     Always contains p and q; it may contain nothing else.
     """
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("segment needs two distinct endpoints")
+    pi, qi = space.pair(p, q)
     (scan,) = _scan_pairs(space, pairs=[(pi, qi)])
     return tuple(space.labels[ri] for ri in sorted((pi, qi, *scan.middles)))
 
@@ -360,9 +364,7 @@ def strict_middles(
     space: FiniteMetricSpace, p: Union[int, str], q: Union[int, str]
 ) -> tuple[str, ...]:
     """Points strictly between p and q, in index order."""
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("betweenness needs two distinct endpoints")
+    pi, qi = space.pair(p, q)
     (scan,) = _scan_pairs(space, pairs=[(pi, qi)])
     return tuple(space.labels[ri] for ri in scan.middles)
 
@@ -405,9 +407,7 @@ def concavity_modulus(
     no point of the space stays eps away from both endpoints (the
     condition is then vacuous, not an error).
     """
-    pi, qi = space.index(p), space.index(q)
-    if pi == qi:
-        raise SamePoint("modulus needs two distinct endpoints")
+    pi, qi = space.pair(p, q)
     (scan,) = _scan_pairs(space, eps_grid, [(pi, qi)])
     return scan.modulus
 

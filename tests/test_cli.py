@@ -132,8 +132,9 @@ def test_classify_single_pair(tmp_path, capsys):
 def test_classify_oracle_unavailable_on_float(tmp_path, capsys):
     sp = dict(VALID_SPACE, mode="float", matrix=[[0, 1.0, 1.0], [1.0, 0, 1.0], [1.0, 1.0, 0]])
     path = write(tmp_path, "sp.json", sp)
-    code, _, err = run(capsys, "classify", path, "--oracle")
-    assert code == 1 and "exact" in err
+    code, out, err = run(capsys, "classify", path, "--oracle")
+    assert code == 1 and out == ""
+    assert err == "error: the polytope oracle requires exact mode\n"
 
 
 def test_no_analysis_for_invalid_space(tmp_path, capsys):
@@ -144,16 +145,85 @@ def test_no_analysis_for_invalid_space(tmp_path, capsys):
     assert "pairs" not in payload
 
 
+# a space with three broken triangles
+THREE_BREAKS = {
+    "labels": ["a", "b", "c", "d"],
+    "matrix": [[0, 3, 1, 1], [3, 0, 1, 5], [1, 1, 0, 1], [1, 5, 1, 0]],
+}
+THREE_BREAKS_TEXT = (
+    "INVALID\n"
+    "  triangle at 0,1,2 deficit 1\n"
+    "  triangle at 1,3,0 deficit 1\n"
+    "  triangle at 1,3,2 deficit 3\n"
+)
+THREE_BREAKS_PAYLOAD = {
+    "valid": False,
+    "violations": [
+        {"kind": "triangle", "i": 0, "j": 1, "k": 2, "deficit": "1/1"},
+        {"kind": "triangle", "i": 1, "j": 3, "k": 0, "deficit": "1/1"},
+        {"kind": "triangle", "i": 1, "j": 3, "k": 2, "deficit": "3/1"},
+    ],
+}
+
+
 @pytest.mark.parametrize(
-    "argv", [["modulus", "a", "b", "--eps", "1/2"], ["attainment", "a", "b"]]
+    "argv",
+    [
+        ["modulus", "a", "b", "--eps", "1/2"],
+        ["attainment", "a", "b"],
+        ["validate"],
+        ["classify"],
+        ["classify", "--oracle", "--pair", "a", "b"],
+    ],
 )
 def test_invalid_space_exit_2_with_payload(tmp_path, capsys, argv):
-    path = write(tmp_path, "sp.json", BROKEN_SPACE)
-    code, out, _ = run(capsys, argv[0], path, *argv[1:], "--json")
+    # every command that reads a space file reports it alike: exit 2, the
+    # violations under --json, and each violation in text mode
+    path = write(tmp_path, "sp.json", THREE_BREAKS)
+    code, out, err = run(capsys, argv[0], path, *argv[1:], "--json")
+    envelope = json.loads(out)
+    assert (code, err) == (2, "")
+    assert (envelope["command"], envelope["input_digest"]) == (argv[0], None)
+    assert envelope["payload"] == THREE_BREAKS_PAYLOAD
+    assert run(capsys, argv[0], path, *argv[1:]) == (2, THREE_BREAKS_TEXT, "")
+
+
+def test_invalid_space_from_a_generator_or_holder_input_exits_1(tmp_path, capsys):
+    # not a space file of the command: one error line, exit 1; the benchmark
+    # matches the spiral's "error: zero_distance" as a known failure
+    path = write(tmp_path, "sp.json", THREE_BREAKS)
+    code, out, err = run(capsys, "generate", "holder", "--input", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: triangle at 0,1,2 deficit 1; ") and err.count("\n") == 1
+    code, out, err = run(capsys, "diagnose", "spiral", "--pair", "p", "q")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: zero_distance at ") and err.count("\n") == 1
+
+
+NEAR_LINE = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 2.0000001], [1, 0, 1], [2.0000001, 1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "doc", [dict(NEAR_LINE, tolerance=1e-9), NEAR_LINE], ids=["with-tolerance", "without"]
+)
+def test_tolerance_flag_wins_over_the_file(tmp_path, capsys, doc):
+    path = write(tmp_path, "sp.json", doc)
+    assert run(capsys, "validate", path)[0] == 2
+    assert run(capsys, "validate", path, "--tolerance", "1e-6") == (
+        0, "VALID  3 points, mode=float, base=a\n", ""
+    )
+
+
+def test_tolerance_flag_wins_over_a_generated_l2_cloud(tmp_path, capsys):
+    path = str(tmp_path / "l2.json")
+    assert run(capsys, "generate", "l2", "--depth", "5", "--out", path)[0] == 0
+    assert json.loads(Path(path).read_text())["tolerance"] == 1e-9
+    assert run(capsys, "validate", path)[0] == 0
+    code, out, _ = run(capsys, "validate", path, "--tolerance", "0.05", "--json")
     assert code == 2
-    payload = json.loads(out)["payload"]
-    assert payload["valid"] is False
-    assert payload["violations"][0]["kind"] == "triangle"
+    assert json.loads(out)["payload"]["violations"] == [
+        {"kind": "zero_distance", "i": 0, "j": 5, "k": None, "deficit": None}
+    ]
 
 
 def test_classify_oracle_guarded_at_12_points(tmp_path, capsys):

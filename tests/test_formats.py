@@ -35,6 +35,22 @@ def test_l2_cloud_honours_its_tolerance():
     assert fl.space_from_dict({**cloud, "norm": "l1"}).abs_tol == 0
 
 
+def test_mode_base_and_tolerance_argument_then_object_then_default():
+    def options(doc, **kwargs):
+        sp = fl.space_from_dict(doc, **kwargs)
+        return sp.mode, sp.base_label, sp.rel_tol
+
+    matrix = {"labels": ["a", "b"], "matrix": [[0, 1], [1, 0]]}
+    cloud = {"points": {"a": [0], "b": [1]}, "norm": "l2"}
+    assert options(matrix) == ("exact", "a", 1e-9)
+    assert options(cloud) == ("float", "a", 1e-9)
+    given = {"mode": "float", "base": "b", "tolerance": 1e-6}
+    assert options({**matrix, **given}) == ("float", "b", 1e-6)
+    assert options({**cloud, **given}) == ("float", "b", 1e-6)
+    assert options({**matrix, **given}, mode="exact", base="a", rel_tol=1e-3) == ("exact", "a", 1e-3)
+    assert options({**cloud, **given}, base="a", rel_tol=1e-3) == ("float", "a", 1e-3)
+
+
 @pytest.mark.parametrize("given", ["argument", "object"])
 def test_exact_mode_on_l2_cloud_raises_format_error(given):
     cloud = {"points": {"o": [0, 0], "x": [1, 1]}, "norm": "l2"}

@@ -354,7 +354,7 @@ def _raised(fn, *args):
 def test_errors_match_references():
     # SamePoint before UnknownLabel only when both labels exist; the grid
     # is checked (BadGrid) after the pair
-    pairs = (("a", "a"), ("a", "zz"), ("zz", "a"), ("zz", "zz"), (0, 3), ("a", "b"))
+    pairs = (("a", "a"), ("a", "zz"), ("zz", "a"), ("zz", "zz"), ("yy", "zz"), (0, 3), ("a", "b"))
     for fn, ref in (
         (fl.strict_middles, brute_force_strict_middles),
         (fl.metric_segment, brute_force_metric_segment),
@@ -370,7 +370,7 @@ def test_errors_match_references():
             for grid in ([], [0], [F(1, 2), -1]):
                 got = _raised(fn, CHAIN, *pair, iter(grid))
                 assert got == _raised(ref, CHAIN, *pair, grid) is not None
-    for triple in (("c", "a", "a"), ("zz", "a", "b"), ("c", "a", "zz")):
+    for triple in (("c", "a", "a"), ("zz", "a", "b"), ("c", "a", "zz"), ("zz", "a", "a")):
         assert _raised(CHAIN.is_between, *triple) == _raised(
             brute_force_is_between, CHAIN, *triple
         ) is not None

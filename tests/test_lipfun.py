@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import freelip as fl
 from freelip import simplex
 from freelip.lipfun import AlphaTooLarge, BadAlpha, EmptySubset, MiddlePointExists
+from freelip.polytope import DimensionMismatch
 from support import (
     CHAIN,
     EQUILATERAL,
@@ -367,3 +368,30 @@ def test_duality_pairing_bounded_by_norm(seed, n):
     else:
         f = [v / lip for v in raw]
     assert abs(fl.pairing(sp, coeffs, f)) <= norm
+
+
+# -- one value per point ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("values", [[0, 1, 2, 99], [0, 1]], ids=["extra", "short"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: fl.lipschitz_constant(CHAIN, f),
+        lambda f: fl.phi(CHAIN, f, "a", "b"),
+        lambda f: fl.pairing(CHAIN, [1, 1], f),
+        lambda f: fl.LipFunction(CHAIN, f),
+    ],
+    ids=["lipschitz_constant", "phi", "pairing", "LipFunction"],
+)
+def test_one_value_per_point(call, values):
+    with pytest.raises(fl.SpaceError, match="^one value per point required$"):
+        call(values)
+
+
+def test_pairing_checks_coefficients_as_free_norm_does():
+    for coefficients in ([1], [1, 2, 3], fl.FreeVector((F(1),))):
+        for fn in (lambda c: fl.pairing(CHAIN, c, [0, 1, 2]), lambda c: fl.free_norm(CHAIN, c)):
+            with pytest.raises(DimensionMismatch, match=r"expected 2 coefficients, got \d"):
+                fn(coefficients)
+    assert fl.pairing(CHAIN, fl.FreeVector((F(1), F(-1))), [0, 1, 2]) == -1

@@ -151,16 +151,16 @@ def test_is_vertex_equilateral_hexagon():
 def test_is_vertex_requires_exact_mode():
     rng = random.Random(13)
     sp = random_float_space(rng, 4)
-    with pytest.raises(FloatModeUnsupported):
+    with pytest.raises(FloatModeUnsupported, match="^the polytope oracle requires exact mode$"):
         fl.is_vertex(sp, 0, 1)
 
 
 def test_oracle_point_guard():
     rng = random.Random(15)
     sp = random_exact_space(rng, 13)
-    with pytest.raises(TooManyPoints):
+    with pytest.raises(TooManyPoints, match="^the polytope oracle is guarded at 12 points$"):
         fl.is_vertex(sp, 0, 1)
-    with pytest.raises(TooManyPoints):
+    with pytest.raises(TooManyPoints, match="^the polytope oracle is guarded at 12 points$"):
         fl.free_norm(sp, [1] * 12)
     assert fl.is_vertex(sp, 0, 1, max_points=13) is not None
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freelip as fl
-from freelip.space import BadExponent, BadGrid, SamePoint, ValidationError
+from freelip.space import BadExponent, BadGrid, SamePoint, UnknownLabel, ValidationError
 from support import CHAIN, EQUILATERAL, random_exact_space, scaled
 
 
@@ -154,6 +154,50 @@ def test_excess_c0_family_paper_value():
 def test_excess_same_point_rejected():
     with pytest.raises(SamePoint):
         fl.excess(EQUILATERAL, "c", "a", "a")
+
+
+# -- the pair contract ------------------------------------------------------
+
+# Every public function of a pair (p, q), called as (space, r, p, q); r is
+# read only by the two that also take a third point.
+PAIR_CALLS = [
+    pytest.param(lambda sp, r, p, q: sp.is_between(r, p, q), True, id="is_between"),
+    pytest.param(lambda sp, r, p, q: fl.excess(sp, r, p, q), True, id="excess"),
+    pytest.param(lambda sp, r, p, q: fl.metric_segment(sp, p, q), False, id="metric_segment"),
+    pytest.param(lambda sp, r, p, q: fl.strict_middles(sp, p, q), False, id="strict_middles"),
+    pytest.param(lambda sp, r, p, q: fl.concavity_modulus(sp, p, q, [1]), False, id="modulus"),
+    pytest.param(lambda sp, r, p, q: fl.min_excess_ratio(sp, p, q), False, id="min_excess_ratio"),
+    pytest.param(lambda sp, r, p, q: fl.classify_pair(sp, p, q), False, id="classify_pair"),
+    pytest.param(lambda sp, r, p, q: fl.property_z(sp, p, q, 1), False, id="property_z"),
+    pytest.param(lambda sp, r, p, q: fl.phi(sp, [0, 0, 0], p, q), False, id="phi"),
+    pytest.param(lambda sp, r, p, q: fl.peaking_margin(sp, p, q), False, id="peaking_margin"),
+    pytest.param(lambda sp, r, p, q: fl.peaking_candidate(sp, p, q), False, id="peaking_candidate"),
+    pytest.param(lambda sp, r, p, q: fl.attainment_set(sp, p, q), False, id="attainment_set"),
+    pytest.param(lambda sp, r, p, q: fl.molecule_vector(sp, p, q), False, id="molecule_vector"),
+    pytest.param(lambda sp, r, p, q: fl.is_vertex(sp, p, q), False, id="is_vertex"),
+]
+
+
+@pytest.mark.parametrize("call, takes_r", PAIR_CALLS)
+def test_pair_contract(call, takes_r):
+    # p = q is refused, by label or by index, with one message naming the point
+    with pytest.raises(SamePoint, match="^a pair needs two distinct points, not 'a' twice$"):
+        call(CHAIN, "c", "a", "a")
+    with pytest.raises(SamePoint, match="not 'b' twice"):
+        call(CHAIN, "c", 1, "b")
+    # every label is resolved before the pair is compared, in the order r, p, q
+    for (r, p, q), unknown in (
+        (("c", "yy", "zz"), "yy"),
+        (("c", "a", "zz"), "zz"),
+        (("c", "zz", "zz"), "zz"),
+        (("c", 7, "a"), "index 7"),
+    ):
+        with pytest.raises(UnknownLabel, match=unknown):
+            call(CHAIN, r, p, q)
+    if takes_r:
+        for p, q in (("yy", "zz"), ("a", "a")):
+            with pytest.raises(UnknownLabel, match="'xx'"):
+                call(CHAIN, "xx", p, q)
 
 
 # -- segments and alignment -----------------------------------------------
