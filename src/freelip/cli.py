@@ -235,6 +235,8 @@ def _family_from_args(args) -> generators.FamilySpec:
 
 def cmd_generate(args) -> int:
     if args.family == "holder":
+        if args.input is None:
+            raise formats.FormatError("generate holder needs --input")
         space = formats.load_space(args.input)
         out_space = holder_transform(space, Fraction(args.alpha))
         provenance = {

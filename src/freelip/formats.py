@@ -98,7 +98,11 @@ def space_from_dict(
     if mode not in (None, EXACT, FLOAT):
         raise FormatError(f"unknown mode {mode!r}")
     base = base if base is not None else obj.get("base", 0)
-    rel_tol = float(rel_tol if rel_tol is not None else obj.get("tolerance", DEFAULT_REL_TOL))
+    tol = rel_tol if rel_tol is not None else obj.get("tolerance", DEFAULT_REL_TOL)
+    try:
+        rel_tol = float(tol)
+    except TypeError:
+        raise FormatError(f"'tolerance' must be a number, not {tol!r}") from None
     if "points" in obj:
         return _space_from_cloud(obj, mode, base, rel_tol)
     if "matrix" in obj:

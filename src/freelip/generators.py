@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .space import FiniteMetricSpace, SpaceError, from_points, holder_transform, validate
+from .space import FiniteMetricSpace, SpaceError, from_points, validate
+from .space import holder_transform  # noqa: F401  perfbench/tracing.py wraps it here
 from .classify import UnknownFamily
 
 REJECTION_BUDGET = 1000
@@ -341,12 +342,6 @@ _FAMILIES = {
             params.get("a_seq"), params.get("lam_seq"), depth
         ),
         _probe(("0", "e1"), "{'0','e1'}", "r{}", "r{}"),
-    ),
-    "holder_of": (
-        lambda params, depth: holder_transform(
-            params["base"].generate(depth), params["alpha"]
-        ),
-        lambda params, p, q, n: params["base"].probe_label(p, q, n),
     ),
 }
 

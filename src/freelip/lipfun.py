@@ -3,8 +3,11 @@ and norm attainment.
 
 The slope map sends f to the difference quotients
 phi(f, x, y) = (f(x) - f(y)) / d(x,y); its sup norm is the Lipschitz
-constant. Functions vanishing at the base point pair against free
-vectors, and the pairing never exceeds norm times Lipschitz constant.
+constant. That constant, the constant of a McShane extension and the
+peaking certificate's off- and near-peak maxima all come from one loop
+over index pairs. Functions vanishing at the base point pair against
+free vectors, and the pairing never exceeds norm times Lipschitz
+constant.
 
 Norm attainment of a pair (p,q): over all f in the Lipschitz unit ball
 with phi(f,p,q) = 1, the achievable values of phi(f,x,y) form an
@@ -12,15 +15,17 @@ interval, and (x,y) belongs to the attainment set exactly when that
 interval is the single point +1 or -1. Every constraint on such f bounds
 a difference f(v) - f(u), so each interval end is a shortest-path length
 in the metric with the one edge p -> q weighted -d(p,q): full mode reads
-all intervals off one Floyd-Warshall pass on integers. Lazy mode bounds
-only the candidates that no feasible function rules out, by exact LPs
-over one shared tableau.
+all intervals off one Floyd-Warshall pass on integers. Lazy mode is one
+closure over one LP tableau: it bounds only the candidates that no
+feasible function seen so far rules out, by an exact min and max LP, and
+keeps both optima as further functions to rule candidates out with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence, Union
 
 from . import simplex
@@ -97,13 +102,17 @@ def phi(space: FiniteMetricSpace, f, p: Union[int, str], q: Union[int, str]) -> 
 
 def lipschitz_constant(space: FiniteMetricSpace, values) -> Num:
     """Largest absolute difference quotient; zero iff values are constant."""
-    vals = _values(space, values)
+    return _max_slope(space, _values(space, values), combinations(range(space.n), 2))
+
+
+def _max_slope(space: FiniteMetricSpace, vals, pairs) -> Num:
+    """Largest |vals[i] - vals[j]| / d(i,j) over the index pairs (i, j);
+    zero when there are none. vals is indexed by point."""
     best = space.num(0)
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            quot = abs(vals[i] - vals[j]) / space.dist[i][j]
-            if quot > best:
-                best = quot
+    for i, j in pairs:
+        quot = abs(vals[i] - vals[j]) / space.dist[i][j]
+        if quot > best:
+            best = quot
     return best
 
 
@@ -113,8 +122,8 @@ def mcshane_extend(
     g,
     rebase: bool = False,
 ) -> LipFunction:
-    """Extend g from a nonempty subset to the whole space, preserving both
-    the Lipschitz constant and the sup norm.
+    """Extend g from a nonempty subset of distinct points to the whole
+    space, preserving both the Lipschitz constant and the sup norm.
 
     Uses the inf-convolution min_y (g(y) + L d(x,y)) clipped to the band
     [-max|g|, +max|g|]; clipping is 1-Lipschitz, so the constant survives,
@@ -126,6 +135,9 @@ def mcshane_extend(
     idxs = [space.index(y) for y in subset]
     if not idxs:
         raise EmptySubset("extension needs a nonempty subset")
+    for k, i in enumerate(idxs):
+        if i in idxs[:k]:
+            raise SpaceError(f"the subset names {space.labels[i]!r} twice")
     if isinstance(g, Mapping):
         gvals = [g[space.labels[i]] for i in idxs]
     else:
@@ -134,12 +146,7 @@ def mcshane_extend(
             raise SpaceError("one value per subset point required")
     gvals = [space.num(v) for v in gvals]
 
-    lip = space.num(0)
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            quot = abs(gvals[a] - gvals[b]) / space.dist[idxs[a]][idxs[b]]
-            if quot > lip:
-                lip = quot
+    lip = _max_slope(space, dict(zip(idxs, gvals)), combinations(idxs, 2))
     bound = max(abs(v) for v in gvals)
 
     out = []
@@ -226,17 +233,9 @@ def peaking_candidate(
             vals.append((one - alpha) * space.dist[x][qi])
     f = LipFunction(space, vals).rebase()
 
-    zero = space.num(0)
-    off_peak = zero
-    near_peak = zero
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            quot = abs(f.values[i] - f.values[j]) / space.dist[i][j]
-            if pi in (i, j):
-                if {i, j} != {pi, qi} and quot > near_peak:
-                    near_peak = quot
-            elif quot > off_peak:
-                off_peak = quot
+    others = [x for x in range(space.n) if x != pi]
+    off_peak = _max_slope(space, f.values, combinations(others, 2))
+    near_peak = _max_slope(space, f.values, [(pi, x) for x in others if x != qi])
     return PeakingCertificate(
         function=f,
         p=space.labels[pi],
@@ -288,37 +287,24 @@ def attainment_set(
         interval = _path_intervals(space, pi, qi)
     else:
         interval = _lazy_intervals(space, pi, qi, tol)
-    candidates = [
-        (i, j)
-        for i in range(space.n)
-        for j in range(i + 1, space.n)
-        if {i, j} != {pi, qi}
-    ]
-    one = space.num(1)
-
-    out_intervals: dict[tuple[str, str], tuple[Num, Num]] = {}
-    members: list[tuple[int, int]] = [(pi, qi), (qi, pi)]
-    out_intervals[(space.labels[pi], space.labels[qi])] = (one, one)
-    out_intervals[(space.labels[qi], space.labels[pi])] = (-one, -one)
-
-    for i, j in candidates:
+    lab, one = space.labels, space.num(1)
+    out_intervals = {(lab[pi], lab[qi]): (one, one), (lab[qi], lab[pi]): (-one, -one)}
+    members = [(pi, qi), (qi, pi)]
+    for i, j in combinations(range(space.n), 2):
+        if {i, j} == {pi, qi}:
+            continue
         bounds = interval(i, j)
         if bounds is None:
             continue
         lo, hi = bounds
-        out_intervals[(space.labels[i], space.labels[j])] = (lo, hi)
-        out_intervals[(space.labels[j], space.labels[i])] = (-hi, -lo)
+        out_intervals[(lab[i], lab[j])] = (lo, hi)
+        out_intervals[(lab[j], lab[i])] = (-hi, -lo)
         if hi - lo <= tol and abs(hi) >= 1 - tol:
             members.append((i, j))
             members.append((j, i))
-
-    member_labels = sorted(
-        {(space.labels[a], space.labels[b]) for a, b in members},
-        key=lambda t: (space.index(t[0]), space.index(t[1])),
-    )
     return AttainmentSet(
-        pair=(space.labels[pi], space.labels[qi]),
-        members=tuple(member_labels),
+        pair=(lab[pi], lab[qi]),
+        members=tuple((lab[a], lab[b]) for a, b in sorted(members)),
         intervals=out_intervals,
     )
 
@@ -364,100 +350,57 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int, tol: float):
     """The map (x, y) -> LP interval, or None when a feasible function seen
     so far has a slope strictly inside (-1, 1) there, which rules (x,y)
     out without an LP. The 2*tol guard keeps the shortcut conservative in
-    float mode."""
-    prob = _AttainmentLP(space, pi, qi)
-    witnesses: list[tuple[Num, ...]] = [prob.h_primary(), prob.h_secondary()]
+    float mode.
+
+    The LPs run in g = f - h, with h(x) = d(x,q) - d(e,q) feasible:
+    phi(f,p,q) = 1 merges g(p) and g(q) into one variable and every
+    right-hand side is nonnegative, so each bound is one phase-two run on
+    one tableau. The seen functions start as h and its p-side twin
+    d(e,p) - d(x,p); every LP optimum joins them.
+    """
+    n, e, dist = space.n, space.base_index, space.dist
+    h = [Fraction(dist[x][qi]) - Fraction(dist[e][qi]) for x in range(n)]
+    # Variables: the shared p/q one first, then the other non-base points
+    # in index order (None = fixed 0). Bland's rule makes the optima depend
+    # on this order.
+    var_of: list[int | None] = [None] * n
+    nv = 0
+    if e not in (pi, qi):
+        var_of[pi] = var_of[qi] = 0
+        nv = 1
+    for x in range(n):
+        if x not in (e, pi, qi):
+            var_of[x] = nv
+            nv += 1
+    lp = simplex.Tableau(nv, *_lip_ball_rows(space, var_of, nv, h), free=True)
+
+    witnesses = [
+        tuple(map(space.num, h)),
+        tuple(space.num(Fraction(dist[e][pi]) - Fraction(dist[x][pi])) for x in range(n)),
+    ]
 
     def interval(i: int, j: int):
-        if any(abs(_slope(space, w, i, j)) < 1 - 2 * tol for w in witnesses):
+        if any(abs((w[i] - w[j]) / dist[i][j]) < 1 - 2 * tol for w in witnesses):
             return None
-        bounds = prob.interval(i, j)
-        witnesses.extend(prob.last_witnesses)
-        return bounds
-
-    return interval
-
-
-def _slope(space: FiniteMetricSpace, values: tuple[Num, ...], i: int, j: int) -> Num:
-    return (values[i] - values[j]) / space.dist[i][j]
-
-
-class _AttainmentLP:
-    """Shared LP scaffolding for one attainment-set computation.
-
-    Works in the shifted variable g = f - h where h(x) = d(x,q) - d(e,q),
-    a feasible point; the equality phi(f,p,q) = 1 then merges g(p) and
-    g(q) into one variable and every right-hand side becomes nonnegative,
-    so each bound is a single phase-two run on the one tableau built here.
-    """
-
-    def __init__(self, space: FiniteMetricSpace, pi: int, qi: int):
-        self.space = space
-        self.pi, self.qi = pi, qi
-        e = space.base_index
-        self.h = tuple(
-            Fraction(space.dist[x][qi]) - Fraction(space.dist[e][qi])
-            for x in range(space.n)
-        )
-        # variable ids: one per non-base point, p and q shared; None = fixed 0
-        var_of: list[int | None] = [None] * space.n
-        nv = 0
-        rep = {pi, qi}
-        if e in rep:
-            shared = None
-        else:
-            shared = nv
-            nv += 1
-        for x in range(space.n):
-            if x == e:
-                var_of[x] = None
-            elif x in rep:
-                var_of[x] = shared
-            else:
-                var_of[x] = nv
-                nv += 1
-        self.var_of = var_of
-        self.nv = nv
-        a_ub, b_ub = _lip_ball_rows(space, var_of, nv, self.h)
-        self.lp = simplex.Tableau(nv, a_ub, b_ub, free=True)
-        self.last_witnesses: list[tuple[Num, ...]] = []
-
-    def _to_f(self, g: Sequence[Fraction]) -> tuple[Num, ...]:
-        vals = []
-        for x in range(self.space.n):
-            gx = Fraction(0) if self.var_of[x] is None else g[self.var_of[x]]
-            vals.append(gx + self.h[x])
-        return tuple(map(self.space.num, vals))
-
-    def interval(self, i: int, j: int) -> tuple[Num, Num]:
-        c = [Fraction(0)] * self.nv
-        if self.var_of[i] is not None:
-            c[self.var_of[i]] += 1
-        if self.var_of[j] is not None:
-            c[self.var_of[j]] -= 1
-        d = Fraction(self.space.dist[i][j])
-        dh = self.h[i] - self.h[j]
-        self.last_witnesses = []
+        c = [Fraction(0)] * nv
+        if var_of[i] is not None:
+            c[var_of[i]] += 1
+        if var_of[j] is not None:
+            c[var_of[j]] -= 1
         bounds = []
         for maximize in (False, True):
-            res = self.lp.solve(c, maximize)
+            res = lp.solve(c, maximize)
             if res.status != simplex.OPTIMAL:
                 raise simplex.LPFailure(
                     f"attainment LP ended {res.status}; the polytope is never empty"
                 )
-            bounds.append((res.objective + dh) / d)
-            self.last_witnesses.append(self._to_f(res.x))
-        return tuple(map(self.space.num, bounds))
+            bounds.append(space.num((res.objective + h[i] - h[j]) / Fraction(dist[i][j])))
+            witnesses.append(tuple(
+                space.num(h[x] if v is None else res.x[v] + h[x]) for x, v in enumerate(var_of)
+            ))
+        return tuple(bounds)
 
-    def h_primary(self) -> tuple[Num, ...]:
-        return tuple(map(self.space.num, self.h))
-
-    def h_secondary(self) -> tuple[Num, ...]:
-        space, e = self.space, self.space.base_index
-        return tuple(
-            space.num(-Fraction(space.dist[x][self.pi]) + Fraction(space.dist[e][self.pi]))
-            for x in range(space.n)
-        )
+    return interval
 
 
 def pairing(space: FiniteMetricSpace, coefficients: Sequence, f) -> Num:

@@ -227,7 +227,7 @@ def validate(
 
     try:
         base_index = labels.index(base) if isinstance(base, str) else int(base)
-    except ValueError:
+    except (ValueError, TypeError):
         base_index = -1
     if not 0 <= base_index < n:
         violations.append(Violation("bad_base"))

@@ -17,9 +17,11 @@ alone and must agree. ``reference_solve_nonneg`` is the textbook
 Fraction tableau that the integer simplex must match pivot for pivot,
 ``reference_is_vertex`` the vertex oracle on dense molecule vectors,
 ``reference_full_attainment`` the full attainment intervals by one pair
-of LPs per candidate, ``reference_spiral_points`` the spiral generator's
-pairwise alignment test, and ``reference_cloud_matrix`` the Fraction
-distance matrix of a point cloud.
+of LPs per candidate on ``_AttainmentLP``, the tableau that lazy mode
+(``freelip.lipfun._lazy_intervals``) builds inside one closure,
+``reference_spiral_points`` the spiral generator's pairwise alignment
+test, and ``reference_cloud_matrix`` the Fraction distance matrix of a
+point cloud.
 """
 
 from __future__ import annotations
@@ -33,8 +35,11 @@ from mpmath import mp
 
 from freelip import simplex, validate
 from freelip.classify import _verdict
+from freelip.lipfun import Num
+from freelip.polytope import _lip_ball_rows
 from freelip.space import (
     EXACT,
+    FiniteMetricSpace,
     ModulusEntry,
     ModulusTable,
     SamePoint,
@@ -528,13 +533,91 @@ def reference_is_vertex(space, p, q):
     return VertexCertificate(vertex=True, separating=dict(zip(labels, phi)), margin=margin, weights=None)
 
 
+class _AttainmentLP:
+    """Shared LP scaffolding for one attainment-set computation.
+
+    Works in the shifted variable g = f - h where h(x) = d(x,q) - d(e,q),
+    a feasible point; the equality phi(f,p,q) = 1 then merges g(p) and
+    g(q) into one variable and every right-hand side becomes nonnegative,
+    so each bound is a single phase-two run on the one tableau built here.
+    """
+
+    def __init__(self, space: FiniteMetricSpace, pi: int, qi: int):
+        self.space = space
+        self.pi, self.qi = pi, qi
+        e = space.base_index
+        self.h = tuple(
+            Fraction(space.dist[x][qi]) - Fraction(space.dist[e][qi])
+            for x in range(space.n)
+        )
+        # variable ids: one per non-base point, p and q shared; None = fixed 0
+        var_of: list[int | None] = [None] * space.n
+        nv = 0
+        rep = {pi, qi}
+        if e in rep:
+            shared = None
+        else:
+            shared = nv
+            nv += 1
+        for x in range(space.n):
+            if x == e:
+                var_of[x] = None
+            elif x in rep:
+                var_of[x] = shared
+            else:
+                var_of[x] = nv
+                nv += 1
+        self.var_of = var_of
+        self.nv = nv
+        a_ub, b_ub = _lip_ball_rows(space, var_of, nv, self.h)
+        self.lp = simplex.Tableau(nv, a_ub, b_ub, free=True)
+        self.last_witnesses: list[tuple[Num, ...]] = []
+
+    def _to_f(self, g: Sequence[Fraction]) -> tuple[Num, ...]:
+        vals = []
+        for x in range(self.space.n):
+            gx = Fraction(0) if self.var_of[x] is None else g[self.var_of[x]]
+            vals.append(gx + self.h[x])
+        return tuple(map(self.space.num, vals))
+
+    def interval(self, i: int, j: int) -> tuple[Num, Num]:
+        c = [Fraction(0)] * self.nv
+        if self.var_of[i] is not None:
+            c[self.var_of[i]] += 1
+        if self.var_of[j] is not None:
+            c[self.var_of[j]] -= 1
+        d = Fraction(self.space.dist[i][j])
+        dh = self.h[i] - self.h[j]
+        self.last_witnesses = []
+        bounds = []
+        for maximize in (False, True):
+            res = self.lp.solve(c, maximize)
+            if res.status != simplex.OPTIMAL:
+                raise simplex.LPFailure(
+                    f"attainment LP ended {res.status}; the polytope is never empty"
+                )
+            bounds.append((res.objective + dh) / d)
+            self.last_witnesses.append(self._to_f(res.x))
+        return tuple(map(self.space.num, bounds))
+
+    def h_primary(self) -> tuple[Num, ...]:
+        return tuple(map(self.space.num, self.h))
+
+    def h_secondary(self) -> tuple[Num, ...]:
+        space, e = self.space, self.space.base_index
+        return tuple(
+            space.num(-Fraction(space.dist[x][self.pi]) + Fraction(space.dist[e][self.pi]))
+            for x in range(space.n)
+        )
+
+
 def reference_full_attainment(space, p, q):
     """``attainment_set(space, p, q, intervals="full")`` as two exact LPs
     per candidate pair on the shared attainment tableau
-    (``freelip.lipfun._AttainmentLP``). The library reads the same
-    intervals off shortest paths and must return an equal set, or raise
-    the same ``LPFailure`` when the polytope is empty."""
-    from freelip.lipfun import AttainmentSet, _AttainmentLP
+    (:class:`_AttainmentLP`). The library reads the same intervals off
+    shortest paths and must return an equal set, or raise the same
+    ``LPFailure`` when the polytope is empty."""
+    from freelip.lipfun import AttainmentSet
 
     pi, qi = space.index(p), space.index(q)
     lab = space.labels

@@ -200,6 +200,36 @@ def test_invalid_space_from_a_generator_or_holder_input_exits_1(tmp_path, capsys
     assert err.startswith("error: zero_distance at ") and err.count("\n") == 1
 
 
+def test_generate_holder_without_input_exits_1(capsys):
+    assert run(capsys, "generate", "holder") == (1, "", "error: generate holder needs --input\n")
+
+
+TWO_POINTS = {"labels": ["a", "b"], "matrix": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [dict(TWO_POINTS, tolerance=None), {"points": {"a": [0], "b": [1]}, "tolerance": None}],
+    ids=["matrix", "l2-cloud"],
+)
+def test_null_tolerance_exits_1(tmp_path, capsys, doc):
+    path = write(tmp_path, "sp.json", doc)
+    assert run(capsys, "validate", path) == (
+        1, "", "error: 'tolerance' must be a number, not None\n"
+    )
+
+
+@pytest.mark.parametrize("base", [None, [1]], ids=["null", "array"])
+def test_base_that_is_neither_label_nor_index_exits_2(tmp_path, capsys, base):
+    path = write(tmp_path, "sp.json", dict(TWO_POINTS, base=base))
+    code, out, err = run(capsys, "validate", path, "--json")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["payload"]["violations"] == [
+        {"kind": "bad_base", "i": None, "j": None, "k": None, "deficit": None}
+    ]
+    assert run(capsys, "validate", path) == (2, "INVALID\n  bad_base\n", "")
+
+
 NEAR_LINE = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 2.0000001], [1, 0, 1], [2.0000001, 1, 0]]}
 
 

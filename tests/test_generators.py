@@ -350,22 +350,21 @@ def test_family_at_depths_empty_and_ordering():
 
 
 def test_holder_of_family():
+    # A snowflake of a family is holder_transform of its truncation, as
+    # `generate holder` builds it, and it keeps the truncation's labels.
     base = FamilySpec("c0_counterexample")
-    spec = FamilySpec("holder_of", {"base": base, "alpha": F(1, 2)})
-    sp = spec.generate(4)
+    sp = fl.holder_transform(base.generate(4), F(1, 2))
     assert sp.mode == "float"
+    assert sp.labels == base.generate(4).labels
     assert abs(sp.d("p", "e") - math.sqrt(2)) < 1e-12
-    assert spec.probe_label("p", "e", 3) == "q3"
 
 
 def test_probe_labels_and_refusals_of_every_family():
-    c0 = FamilySpec("c0_counterexample")
     specs = {
         "planar_spiral": FamilySpec("planar_spiral", {"lam": F(1, 2)}),
         "planar_spiral_one_sided": FamilySpec("planar_spiral_one_sided", {"lam": F(1, 2)}),
-        "c0_counterexample": c0,
+        "c0_counterexample": FamilySpec("c0_counterexample"),
         "l2_nonholder": FamilySpec("l2_nonholder"),
-        "holder_of": FamilySpec("holder_of", {"base": c0, "alpha": F(1, 2)}),
     }
     expected = {
         # family: (anchor pair, forward probe, backward probe, refusal)
@@ -373,7 +372,6 @@ def test_probe_labels_and_refusals_of_every_family():
         "planar_spiral_one_sided": (("p", "q"), "q3", None, "anchor pair must be ('p','q')"),
         "c0_counterexample": (("p", "e"), "q3", "q3", "anchor pair must be {'p','e'}"),
         "l2_nonholder": (("0", "e1"), "r3", "r3", "anchor pair must be {'0','e1'}"),
-        "holder_of": (("p", "e"), "q3", "q3", "anchor pair must be {'p','e'}"),
     }
     for fam, ((p, q), fwd, bwd, refusal) in expected.items():
         spec = specs[fam]
@@ -382,8 +380,9 @@ def test_probe_labels_and_refusals_of_every_family():
         with pytest.raises(UnknownFamily) as err:
             spec.probe_label(p, "x", 3)
         assert str(err.value) == f"{refusal}, got {(p, 'x')!r}"
-    # "constant" is a test-only family (tests/test_classify.py), not in the table
-    for fam in ("bogus", "constant"):
+    # "constant" is a test-only family (tests/test_classify.py), not in the
+    # table; nor is "holder_of": `generate holder` calls holder_transform
+    for fam in ("bogus", "constant", "holder_of"):
         bogus = FamilySpec(fam)
         for call in (lambda: bogus.generate(4), lambda: bogus.probe_label("p", "q", 3)):
             with pytest.raises(UnknownFamily, match=f"^unknown family id '{fam}'$"):

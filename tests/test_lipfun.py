@@ -1,5 +1,6 @@
 """Slopes, extension preservation, peaking certificates, norm attainment."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 from math import comb
@@ -17,6 +18,7 @@ from support import (
     VEE,
     random_exact_space,
     random_float_space,
+    random_space_with_midpoint,
     reference_full_attainment,
 )
 
@@ -106,6 +108,12 @@ def test_extension_two_level_function():
 def test_extension_rejects_empty_subset():
     with pytest.raises(EmptySubset):
         fl.mcshane_extend(EQUILATERAL, [], [])
+
+
+def test_extension_refuses_a_point_named_twice():
+    for subset in (["a", "a"], ["b", 0, "a"]):
+        with pytest.raises(fl.SpaceError, match="^the subset names 'a' twice$"):
+            fl.mcshane_extend(EQUILATERAL, subset, [1] * len(subset))
 
 
 def test_extension_singleton_subset():
@@ -268,8 +276,6 @@ def test_attainment_peaking_consistency():
 
 def test_attainment_alignment_consistency():
     rng = random.Random(27)
-    from support import random_space_with_midpoint
-
     for _ in range(6):
         sp, (p, q, m) = random_space_with_midpoint(rng, 5)
         att = fl.attainment_set(sp, p, q)
@@ -293,6 +299,39 @@ def test_full_attainment_matches_lp_reference(seed, n, exact):
         assert str(got.value) == str(exc)
         return
     assert repr(fl.attainment_set(sp, p, q, intervals="full")) == repr(ref)
+
+
+def _lazy_corpus():
+    # Exact spaces, spaces with an injected midpoint and float spaces, each
+    # with a random base, so every base is p or q for some pairs. Some
+    # float spaces read as rationals break a triangle and raise LPFailure.
+    rng = random.Random(2024)
+    spaces = [random_exact_space(rng, n, base=rng.randrange(n)) for n in (2, 3, 4, 5, 6, 7, 5, 6)]
+    for n in (4, 5, 6, 7):
+        spaces.append(random_space_with_midpoint(rng, n, base=rng.randrange(n))[0])
+    for n in (3, 4, 5, 5, 5, 6, 6):
+        spaces.append(random_float_space(rng, n, base=rng.randrange(n)))
+    spaces.append(random_float_space(random.Random(1), 5))
+    return spaces
+
+
+def test_lazy_attainment_corpus_digest():
+    # Lazy mode's printed intervals and members depend on the LP optima
+    # (Bland's rule), so the whole output is pinned, LPFailure text included.
+    digest, failures = hashlib.sha256(), 0
+    for sp in _lazy_corpus():
+        for p in range(sp.n):
+            for q in range(sp.n):
+                if p == q:
+                    continue
+                try:
+                    out = repr(fl.attainment_set(sp, p, q, intervals="lazy"))
+                except simplex.LPFailure as exc:
+                    failures += 1
+                    out = f"LPFailure: {exc}"
+                digest.update(out.encode() + b"\n")
+    assert failures == 12
+    assert digest.hexdigest() == "256dd1a3b0bee6bfe588397aed3e417c6778e168db03bb0098cd5507a685722c"
 
 
 def _count_tableaux(monkeypatch):

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, the tests or the demos imports a name it
+never uses.
 
 The standard library has no linter, so the check reads each module with
 ``ast``: every name an import binds must appear as a ``Name`` somewhere
@@ -17,6 +18,8 @@ import freelip
 MODULES = sorted(
     p for p in Path(freelip.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = [*sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,4 +48,9 @@ def test_the_check_sees_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[f"{p.parent.name}/{p.name}" for p in SCRIPTS])
+def test_every_test_and_demo_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
