@@ -13,6 +13,7 @@ import pytest
 import freelip
 from freelip import cli
 from freelip.cli import main
+from cli_corpus import run_corpus
 from support import random_float_space
 
 
@@ -500,3 +501,21 @@ def test_cli_import_pulls_in_no_third_party_package():
         capture_output=True, text=True, env=env, check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+# tests/cli_corpus.py, recorded before the commands returned their reports
+# to main; argparse wraps usage lines differently from Python 3.13 on
+CLI_CORPUS_COMMANDS = (1102, "068322d8183fbf1c496275d2c2e183991bbf19b1f28722f1deb0275a9c63d07b")
+CLI_CORPUS_PARSER = {
+    (3, 10): "60346ec71f81db57ff1956c4db311d66560b3d25c1e78f4e6a038e4aee83a6ce",
+    (3, 11): "60346ec71f81db57ff1956c4db311d66560b3d25c1e78f4e6a038e4aee83a6ce",
+    (3, 12): "60346ec71f81db57ff1956c4db311d66560b3d25c1e78f4e6a038e4aee83a6ce",
+    (3, 13): "22c14063938123d6f022b6e6b1080a74221f99a313277a98e6c69323fb6c6cd2",
+}
+
+
+def test_cli_corpus_digest():
+    # every exit code and every byte printed over more than 1,100 calls
+    corpus = run_corpus()
+    assert corpus["commands"] == CLI_CORPUS_COMMANDS
+    assert corpus["parser"] == (19, CLI_CORPUS_PARSER[sys.version_info[:2]])
