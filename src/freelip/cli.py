@@ -3,12 +3,13 @@
 Subcommands: validate, classify, modulus, generate, attainment, diagnose.
 Exit codes: 0 success, 1 parse/usage errors and failed LPs, 2 metric
 violations, 3 classifier/oracle disagreement (an internal inconsistency).
-Errors print as one "error: ..." line on stderr. :func:`main` loads the
-space file of validate, classify, modulus and attainment, so an invalid
-one gets the same itemized report from each; the ``cmd_*`` function of
-such a command receives the loaded space. JSON output carries a report
-envelope whose payload region is byte-identical across identical
-invocations; the timestamp lives outside it.
+Errors print as one "error: ..." line on stderr. Every command but
+generate returns its report, ``(exit code, input digest, payload,
+text)``. :func:`main` loads the space file of validate, classify,
+modulus and attainment, so an invalid one gets the same itemized report
+from each; it writes the report and maps errors to exit codes. JSON
+output carries a report envelope whose payload region is byte-identical
+across identical invocations; the timestamp lives outside it.
 """
 
 from __future__ import annotations
@@ -36,20 +37,22 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_DISAGREEMENT = 3
 
+Report = tuple[int, str | None, dict, str]
 
-def _emit(args, command: str, digest: str | None, payload, table: str) -> None:
+
+def _emit(args, digest: str | None, payload: dict, text: str) -> None:
     if args.json:
         envelope = {
             "tool": "freelip",
             "version": __version__,
-            "command": command,
+            "command": args.command,
             "input_digest": digest,
             "payload": payload,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         print(json.dumps(envelope, sort_keys=True, indent=2))
     else:
-        print(table)
+        print(text)
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -66,8 +69,9 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--one-sided", action="store_true")
 
 
-def _validation_payload(err: ValidationError) -> dict:
-    return {
+def _invalid_report(err: ValidationError) -> Report:
+    lines = ["INVALID"] + ["  " + v.describe() for v in err.violations]
+    payload = {
         "valid": False,
         "violations": [
             {
@@ -80,23 +84,18 @@ def _validation_payload(err: ValidationError) -> dict:
             for v in err.violations
         ],
     }
+    return EXIT_INVALID, None, payload, "\n".join(lines)
 
 
-def cmd_validate(args, space) -> int:
+def cmd_validate(args, space) -> Report:
     payload = {
         "valid": True,
         "points": space.n,
         "mode": space.mode,
         "base": space.base_label,
     }
-    _emit(
-        args,
-        "validate",
-        formats.space_digest(space),
-        payload,
-        f"VALID  {space.n} points, mode={space.mode}, base={space.base_label}",
-    )
-    return EXIT_OK
+    text = f"VALID  {space.n} points, mode={space.mode}, base={space.base_label}"
+    return EXIT_OK, formats.space_digest(space), payload, text
 
 
 def _verdict_payload(verdict: cls.PairVerdict) -> dict:
@@ -113,70 +112,48 @@ def _verdict_payload(verdict: cls.PairVerdict) -> dict:
     }
 
 
-def cmd_classify(args, space) -> int:
+def cmd_classify(args, space) -> Report:
     digest = formats.space_digest(space)
     if args.oracle:
         polytope.oracle_guard(space)
 
+    payload = {"space_digest": digest}
+    lines = []
     if args.pair:
         verdicts = [cls.classify_pair(space, args.pair[0], args.pair[1])]
-        triples = None
-        concave = None
     else:
-        report = cls.classify_all(space)
-        verdicts = list(report.pair_verdicts)
-        triples = [list(t) for t in report.violating_triples]
-        concave = report.is_concave
-
-    oracle_rows = []
-    if args.oracle:
-        for v in verdicts:
-            cert = polytope.is_vertex(space, v.pair[0], v.pair[1])
-            agree = cert.vertex == v.is_extreme
-            oracle_rows.append((v, cert, agree))
-            if not agree:
-                payload = {
-                    "disagreement": {
-                        "pair": list(v.pair),
-                        "classifier_extreme": v.is_extreme,
-                        "oracle_vertex": cert.vertex,
-                        "classifier_witness": v.witness_middle,
-                        "oracle_certificate": _cert_payload(cert),
-                    }
-                }
-                _emit(
-                    args,
-                    "classify",
-                    digest,
-                    payload,
-                    f"DISAGREEMENT on pair {v.pair}",
-                )
-                return EXIT_DISAGREEMENT
-
-    payload: dict = {
-        "space_digest": digest,
-        "pairs": [_verdict_payload(v) for v in verdicts],
-    }
-    if concave is not None:
-        payload["concave"] = concave
+        summary = cls.classify_all(space)
+        verdicts = list(summary.pair_verdicts)
+        triples = [list(t) for t in summary.violating_triples]
+        payload["concave"] = summary.is_concave
         payload["aligned_triples"] = triples
-    if args.oracle:
-        payload["oracle"] = [
-            {
-                "pair": list(v.pair),
-                "vertex": cert.vertex,
-                "agrees": agree,
-                "certificate": _cert_payload(cert),
-            }
-            for v, cert, agree in oracle_rows
-        ]
-
-    lines = []
-    if concave is not None:
-        lines.append(f"concave: {concave}")
+        lines.append(f"concave: {summary.is_concave}")
         if triples:
             lines.append("aligned triples (middle, end, end):")
             lines.extend(f"  {tuple(t)}" for t in triples)
+    payload["pairs"] = [_verdict_payload(v) for v in verdicts]
+
+    if args.oracle:
+        payload["oracle"] = []
+        for v in verdicts:
+            cert = polytope.is_vertex(space, v.pair[0], v.pair[1])
+            if cert.vertex != v.is_extreme:
+                disagreement = {
+                    "pair": list(v.pair),
+                    "classifier_extreme": v.is_extreme,
+                    "oracle_vertex": cert.vertex,
+                    "classifier_witness": v.witness_middle,
+                    "oracle_certificate": _cert_payload(cert),
+                }
+                text = f"DISAGREEMENT on pair {v.pair}"
+                return EXIT_DISAGREEMENT, digest, {"disagreement": disagreement}, text
+            payload["oracle"].append({
+                "pair": list(v.pair),
+                "vertex": cert.vertex,
+                "agrees": True,
+                "certificate": _cert_payload(cert),
+            })
+
     for v in verdicts:
         mark = "extreme" if v.is_extreme else f"NOT extreme (middle {v.witness_middle})"
         lines.append(
@@ -184,8 +161,7 @@ def cmd_classify(args, space) -> int:
         )
     if args.oracle:
         lines.append("oracle: all pairs agree")
-    _emit(args, "classify", digest, payload, "\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, digest, payload, "\n".join(lines)
 
 
 def _cert_payload(cert: polytope.VertexCertificate) -> dict:
@@ -201,7 +177,7 @@ def _cert_payload(cert: polytope.VertexCertificate) -> dict:
     }
 
 
-def cmd_modulus(args, space) -> int:
+def cmd_modulus(args, space) -> Report:
     eps_grid = [formats.parse_number(e) for e in args.eps]
     table = concavity_modulus(space, args.p, args.q, eps_grid)
     payload = {
@@ -216,21 +192,18 @@ def cmd_modulus(args, space) -> int:
         f"  eps={number_to_json(e.eps)}  delta={number_to_json(e.delta)}  witness={e.witness}"
         for e in table.entries
     ]
-    _emit(args, "modulus", formats.space_digest(space), payload, "\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, formats.space_digest(space), payload, "\n".join(lines)
 
 
-def _family_from_args(args) -> generators.FamilySpec:
-    if args.family == "c0":
-        return generators.FamilySpec("c0_counterexample")
-    if args.family == "spiral":
-        fam = "planar_spiral_one_sided" if args.one_sided else "planar_spiral"
-        return generators.FamilySpec(
-            fam, {"lam": Fraction(args.lam), "seed": args.seed}
-        )
-    if args.family == "l2":
-        return generators.FamilySpec("l2_nonholder")
-    raise SpaceError(f"unknown family {args.family!r}")
+# family argument -> its generator spec, built from the family flags
+_FAMILY_SPECS = {
+    "c0": lambda args: generators.FamilySpec("c0_counterexample"),
+    "spiral": lambda args: generators.FamilySpec(
+        "planar_spiral_one_sided" if args.one_sided else "planar_spiral",
+        {"lam": Fraction(args.lam), "seed": args.seed},
+    ),
+    "l2": lambda args: generators.FamilySpec("l2_nonholder"),
+}
 
 
 def cmd_generate(args) -> int:
@@ -245,7 +218,7 @@ def cmd_generate(args) -> int:
             "input_digest": formats.space_digest(space),
         }
     else:
-        spec = _family_from_args(args)
+        spec = _FAMILY_SPECS[args.family](args)
         out_space = spec.generate(args.depth)
         provenance = dict(out_space.meta)
         provenance["depth"] = args.depth
@@ -260,7 +233,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_attainment(args, space) -> int:
+def cmd_attainment(args, space) -> Report:
     result = lipfun.attainment_set(space, args.p, args.q, intervals=args.intervals)
     payload = {
         "pair": list(result.pair),
@@ -273,16 +246,14 @@ def cmd_attainment(args, space) -> int:
     lines = [f"attainment set of ({result.pair[0]},{result.pair[1]}):"] + [
         f"  ({x},{y})" for x, y in result.members
     ]
-    _emit(args, "attainment", formats.space_digest(space), payload, "\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, formats.space_digest(space), payload, "\n".join(lines)
 
 
-def cmd_diagnose(args) -> int:
-    spec = _family_from_args(args)
-    depths = args.depths
+def cmd_diagnose(args) -> Report:
+    spec = _FAMILY_SPECS[args.family](args)
     p, q = args.pair
-    diag = cls.sequence_diagnostics(spec, p, q, depths)
-    trend = cls.strongly_exposed_verdict(spec, p, q, depths)
+    diag = cls.sequence_diagnostics(spec, p, q, args.depths)
+    trend = cls.strongly_exposed_verdict(spec, p, q, args.depths)
     payload = {
         "pair": [p, q],
         "sequence": {
@@ -308,7 +279,7 @@ def cmd_diagnose(args) -> int:
             "threshold": trend.threshold,
         },
     }
-    lines = [f"diagnostics for ({p},{q}) at depths {list(depths)}"]
+    lines = [f"diagnostics for ({p},{q}) at depths {list(args.depths)}"]
     for r in diag.records:
         lines.append(f"  n={r.n}  excess={r.excess:.6g}  ratio={r.ratio:.6g}")
     lines.append(
@@ -320,8 +291,7 @@ def cmd_diagnose(args) -> int:
             f"strongly_exposed={r.strongly_exposed}"
         )
     lines.append(f"  limit property-Z flag: {trend.limit_property_z_flag}")
-    _emit(args, "diagnose", None, payload, "\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, None, payload, "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,17 +364,22 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; keep 2 reserved for metric violations
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if args.command == "generate":
+            return cmd_generate(args)
         if "path" not in args:
-            return args.fn(args)
-        try:
-            space = formats.load_space(
-                args.path, fmt=args.format, mode=args.mode, base=args.base, rel_tol=args.tolerance
-            )
-        except ValidationError as err:
-            lines = ["INVALID"] + ["  " + v.describe() for v in err.violations]
-            _emit(args, args.command, None, _validation_payload(err), "\n".join(lines))
-            return EXIT_INVALID
-        return args.fn(args, space)
+            report = args.fn(args)
+        else:
+            try:
+                space = formats.load_space(
+                    args.path, fmt=args.format, mode=args.mode, base=args.base, rel_tol=args.tolerance
+                )
+            except ValidationError as err:
+                report = _invalid_report(err)
+            else:
+                report = args.fn(args, space)
+        code, digest, payload, text = report
+        _emit(args, digest, payload, text)
+        return code
     except (
         formats.FormatError, OSError, SpaceError, simplex.LPFailure, cls.UnknownFamily, ValueError
     ) as exc:

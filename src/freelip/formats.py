@@ -73,12 +73,6 @@ def number_to_json(v):
     return v
 
 
-def _entry_is_exact(v) -> bool:
-    return isinstance(v, (int, Fraction)) or (
-        isinstance(v, str) and not any(c in v for c in ".eE")
-    )
-
-
 def space_from_dict(
     obj: Mapping,
     mode: str | None = None,
@@ -100,6 +94,8 @@ def space_from_dict(
     base = base if base is not None else obj.get("base", 0)
     tol = rel_tol if rel_tol is not None else obj.get("tolerance", DEFAULT_REL_TOL)
     try:
+        if isinstance(tol, bool):
+            raise TypeError  # float(True) is 1.0, but a flag is no tolerance
         rel_tol = float(tol)
     except TypeError:
         raise FormatError(f"'tolerance' must be a number, not {tol!r}") from None
@@ -110,9 +106,9 @@ def space_from_dict(
         raw = _array(obj, "matrix")
         if not all(isinstance(row, list) for row in raw):
             raise FormatError("every 'matrix' row must be an array")
-        if mode is None:
-            mode = EXACT if all(_entry_is_exact(v) for row in raw for v in row) else FLOAT
         matrix = [[parse_number(v) for v in row] for row in raw]
+        if mode is None:
+            mode = EXACT if all(isinstance(v, Fraction) for row in matrix for v in row) else FLOAT
         return validate(matrix, [str(x) for x in labels], base=base, mode=mode, rel_tol=rel_tol)
     raise FormatError("JSON object has neither 'matrix' nor 'points'")
 

@@ -340,7 +340,7 @@ def reference_solve_nonneg(
     a_eq: Sequence[Sequence] = (),
     b_eq: Sequence = (),
     maximize: bool = False,
-) -> LPResult:
+) -> simplex.LPResult:
     """Reference LP: the textbook Fraction tableau with the same Bland
     pivots as ``freelip.simplex.solve_nonneg``, which must return equal
     results. Optimizes c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0."""

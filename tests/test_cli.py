@@ -220,6 +220,18 @@ def test_null_tolerance_exits_1(tmp_path, capsys, doc):
     )
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "doc", [TWO_POINTS, {"points": {"a": [0], "b": [1]}}], ids=["matrix", "l2-cloud"]
+)
+def test_boolean_tolerance_exits_1(tmp_path, capsys, doc, flag):
+    # float(True) is 1.0, which would call every pair a zero distance
+    path = write(tmp_path, "sp.json", dict(doc, tolerance=flag))
+    assert run(capsys, "validate", path) == (
+        1, "", f"error: 'tolerance' must be a number, not {flag}\n"
+    )
+
+
 @pytest.mark.parametrize("base", [None, [1]], ids=["null", "array"])
 def test_base_that_is_neither_label_nor_index_exits_2(tmp_path, capsys, base):
     path = write(tmp_path, "sp.json", dict(TWO_POINTS, base=base))
@@ -397,6 +409,7 @@ def test_oracle_disagreement_exit_3(tmp_path, capsys, monkeypatch):
     assert payload["disagreement"]["classifier_extreme"] is True
     assert payload["disagreement"]["oracle_vertex"] is False
     assert "oracle_certificate" in payload["disagreement"]
+    assert run(capsys, "classify", path, "--oracle") == (3, "DISAGREEMENT on pair ('a', 'b')\n", "")
 
 
 def test_payload_determinism(tmp_path, capsys):

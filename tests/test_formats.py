@@ -3,12 +3,14 @@ point-cloud constructor they share with the generators."""
 
 import json
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import freelip as fl
-from freelip.formats import FormatError, load_space, space_from_csv
+from freelip import formats
+from freelip.formats import FormatError, load_space, parse_number, space_from_csv
 from freelip.space import from_points
 from support import reference_cloud_matrix
 
@@ -76,6 +78,46 @@ def test_matrix_mode_inferred_from_entries():
     doc["matrix"][1][2] = doc["matrix"][2][1] = "1.0"
     floats = fl.space_from_dict(doc)
     assert floats.mode == "float" and floats.d("a", "c") == 0.5
+
+
+def _old_entry_is_exact(v) -> bool:
+    # the rule the matrix reader applied to the raw entries before it
+    # inferred the mode from the parsed ones
+    return isinstance(v, (int, F)) or (isinstance(v, str) and not any(c in v for c in ".eE"))
+
+
+_entries = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(0, 99)),
+    st.decimals(allow_nan=False, allow_infinity=False, places=3).map(str),
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from([" 1/2", "3 ", " 0.5 ", "\t2e3\n", " -7 "]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "x", "1e", "1/2/3", "1.5/2", "inf", "nan", "1_000", [1], {}]),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_entries, min_size=1, max_size=5))
+def test_mode_inferred_from_parsed_entries_matches_the_raw_entry_rule(entries):
+    try:
+        for v in entries:
+            parse_number(v)
+    except FormatError as exc:
+        expected = str(exc)
+    else:
+        expected = "exact" if all(_old_entry_is_exact(v) for v in entries) else "float"
+    doc = {"labels": ["a"], "matrix": [entries]}
+    # the reader's last step is validate(..., mode=...); report the mode instead
+    with mock.patch.object(formats, "validate", lambda *args, mode, **kwargs: mode):
+        try:
+            got = fl.space_from_dict(doc)
+        except FormatError as exc:
+            got = str(exc)
+    assert got == expected
 
 
 @pytest.mark.parametrize(

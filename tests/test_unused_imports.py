@@ -1,14 +1,20 @@
 """No module of the package, the tests or the demos imports a name it
-never uses.
+never uses, and every annotation in the package and the test support
+module names something that exists.
 
 The standard library has no linter, so the check reads each module with
 ``ast``: every name an import binds must appear as a ``Name`` somewhere
 in the module (``x`` in ``x.y`` counts). ``__init__.py`` re-exports by
 design and is skipped, as is any imported name on a line marked
-``noqa``.
+``noqa``. Annotations stay strings under ``from __future__ import
+annotations``, so an undefined name in one shows only when
+``typing.get_type_hints`` resolves it.
 """
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -54,3 +60,37 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=[f"{p.parent.name}/{p.name}" for p in SCRIPTS])
 def test_every_test_and_demo_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def annotated(module) -> list:
+    """Every function, class and method that the module defines."""
+    out = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            out.append(obj)
+        elif inspect.isclass(obj):
+            out.append(obj)
+            for attr in vars(obj).values():
+                # unwrap staticmethod, classmethod, property and cached_property
+                for key in ("__func__", "fget", "func"):
+                    attr = getattr(attr, key, attr)
+                if inspect.isfunction(attr):
+                    out.append(attr)
+    return out
+
+
+HINTED = ["freelip", *(f"freelip.{p.stem}" for p in MODULES), "support"]
+
+
+@pytest.mark.parametrize("name", HINTED)
+def test_every_annotation_resolves(name):
+    module = importlib.import_module(name)
+    unresolved = []
+    for obj in annotated(module):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{obj.__qualname__}: {exc}")
+    assert unresolved == []
