@@ -16,6 +16,7 @@ Print both digests and their numbers of calls with
 ``PYTHONPATH=src python tests/cli_corpus.py``.
 """
 
+import functools
 import hashlib
 import io
 import json
@@ -71,10 +72,6 @@ def _matrix(points: dict, dist) -> list:
 
 def _l1(u, v):
     return sum(abs(a - b) for a, b in zip(u, v))
-
-
-def _linf(u, v):
-    return max(abs(a - b) for a, b in zip(u, v))
 
 
 def _l2(u, v):
@@ -144,9 +141,7 @@ def _inputs() -> list:
 
 def _parser_argvs(tmp: str) -> list:
     """Calls that argparse answers by itself: help, version, usage errors."""
-    def at(name):
-        return os.path.join(tmp, name)
-
+    at = functools.partial(os.path.join, tmp)
     argvs = [
         [],
         ["--version"],
@@ -168,9 +163,7 @@ def _parser_argvs(tmp: str) -> list:
 
 
 def _command_argvs(tmp: str) -> list:
-    def at(name):
-        return os.path.join(tmp, name)
-
+    at = functools.partial(os.path.join, tmp)
     argvs = [
         ["generate", "c0", "--depth", "6", "--out", at("c0.json")],
         ["generate", "spiral", "--depth", "4", "--seed", "1", "--out", at("spiral.json")],

@@ -100,7 +100,7 @@ _entries = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.lists(_entries, min_size=1, max_size=5))
 def test_mode_inferred_from_parsed_entries_matches_the_raw_entry_rule(entries):
     try:
