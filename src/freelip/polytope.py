@@ -212,50 +212,52 @@ def is_vertex(
     molecules (the opposite orientation included) is solved exactly; the
     infeasibility multipliers yield a separating functional, which is
     re-verified by direct arithmetic before being returned; a certificate
-    that fails the check raises LPFailure. A molecule u_xy is 1/d(x,y) at
-    x and -1/d(x,y) at y, so the LP and the combination check read the
-    inverse distances, computed once per space; the separating functional
-    is checked on integers, over the space's common distance denominator.
+    that fails the check raises LPFailure. The LP is in network form:
+    column (x, y) is (u_xy; 1) scaled by d(x,y) > 0, the incidence vector
+    e_x - e_y over a distance row, so its value is mu_xy = lambda_xy /
+    d(x,y) for the weight lambda_xy. A positive column scaling keeps every
+    pivot, weight and Farkas multiplier of the unscaled LP. The separating
+    functional is checked on integers, over the common distance denominator.
     """
     oracle_guard(space, max_points)
     pi, qi = space.pair(p, q)
-    n, e, inv = space.n, space.base_index, space._inverse_dist
+    n, e, dist = space.n, space.base_index, space.dist
     # one column per other molecule u_xy, lexicographic by index pair; one
-    # row per point, the base row dropped, then the row of ones
+    # row per point, the base row dropped, then the row of distances
     others = [(x, y) for x in range(n) for y in range(n) if x != y and (x, y) != (pi, qi)]
     a_eq = [[0] * len(others) for _ in range(n)]
     for k, (x, y) in enumerate(others):
-        a_eq[x][k] = inv[x][y]
-        a_eq[y][k] = -inv[x][y]
+        a_eq[x][k] = 1
+        a_eq[y][k] = -1
     del a_eq[e]
-    a_eq.append([1] * len(others))
+    a_eq.append([dist[x][y] for x, y in others])
     target = [0] * n
-    target[pi] = inv[pi][qi]
-    target[qi] = -inv[pi][qi]
+    target[pi] = Fraction(1) / dist[pi][qi]
+    target[qi] = -target[pi]
     res = simplex.feasible_combination(a_eq, target[:e] + target[e + 1:] + [1])
     if res.status == simplex.OPTIMAL:
-        combo = [0] * n
-        for (x, y), w in zip(others, res.x):
-            if w:
-                combo[x] += w * inv[x][y]
-                combo[y] -= w * inv[x][y]
-        combo[e] = target[e]  # the base carries no coordinate
-        if combo != target or sum(w for w in res.x if w) != 1 or any(w < 0 for w in res.x):
+        flow = [0] * n
+        lam = {}
+        for (x, y), mu in zip(others, res.x):
+            if mu:
+                flow[x] += mu
+                flow[y] -= mu
+                lam[x, y] = mu * dist[x][y]
+        flow[e] = target[e]  # the base carries no coordinate
+        if flow != target or sum(lam.values()) != 1 or any(w < 0 for w in lam.values()):
             raise simplex.LPFailure("combination certificate failed verification")
-        weights = {
-            (space.labels[x], space.labels[y]): w for (x, y), w in zip(others, res.x) if w != 0
-        }
+        weights = {(space.labels[x], space.labels[y]): w for (x, y), w in lam.items()}
         return VertexCertificate(
             vertex=False, separating=None, margin=None, weights=weights
         )
-    # The multipliers y satisfy y.col <= 0 for every column (u_xy; 1) and
-    # y.(u_pq; 1) > 0, so phi = y[:-1], extended by phi(e) = 0, has a
-    # slope (phi(p) - phi(q)) / d(p,q) above every other slope
-    # (phi(x) - phi(y)) / d(x,y); re-verified here exactly, the margin
-    # being the least gap. With phi = g / F and d = D / L on integers g
-    # and D, a slope is (g(x) - g(y)) / D(x,y) times L / F > 0, so the
-    # largest other slope is found by cross-multiplication (D > 0 off
-    # the diagonal).
+    # The multipliers y satisfy y.col <= 0 for every column, which is
+    # d(x,y) > 0 times (u_xy; 1), and y.(u_pq; 1) > 0, so phi = y[:-1],
+    # extended by phi(e) = 0, has a slope (phi(p) - phi(q)) / d(p,q)
+    # above every other slope (phi(x) - phi(y)) / d(x,y); re-verified
+    # here exactly, the margin being the least gap. With phi = g / F and
+    # d = D / L on integers g and D, a slope is (g(x) - g(y)) / D(x,y)
+    # times L / F > 0, so the largest other slope is found by
+    # cross-multiplication (D > 0 off the diagonal).
     phi = list(res.farkas[:-1])
     f = phi[:e] + [0] + phi[e:]
     f_den = lcm(*{v.denominator for v in f})

@@ -118,11 +118,6 @@ class FiniteMetricSpace:
         return _scaled_ints([[Fraction(v) for v in row] for row in self.dist])
 
     @cached_property
-    def _inverse_dist(self) -> list[list[Fraction]]:
-        """Exact mode: 1 / d(x, y) off the diagonal, 0 on it."""
-        return [[Fraction(1) / d if d else Fraction(0) for d in row] for row in self.dist]
-
-    @cached_property
     def _between_for(self):
         """Float mode: the betweenness rule of :func:`_float_betweenness`."""
         return _float_betweenness(self)

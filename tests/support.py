@@ -499,9 +499,10 @@ def reference_is_vertex(space, p, q):
     columns are the coordinates of every other molecule u_xy (ordered
     pairs x != y, lexicographic by index) with a 1 appended. Convex
     weights and the separating functional are re-checked with Fraction
-    dot products. ``freelip.polytope.is_vertex`` builds the same LP from
-    the space's cached inverse distances, checks its certificates on
-    integers, and must return an equal certificate."""
+    dot products. ``freelip.polytope.is_vertex`` scales column (x, y) by
+    d(x,y), which leaves incidence columns over a row of distances, checks
+    its certificates on integers, and must return an equal certificate
+    after the same pivots."""
     from freelip.polytope import VertexCertificate, molecule_vector
 
     pi, qi = space.index(p), space.index(q)

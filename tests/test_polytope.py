@@ -203,6 +203,45 @@ def test_is_vertex_matches_reference_oracle(seed, n, midpoints, denominators):
                 assert repr(fl.is_vertex(sp, p, q)) == repr(reference_is_vertex(sp, p, q))
 
 
+@pytest.mark.parametrize(
+    "seed, n, midpoint, denominators",
+    [
+        (0, 4, False, NARROW),
+        (1, 4, True, PRIMES),
+        (2, 5, False, PRIMES),
+        (3, 6, True, NARROW),
+        (4, 7, False, NARROW),
+        (5, 7, True, PRIMES),
+        (6, 8, False, PRIMES),
+    ],
+)
+def test_is_vertex_takes_the_pivots_of_the_reference_oracle(monkeypatch, seed, n, midpoint, denominators):
+    # equal certificates could come from different pivot paths; equal
+    # pivot counts, pair by pair, show the scaled columns take the same path
+    pivots = [0]
+    pivot = fl.simplex._pivot
+
+    def counting(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(fl.simplex, "_pivot", counting)
+    rng = random.Random(seed)
+    matrix = random_exact_matrix(rng, n - midpoint, denominators)
+    if midpoint:
+        matrix, _ = inject_midpoint(matrix, rng)
+    sp = fl.validate(matrix, labels_for(n), base=rng.randrange(n), mode="exact")
+    for p in range(n):
+        for q in range(n):
+            if p != q:
+                pivots[0] = 0
+                fl.is_vertex(sp, p, q)
+                taken = pivots[0]
+                pivots[0] = 0
+                reference_is_vertex(sp, p, q)
+                assert taken == pivots[0] > 0, (p, q)
+
+
 def test_is_vertex_rejects_bad_farkas_certificate(monkeypatch):
     # an infeasible verdict whose multipliers separate nothing must fail
     # loudly, not fall back to another LP
@@ -214,11 +253,14 @@ def test_is_vertex_rejects_bad_farkas_certificate(monkeypatch):
         fl.is_vertex(EQUILATERAL, "a", "b")
 
 
-def _fake_combination(monkeypatch, weights_by_pair, n, pq):
-    # an OPTIMAL result with the given weights on the columns of is_vertex:
-    # the other ordered index pairs, lexicographic
+def _fake_combination(monkeypatch, mu_by_pair, n, pq):
+    # an OPTIMAL result with the given values mu on the columns of
+    # is_vertex: the other ordered index pairs, lexicographic. Column (x, y)
+    # is u_xy scaled by d(x,y), so mu_xy = lambda_xy / d(x,y) for a convex
+    # weight lambda_xy. The two VEE fakes below weigh only pairs at
+    # distance 1, where mu and lambda are equal.
     cols = [(x, y) for x in range(n) for y in range(n) if x != y and (x, y) != pq]
-    x = tuple(F(weights_by_pair.get(c, 0)) for c in cols)
+    x = tuple(F(mu_by_pair.get(c, 0)) for c in cols)
 
     def fake(a_eq, b_eq):
         assert len(a_eq[0]) == len(cols)
@@ -241,6 +283,30 @@ def test_is_vertex_rejects_a_negative_weight(monkeypatch):
     _fake_combination(monkeypatch, weights, 3, (1, 2))
     with pytest.raises(fl.simplex.LPFailure, match="combination certificate failed verification"):
         fl.is_vertex(VEE, "a", "b")
+
+
+# a, b, c with c between a and b at distances 1 and 3: u_ab is
+# 1/4 u_ac + 3/4 u_cb, and the scaled columns carry mu = 1/4 on both
+LOPSIDED = fl.validate([[0, 4, 1], [4, 0, 3], [1, 3, 0]], ["a", "b", "c"], base="a", mode="exact")
+
+
+def test_is_vertex_rejects_weights_read_as_lambda_not_mu(monkeypatch):
+    # the convex weights themselves, fed as mu: 1/4 (e_a - e_c) +
+    # 3/4 (e_c - e_b) is not u_ab = (e_a - e_b) / 4
+    _fake_combination(monkeypatch, {(0, 2): F(1, 4), (2, 1): F(3, 4)}, 3, (0, 1))
+    with pytest.raises(fl.simplex.LPFailure, match="combination certificate failed verification"):
+        fl.is_vertex(LOPSIDED, "a", "b")
+
+
+def test_is_vertex_reports_mu_times_distance_as_the_weights(monkeypatch):
+    # the same combination fed as mu = lambda / d is accepted, and the
+    # weights come back as lambda
+    _fake_combination(monkeypatch, {(0, 2): F(1, 4), (2, 1): F(1, 4)}, 3, (0, 1))
+    cert = fl.is_vertex(LOPSIDED, "a", "b")
+    assert cert == fl.VertexCertificate(
+        vertex=False, separating=None, margin=None,
+        weights={("a", "c"): F(1, 4), ("c", "b"): F(3, 4)},
+    )
 
 
 def test_is_vertex_rejects_a_farkas_functional_with_zero_gap(monkeypatch):
