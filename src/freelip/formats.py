@@ -83,7 +83,8 @@ def space_from_dict(
 
     Each of mode, base and tolerance is the argument when it is given,
     else the object's value, else the default: no mode (the entries or
-    the norm decide), index 0, DEFAULT_REL_TOL. When both "points" and
+    the norm decide), index 0, DEFAULT_REL_TOL; a tolerance that is not a
+    finite number at least 0 is a FormatError. When both "points" and
     "matrix" are present (as in generated files) the point cloud wins:
     distances are rebuilt from the coordinates and the exact-alignment
     machinery stays available.
@@ -97,8 +98,10 @@ def space_from_dict(
         if isinstance(tol, bool):
             raise TypeError  # float(True) is 1.0, but a flag is no tolerance
         rel_tol = float(tol)
-    except TypeError:
+    except (TypeError, ValueError):
         raise FormatError(f"'tolerance' must be a number, not {tol!r}") from None
+    if not 0 <= rel_tol < math.inf:  # also refuses nan
+        raise FormatError(f"'tolerance' must be finite and at least 0, not {tol!r}")
     if "points" in obj:
         return _space_from_cloud(obj, mode, base, rel_tol)
     if "matrix" in obj:

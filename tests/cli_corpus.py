@@ -102,6 +102,9 @@ def _inputs() -> list:
             ["3/4", "1/4", 0, "1/2"], ["5/4", "3/4", "1/2", 0]]}, "a", "d"),
         ("null_tolerance.json", dict(TWO_POINTS, tolerance=None), "a", "b"),
         ("string_tolerance.json", dict(TWO_POINTS, tolerance="x"), "a", "b"),
+        ("nan_tolerance.json", dict(TWO_POINTS, tolerance="nan"), "a", "b"),
+        ("inf_tolerance.json", dict(TWO_POINTS, tolerance="inf"), "a", "b"),
+        ("negative_tolerance.json", dict(TWO_POINTS, tolerance=-1), "a", "b"),
         ("bad_mode.json", dict(TWO_POINTS, mode="fuzzy"), "a", "b"),
         ("junk_entry.json", dict(TWO_POINTS, matrix=[[0, "abc"], ["abc", 0]]), "a", "b"),
         ("bool_entry.json", dict(TWO_POINTS, matrix=[[0, True], [True, 0]]), "a", "b"),
@@ -219,6 +222,7 @@ def _command_argvs(tmp: str) -> list:
         ["modulus", at("chain.json"), "a", "a", "--eps", "1/2"],
         ["attainment", at("chain.json"), "a", "nowhere"],
         ["classify", at("chain.json"), "--pair", "a", "a", "--json"],
+        ["classify", at("l2_matrix.json"), "--tolerance", "nan"],
     ]
     return argvs
 

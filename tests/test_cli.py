@@ -232,6 +232,48 @@ def test_boolean_tolerance_exits_1(tmp_path, capsys, doc, flag):
     )
 
 
+FLOAT_TRIANGLE = {"labels": ["a", "b", "c"], "matrix": [[0, 1.0, 1.5], [1.0, 0, 1.0], [1.5, 1.0, 0]]}
+
+
+def test_string_tolerance_exits_1(tmp_path, capsys):
+    path = write(tmp_path, "sp.json", dict(FLOAT_TRIANGLE, tolerance="x"))
+    assert run(capsys, "validate", path) == (
+        1, "", "error: 'tolerance' must be a number, not 'x'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "tolerance, shown",
+    [('"nan"', "'nan'"), ('"inf"', "'inf'"), ("1e400", "inf"), ("-1", "-1"), ("-0.5", "-0.5")],
+    ids=["nan", "inf", "overflow", "negative", "negative-float"],
+)
+def test_tolerance_that_is_not_finite_and_nonnegative_exits_1(tmp_path, capsys, tolerance, shown):
+    # a nan tolerance compares false with every error, a negative one makes
+    # a valid metric INVALID, and an infinite one calls every pair a zero
+    # distance; the JSON text is written as given, so 1e400 is read as inf
+    path = tmp_path / "sp.json"
+    path.write_text(json.dumps(FLOAT_TRIANGLE)[:-1] + f', "tolerance": {tolerance}}}')
+    assert run(capsys, "validate", str(path)) == (
+        1, "", f"error: 'tolerance' must be finite and at least 0, not {shown}\n"
+    )
+
+
+def test_tolerance_flag_that_is_nan_exits_1(tmp_path, capsys):
+    path = write(tmp_path, "sp.json", FLOAT_TRIANGLE)
+    assert run(capsys, "classify", path, "--tolerance", "nan") == (
+        1, "", "error: 'tolerance' must be finite and at least 0, not nan\n"
+    )
+
+
+def test_zero_tolerance_stays_valid(tmp_path, capsys):
+    path = write(tmp_path, "sp.json", dict(FLOAT_TRIANGLE, tolerance=0))
+    assert run(capsys, "validate", path) == (0, "VALID  3 points, mode=float, base=a\n", "")
+    path = write(tmp_path, "sp.json", FLOAT_TRIANGLE)
+    assert run(capsys, "validate", path, "--tolerance", "0") == (
+        0, "VALID  3 points, mode=float, base=a\n", ""
+    )
+
+
 @pytest.mark.parametrize("base", [None, [1]], ids=["null", "array"])
 def test_base_that_is_neither_label_nor_index_exits_2(tmp_path, capsys, base):
     path = write(tmp_path, "sp.json", dict(TWO_POINTS, base=base))
@@ -516,9 +558,11 @@ def test_cli_import_pulls_in_no_third_party_package():
     assert done.stdout.strip() == "False"
 
 
-# tests/cli_corpus.py, recorded before the commands returned their reports
-# to main; argparse wraps usage lines differently from Python 3.13 on
-CLI_CORPUS_COMMANDS = (1102, "068322d8183fbf1c496275d2c2e183991bbf19b1f28722f1deb0275a9c63d07b")
+# tests/cli_corpus.py; the commands digest was re-recorded when the reader
+# began to refuse string, nan, infinite and negative tolerances by name,
+# which changed only the calls on those tolerances. argparse wraps usage
+# lines differently from Python 3.13 on
+CLI_CORPUS_COMMANDS = (1175, "04ebf432452fd316dae65d4c9cfd682a3825120a044e914ed76e27cc064fbc76")
 CLI_CORPUS_PARSER = {
     (3, 10): "60346ec71f81db57ff1956c4db311d66560b3d25c1e78f4e6a038e4aee83a6ce",
     (3, 11): "60346ec71f81db57ff1956c4db311d66560b3d25c1e78f4e6a038e4aee83a6ce",
