@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freelip as fl
-from freelip.classify import UnknownFamily
+from freelip.classify import DEFAULT_DECAY_THRESHOLD, UnknownFamily
 from freelip.generators import FamilySpec
 from support import (
     CHAIN,
@@ -81,6 +81,12 @@ def test_property_z_two_point_space_vacuous():
     res = fl.property_z(sp, "e", "x", F(1))
     assert not res.holds_at_eps
     assert res.min_ratio == math.inf
+
+
+@pytest.mark.parametrize("eps", [0, F(-1, 2)])
+def test_property_z_refuses_a_nonpositive_eps(eps):
+    with pytest.raises(ValueError, match="^eps must be positive$"):
+        fl.property_z(EQUILATERAL, "a", "b", eps)
 
 
 def test_three_predicates_collapse_on_exact_spaces():
@@ -236,6 +242,18 @@ def test_sequence_diagnostics_one_sided_empty_side():
     assert diag_q.flag and diag_q.monotone_decreasing
 
 
+def test_sequence_diagnostics_empty_schedule():
+    diag = fl.sequence_diagnostics(FamilySpec("c0_counterexample"), "p", "e", ())
+    assert diag == fl.SequenceDiagnostics(
+        pair=("p", "e"),
+        records=(),
+        monotone_decreasing=False,
+        decay_factor=None,
+        flag=False,
+        threshold=DEFAULT_DECAY_THRESHOLD,
+    )
+
+
 def test_strongly_exposed_trend_spiral():
     spec = FamilySpec("planar_spiral", {"lam": F(1, 2), "seed": 9})
     trend = fl.strongly_exposed_verdict(spec, "p", "q", depths=(4, 8))
@@ -262,6 +280,8 @@ def test_strongly_exposed_with_middle_every_depth():
 def test_unknown_family_rejected():
     with pytest.raises(UnknownFamily):
         fl.strongly_exposed_verdict(object(), "p", "q", depths=(4,))
+    with pytest.raises(UnknownFamily):
+        fl.sequence_diagnostics(object(), "p", "q", ())
     spec = FamilySpec("c0_counterexample")
     with pytest.raises(UnknownFamily):
         fl.sequence_diagnostics(spec, "p", "zzz", depths=(4,))

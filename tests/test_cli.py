@@ -93,6 +93,13 @@ def test_malformed_space_object_exit_1(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_point_with_coordinates_that_are_not_an_array_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "cloud.json", {"points": {"a": [0, 0], "b": 1}, "norm": "l2"})
+    assert run(capsys, "validate", path) == (
+        1, "", "error: the coordinates of 'b' must be an array\n"
+    )
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/nowhere.json")
     assert code == 1

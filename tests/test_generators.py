@@ -253,6 +253,10 @@ def test_l2_rejects_bad_sequences():
         fl.gen_l2_nonholder([F(1, 4), F(1, 2)], None, 3)  # increasing a
     with pytest.raises(BadSequences):
         fl.gen_l2_nonholder(None, [F(1, 2), F(1, 4)], 3)  # lambda <= 1
+    with pytest.raises(BadSequences):
+        fl.gen_l2_nonholder([F(3, 2), F(1, 4)], None, 3)  # a outside (0, 1)
+    with pytest.raises(BadSequences):
+        fl.gen_l2_nonholder(None, [F(3, 2), F(7, 4)], 3)  # increasing lambda
     with pytest.raises(BadDepth):
         fl.gen_l2_nonholder(None, None, 1)
 

@@ -116,6 +116,11 @@ def test_extension_refuses_a_point_named_twice():
             fl.mcshane_extend(EQUILATERAL, subset, [1] * len(subset))
 
 
+def test_extension_needs_one_value_per_subset_point():
+    with pytest.raises(fl.SpaceError, match="^one value per subset point required$"):
+        fl.mcshane_extend(EQUILATERAL, ["a", "b"], [1])
+
+
 def test_extension_singleton_subset():
     f = fl.mcshane_extend(EQUILATERAL, ["b"], [F(7)])
     assert f.lip_constant == 0
@@ -215,6 +220,11 @@ def test_peaking_default_alpha_certificate():
 
 
 # -- attainment --------------------------------------------------------------
+
+
+def test_attainment_refuses_an_unknown_interval_mode():
+    with pytest.raises(ValueError, match="^intervals must be 'lazy' or 'full'$"):
+        fl.attainment_set(EQUILATERAL, "a", "b", intervals="bogus")
 
 
 def test_attainment_equilateral_minimal():

@@ -116,6 +116,12 @@ def test_validate_rejects_unknown_mode(mode):
     assert [v.kind for v in err.value.violations] == ["bad_mode"]
 
 
+def test_validate_reports_an_entry_that_is_not_a_number():
+    with pytest.raises(ValidationError) as err:
+        fl.validate([[0, "x"], ["x", 0]], ["a", "b"])
+    assert [v.kind for v in err.value.violations] == ["bad_entry"]
+
+
 def test_validate_powered_l2_family_breaks_triangle():
     # Raising the concave family's distances to a power 1/alpha with
     # alpha < 1/lambda_n must break the triangle inequality.
