@@ -270,16 +270,8 @@ def sequence_diagnostics(
     finite depth yet cannot be strongly exposed in the limit.
     """
     _require_family(family)
-    if not depths:
-        return SequenceDiagnostics(
-            pair=(p, q),
-            records=(),
-            monotone_decreasing=False,
-            decay_factor=None,
-            flag=False,
-            threshold=decay_threshold,
-        )
-    deepest, pi, qi = _generate_pair(family, p, q, max(depths))
+    if depths:
+        deepest, pi, qi = _generate_pair(family, p, q, max(depths))
     records = []
     for n in depths:
         probe = family.probe_label(p, q, n)

@@ -3,11 +3,11 @@
 Subcommands: validate, classify, modulus, generate, attainment, diagnose.
 Exit codes: 0 success, 1 parse/usage errors and failed LPs, 2 metric
 violations, 3 classifier/oracle disagreement (an internal inconsistency).
-Errors print as one "error: ..." line on stderr. Every command but
-generate returns its report, ``(exit code, input digest, payload,
-text)``. :func:`main` loads the space file of validate, classify,
-modulus and attainment, so an invalid one gets the same itemized report
-from each; it writes the report and maps errors to exit codes. JSON
+Errors print as one "error: ..." line on stderr. Every command returns
+its report, ``(exit code, input digest, payload, text)``. :func:`main`
+loads the space file of validate, classify, modulus and attainment, so
+an invalid one gets the same itemized report from each; it writes the
+report and maps errors to exit codes. JSON
 output carries a report envelope whose payload region is byte-identical
 across identical invocations; the timestamp lives outside it.
 """
@@ -41,7 +41,7 @@ Report = tuple[int, str | None, dict, str]
 
 
 def _emit(args, digest: str | None, payload: dict, text: str) -> None:
-    if args.json:
+    if getattr(args, "json", False):
         envelope = {
             "tool": "freelip",
             "version": __version__,
@@ -206,7 +206,7 @@ _FAMILY_SPECS = {
 }
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> Report:
     if args.family == "holder":
         if args.input is None:
             raise formats.FormatError("generate holder needs --input")
@@ -227,10 +227,8 @@ def cmd_generate(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(f"wrote {out_space.n} points to {args.out}")
-    else:
-        print(text)
-    return EXIT_OK
+        text = f"wrote {out_space.n} points to {args.out}"
+    return EXIT_OK, None, {}, text
 
 
 def cmd_attainment(args, space) -> Report:
@@ -364,8 +362,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; keep 2 reserved for metric violations
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
         if "path" not in args:
             report = args.fn(args)
         else:

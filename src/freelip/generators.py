@@ -111,8 +111,6 @@ def _aligned_with(c, pts) -> bool:
 
 
 def _spiral_points(lam: Fraction, depth: int, seed, one_sided: bool):
-    if not isinstance(lam, Fraction):
-        lam = Fraction(lam)
     if not 0 < lam < 1:
         raise BadLambda("lambda must be a rational strictly between 0 and 1")
     if depth < 1:
@@ -142,22 +140,22 @@ def _spiral_points(lam: Fraction, depth: int, seed, one_sided: bool):
     return pts
 
 
+def _spiral_space(family: str, lam, depth: int, seed, one_sided: bool) -> FiniteMetricSpace:
+    """The spiral truncation as a space based at p, with its provenance."""
+    lam = Fraction(lam)
+    pts = _spiral_points(lam, depth, seed, one_sided)
+    meta = {"family": family, "lambda": str(lam), "seed": seed}
+    return from_points(pts, base="p", meta=meta)
+
+
 def gen_planar_spiral(lam, depth: int, seed=0) -> FiniteMetricSpace:
     """Both accumulating sequences; labels p, q, p1, q1, ..., pN, qN."""
-    pts = _spiral_points(Fraction(lam), depth, seed, one_sided=False)
-    meta = {"family": "planar_spiral", "lambda": str(Fraction(lam)), "seed": seed}
-    return from_points(pts, base="p", meta=meta)
+    return _spiral_space("planar_spiral", lam, depth, seed, one_sided=False)
 
 
 def gen_planar_spiral_one_sided(lam, depth: int, seed=0) -> FiniteMetricSpace:
     """Only the q-side sequence; p is an isolated endpoint."""
-    pts = _spiral_points(Fraction(lam), depth, seed, one_sided=True)
-    meta = {
-        "family": "planar_spiral_one_sided",
-        "lambda": str(Fraction(lam)),
-        "seed": seed,
-    }
-    return from_points(pts, base="p", meta=meta)
+    return _spiral_space("planar_spiral_one_sided", lam, depth, seed, one_sided=True)
 
 
 # -- sup-norm counterexample family -------------------------------------

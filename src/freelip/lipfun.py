@@ -30,9 +30,7 @@ from typing import Mapping, Sequence, Union
 
 from . import simplex
 from .polytope import _coefficients, _lip_ball_rows
-from .space import FiniteMetricSpace, SpaceError
-
-Num = Union[Fraction, float]
+from .space import FiniteMetricSpace, Num, SpaceError, _scan_pairs
 
 
 class EmptySubset(SpaceError):
@@ -181,18 +179,16 @@ def peaking_margin(
     space: FiniteMetricSpace, p: Union[int, str], q: Union[int, str]
 ) -> Num:
     """c = min(1, min over r of excess(r;p,q)/d(r,q)); zero iff a strict
-    middle point exists."""
+    middle point exists, as the classifier kernel finds them."""
     pi, qi = space.pair(p, q)
-    c = space.num(1)
-    for ri in range(space.n):
-        if ri in (pi, qi):
-            continue
-        if space.is_between(ri, pi, qi):
-            return space.num(0)
-        ratio = space.excess_raw(ri, pi, qi) / space.dist[ri][qi]
-        if ratio < c:
-            c = ratio
-    return c
+    (scan,) = _scan_pairs(space, pairs=[(pi, qi)])
+    if scan.middles:
+        return space.num(0)
+    return min([space.num(1)] + [
+        space.excess_raw(ri, pi, qi) / space.dist[ri][qi]
+        for ri in range(space.n)
+        if ri not in (pi, qi)
+    ])
 
 
 def peaking_candidate(

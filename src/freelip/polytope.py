@@ -113,8 +113,6 @@ def oracle_guard(space: FiniteMetricSpace, max_points: int = MAX_ORACLE_POINTS) 
 def _coefficients(space: FiniteMetricSpace, coefficients: Sequence):
     """The non-base points and one coefficient per point; DimensionMismatch otherwise."""
     nonbase = _nonbase(space)
-    if isinstance(coefficients, FreeVector):
-        coefficients = coefficients.coefficients
     if len(coefficients) != len(nonbase):
         raise DimensionMismatch(
             f"expected {len(nonbase)} coefficients, got {len(coefficients)}"
