@@ -8,7 +8,8 @@ Three input formats are supported:
 * JSON point cloud: {"points": {label: [coords...]}, "norm":
   "l2"|"linf"|"l1", "base": ...}, built by ``space.from_points`` as the
   generated families are: "linf"/"l1" give exact rational distances,
-  "l2" correctly rounded floats, and the rational coordinates are kept
+  "l2" floats (the float square root of the rounded squared distance,
+  not always the nearest float), and the rational coordinates are kept
   for exact alignment tests. An optional "tolerance" applies to "l2"; a
   "mode" that disagrees with the norm is an error.
 * CSV square matrix with a header row of labels; the base point defaults

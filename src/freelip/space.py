@@ -55,8 +55,9 @@ class BadGrid(SpaceError):
 class Violation:
     """One violated metric axiom, with the witnessing indices."""
 
-    kind: str  # not_square | bad_labels | bad_base | bad_mode | asymmetric |
-    #            negative | nonzero_diagonal | zero_distance | triangle | bad_entry
+    kind: str  # not_square | bad_labels | bad_base | bad_mode | bad_tolerance |
+    #            asymmetric | negative | nonzero_diagonal | zero_distance |
+    #            triangle | bad_entry
     i: int | None = None
     j: int | None = None
     k: int | None = None
@@ -201,10 +202,13 @@ def validate(
     labels, and triangle violations (with their deficit). In float mode
     a triangle deficit within the tolerance is repaired silently by
     accepting the matrix as-is. A mode other than "exact" or "float"
-    is rejected at once as bad_mode.
+    is rejected at once as bad_mode, and a rel_tol that is not a finite
+    number at least 0 as bad_tolerance.
     """
     if mode not in (EXACT, FLOAT):
         raise ValidationError([Violation("bad_mode")])
+    if not 0 <= rel_tol < math.inf:  # also refuses nan
+        raise ValidationError([Violation("bad_tolerance")])
     violations: list[Violation] = []
     labels = tuple(str(x) for x in labels)
     n = len(labels)
@@ -292,8 +296,10 @@ def from_points(
 
     Distances are computed once for i < j, on the coordinates scaled to
     integers over one denominator den. l1 and linf give an exact space,
-    sum or max |x - y| over den; l2 a float space of correctly rounded
-    sqrt(S / den**2), S the squared distance. ``rel_tol`` is l2's alone.
+    sum or max |x - y| over den; l2 a float space of math.sqrt(S / den**2),
+    S the squared distance: the float root of the correctly rounded
+    quotient, so rounded twice, and at times one ulp from the correctly
+    rounded distance. ``rel_tol`` is l2's alone.
     """
     labels = list(points)
     den, ints = _scaled_ints([points[lab] for lab in labels])

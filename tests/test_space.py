@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freelip as fl
-from freelip.space import BadExponent, BadGrid, SamePoint, UnknownLabel, ValidationError
+from freelip.space import (
+    BadExponent, BadGrid, SamePoint, UnknownLabel, ValidationError, from_points,
+)
 from support import CHAIN, EQUILATERAL, random_exact_space, scaled
 
 
@@ -120,6 +122,32 @@ def test_validate_reports_an_entry_that_is_not_a_number():
     with pytest.raises(ValidationError) as err:
         fl.validate([[0, "x"], ["x", 0]], ["a", "b"])
     assert [v.kind for v in err.value.violations] == ["bad_entry"]
+
+
+FLOAT_TRIANGLE = [[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]]
+
+
+# a nan tolerance compares false with every error, so the space passed and
+# was called concave; a negative one reported a triangle deficit of -0.5 on
+# this valid metric, and an infinite one a zero distance on every pair
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("rel_tol", [math.nan, -1.0, math.inf])
+def test_validate_refuses_a_tolerance_that_is_not_finite_and_nonnegative(rel_tol, mode):
+    with pytest.raises(ValidationError) as err:
+        fl.validate(FLOAT_TRIANGLE, ["a", "b", "c"], mode=mode, rel_tol=rel_tol)
+    assert [v.kind for v in err.value.violations] == ["bad_tolerance"]
+
+
+def test_from_points_refuses_a_nan_tolerance():
+    cloud = {"a": (F(0), F(0)), "b": (F(1), F(0)), "c": (F(0), F(1))}
+    with pytest.raises(ValidationError) as err:
+        from_points(cloud, rel_tol=math.nan)
+    assert [v.kind for v in err.value.violations] == ["bad_tolerance"]
+
+
+def test_validate_accepts_a_zero_tolerance():
+    sp = fl.validate(FLOAT_TRIANGLE, ["a", "b", "c"], mode="float", rel_tol=0)
+    assert sp.rel_tol == 0 and fl.classify_all(sp).is_concave
 
 
 def test_validate_powered_l2_family_breaks_triangle():
