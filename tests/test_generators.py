@@ -202,18 +202,6 @@ def test_spiral_one_sided_isolated_endpoint():
         assert float(sp.d("p", f"q{n}")) > lower > 0
 
 
-def test_spiral_prefix_property():
-    for fam in ("planar_spiral", "planar_spiral_one_sided"):
-        spec = FamilySpec(fam, {"lam": F(1, 2), "seed": 11})
-        shallow, deep = family_at_depths(spec, [3, 6])
-        k = shallow.n
-        assert deep.labels[:k] == shallow.labels
-        for i in range(k):
-            for j in range(k):
-                assert deep.dist[i][j] == shallow.dist[i][j]
-        assert deep.coords[:k] == shallow.coords
-
-
 # -- l2 family ----------------------------------------------------------------------
 
 
@@ -259,16 +247,6 @@ def test_l2_rejects_bad_sequences():
         fl.gen_l2_nonholder(None, [F(3, 2), F(7, 4)], 3)  # increasing lambda
     with pytest.raises(BadDepth):
         fl.gen_l2_nonholder(None, None, 1)
-
-
-def test_l2_prefix_property():
-    spec = FamilySpec("l2_nonholder")
-    shallow, deep = family_at_depths(spec, [4, 7])
-    k = shallow.n
-    assert deep.labels[:k] == shallow.labels
-    for i in range(k):
-        for j in range(k):
-            assert deep.dist[i][j] == shallow.dist[i][j]
 
 
 # sha256 over repr((labels, dist, coords, rel_tol, mode, sorted(meta.items())))
@@ -338,6 +316,45 @@ def test_every_generator_output_validates():
             rel_tol=sp.rel_tol,
         )
         assert again.n == sp.n
+
+
+@pytest.mark.parametrize("depths", [(2, 4), (5, 9)], ids=["shallow", "deeper"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("planar_spiral", {"lam": F(1, 2), "seed": 11}),
+        FamilySpec("planar_spiral_one_sided", {"lam": F(1, 2), "seed": 11}),
+        FamilySpec("c0_counterexample"),
+        FamilySpec("l2_nonholder"),
+    ],
+    ids=lambda spec: spec.family,
+)
+def test_family_prefix_property(spec, depths):
+    # every family nests: generate(d) is the first k points of generate(D)
+    shallow, deep = family_at_depths(spec, depths)
+    k = shallow.n
+    assert deep.labels[:k] == shallow.labels
+    assert tuple(row[:k] for row in deep.dist[:k]) == shallow.dist
+    assert (deep.base_index, deep.mode, deep.rel_tol) == (
+        shallow.base_index, shallow.mode, shallow.rel_tol
+    )
+    assert deep.coord_norm == shallow.coord_norm
+    if shallow.coords is None:
+        assert deep.coords is None
+    else:
+        # the l2 family pads every point with zeros up to the depth
+        for short, long in zip(shallow.coords, deep.coords):
+            assert long[: len(short)] == short and not any(long[len(short):])
+    prefix = fl.validate(
+        [row[:k] for row in deep.dist[:k]],
+        deep.labels[:k],
+        base=deep.base_index,
+        mode=deep.mode,
+        rel_tol=deep.rel_tol,
+        coords=None if deep.coords is None else dict(zip(deep.labels, deep.coords[:k])),
+        coord_norm=deep.coord_norm,
+    )
+    assert prefix.n == k
 
 
 def test_family_at_depths_empty_and_ordering():
