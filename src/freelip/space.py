@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from numbers import Real
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Num = Union[Fraction, float]
@@ -207,7 +208,7 @@ def validate(
     """
     if mode not in (EXACT, FLOAT):
         raise ValidationError([Violation("bad_mode")])
-    if not 0 <= rel_tol < math.inf:  # also refuses nan
+    if not (isinstance(rel_tol, Real) and 0 <= rel_tol < math.inf):  # also refuses nan
         raise ValidationError([Violation("bad_tolerance")])
     violations: list[Violation] = []
     labels = tuple(str(x) for x in labels)
