@@ -208,7 +208,8 @@ def validate(
     """
     if mode not in (EXACT, FLOAT):
         raise ValidationError([Violation("bad_mode")])
-    if not (isinstance(rel_tol, Real) and 0 <= rel_tol < math.inf):  # also refuses nan
+    # a flag is no tolerance, and nan fails the comparison
+    if isinstance(rel_tol, bool) or not (isinstance(rel_tol, Real) and 0 <= rel_tol < math.inf):
         raise ValidationError([Violation("bad_tolerance")])
     violations: list[Violation] = []
     labels = tuple(str(x) for x in labels)

@@ -131,7 +131,7 @@ FLOAT_TRIANGLE = [[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]]
 # was called concave; a negative one reported a triangle deficit of -0.5 on
 # this valid metric, and an infinite one a zero distance on every pair
 @pytest.mark.parametrize("mode", ["exact", "float"])
-@pytest.mark.parametrize("rel_tol", [math.nan, -1.0, math.inf, None, "1e-9"])
+@pytest.mark.parametrize("rel_tol", [math.nan, -1.0, math.inf, None, "1e-9", True])
 def test_validate_refuses_a_tolerance_that_is_not_finite_and_nonnegative(rel_tol, mode):
     with pytest.raises(ValidationError) as err:
         fl.validate(FLOAT_TRIANGLE, ["a", "b", "c"], mode=mode, rel_tol=rel_tol)
