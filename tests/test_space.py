@@ -129,7 +129,8 @@ FLOAT_TRIANGLE = [[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]]
 
 # a nan tolerance compares false with every error, so the space passed and
 # was called concave; a negative one reported a triangle deficit of -0.5 on
-# this valid metric, and an infinite one a zero distance on every pair
+# this valid metric, and an infinite one a zero distance on every pair;
+# None, a string and a flag are no tolerance either
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, math.inf, None, "1e-9", True])
 def test_validate_refuses_a_tolerance_that_is_not_finite_and_nonnegative(rel_tol, mode):
