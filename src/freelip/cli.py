@@ -250,8 +250,7 @@ def cmd_attainment(args, space) -> Report:
 def cmd_diagnose(args) -> Report:
     spec = _FAMILY_SPECS[args.family](args)
     p, q = args.pair
-    diag = cls.sequence_diagnostics(spec, p, q, args.depths)
-    trend = cls.strongly_exposed_verdict(spec, p, q, args.depths)
+    diag, trend = cls._diagnose(spec, p, q, args.depths)
     payload = {
         "pair": [p, q],
         "sequence": {

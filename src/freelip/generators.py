@@ -35,9 +35,12 @@ from .classify import UnknownFamily
 
 REJECTION_BUDGET = 1000
 L2_MARGIN = Fraction(1, 2**40)
-_BISECTION_STEPS = 64
+_B_BITS = 64  # each b_n is a multiple of 2**-_B_BITS
+_SEED_BRACKET = 16  # units of 2**-_B_BITS on each side of the float seed
 _FIXED = 256  # fractional bits of the l2 certificate's fixed point
 _EXP_BITS = 128  # bits kept of a non-dyadic exponent
+# the l2 certificate: the fixed-point bound must stay below this
+_L2_CAP = math.ceil((1 - L2_MARGIN) * (1 << _FIXED))
 
 
 class BadLambda(SpaceError):
@@ -99,12 +102,21 @@ _GRID = 2**20
 
 def _aligned_with(c, pts) -> bool:
     """Whether c coincides with one of the points or sees two of them at
-    one exact slope dy/dx (None if vertical): c is collinear with two."""
+    one slope: c is collinear with two. All points are integer pairs (the
+    spiral's points scaled to one grid), and a slope is the reduced pair
+    (dy, dx) with dx > 0, or None for a vertical line."""
+    cx, cy = c
     slopes = set()
     for x, y in pts:
-        dx, dy = x - c[0], y - c[1]
-        slope = dy / dx if dx else None
-        if slope in slopes or not (dx or dy):
+        dx, dy = x - cx, y - cy
+        if dx:
+            g = math.gcd(dx, dy) if dx > 0 else -math.gcd(dx, dy)
+            slope = (dy // g, dx // g)
+        elif dy:
+            slope = None
+        else:
+            return True
+        if slope in slopes:
             return True
         slopes.add(slope)
     return False
@@ -119,6 +131,12 @@ def _spiral_points(lam: Fraction, depth: int, seed, one_sided: bool):
     p = (Fraction(0), Fraction(0))
     q = (Fraction(1), Fraction(0))
     pts: dict[str, tuple[Fraction, Fraction]] = {"p": p, "q": q}
+    # Every coordinate is a multiple of 1/unit: centres lie over Q^n and
+    # radii over Q^2n (Q the denominator of lambda, n <= depth), offsets
+    # over 50 * _GRID and 200 * _GRID. The alignment test runs on the
+    # integer images.
+    unit = lam.denominator ** (2 * depth) * 1000 * _GRID
+    grid = [(0, 0), (unit, 0)]
 
     def sample(center_x: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
         for _ in range(REJECTION_BUDGET):
@@ -126,7 +144,9 @@ def _spiral_points(lam: Fraction, depth: int, seed, one_sided: bool):
             s = _TANG_MAX * Fraction(rng.randrange(-_GRID, _GRID + 1), _GRID)
             sign = 1 if rng.random() < 0.5 else -1
             cand = (center_x + s * radius, sign * gamma * radius)
-            if not _aligned_with(cand, pts.values()):
+            image = tuple(v.numerator * (unit // v.denominator) for v in cand)
+            if not _aligned_with(image, grid):
+                grid.append(image)
                 return cand
         raise RejectionBudgetExceeded(
             "could not place a non-collinear point; try another seed"
@@ -171,19 +191,12 @@ def gen_c0_counterexample(depth: int) -> FiniteMetricSpace:
     if depth < 2:
         raise BadDepth("depth must be at least 2")
     labels = ["e", "p"] + [f"q{n}" for n in range(2, depth + 1)]
-
-    def dist(a: str, b: str) -> Fraction:
-        if a == b:
-            return Fraction(0)
-        if {a, b} == {"e", "p"}:
-            return Fraction(2)
-        if a.startswith("q") and b.startswith("q"):
-            m = min(int(a[1:]), int(b[1:]))
-            return 1 + Fraction(1, m)
-        n = int((a if a.startswith("q") else b)[1:])
-        return 1 + Fraction(1, n)
-
-    matrix = [[dist(a, b) for b in labels] for a in labels]
+    zero, two = Fraction(0), Fraction(2)
+    gap = [1 + Fraction(1, n) for n in range(2, depth + 1)]
+    # row q_n: d(q_n, q_m) = 1 + 1/min(n, m), the gap of m below n and of n above
+    matrix = [[zero, two] + gap, [two, zero] + gap] + [
+        [g, g] + gap[:i] + [zero] + [g] * (len(gap) - i - 1) for i, g in enumerate(gap)
+    ]
     return validate(
         matrix,
         labels,
@@ -196,35 +209,107 @@ def gen_c0_counterexample(depth: int) -> FiniteMetricSpace:
 # -- Euclidean concave non-snowflake family ------------------------------
 
 
-def _power_bound(x: Fraction, e: Fraction) -> int:
-    """An integer U with x**e <= U / 2**_FIXED, for rational x > 0 and e > 0.
+def _exponent_digits(e: Fraction, below_one: bool) -> tuple[int, int, int]:
+    """The exponent e as (whole, numerator, bits): e = whole + numerator / 2**bits.
 
-    x is rounded up to fixed point, and a non-dyadic e is cut to _EXP_BITS
-    bits in the direction that can only raise x**e. Then x**e is x**floor(e)
-    times the nested integer square roots x**(2**-i) for the set bits i of
-    e (Brent and Zimmermann, Modern Computer Arithmetic, 2010, section 1.5),
-    every step rounded up.
+    A non-dyadic e is first cut to _EXP_BITS bits in the direction that
+    can only raise x**e: down for a base x below 1, up from x = 1.
     """
-    one = 1 << _FIXED
-    s = -(-x.numerator * one // x.denominator)
     if e.denominator & (e.denominator - 1):
         cut = e * (1 << _EXP_BITS)
-        e = Fraction(math.floor(cut) if x < 1 else math.ceil(cut), 1 << _EXP_BITS)
+        e = Fraction(math.floor(cut) if below_one else math.ceil(cut), 1 << _EXP_BITS)
     whole, frac = divmod(e, 1)
+    return whole, frac.numerator, frac.denominator.bit_length() - 1
+
+
+def _power_bound_int(num: int, den: int, digits: tuple[int, int, int]) -> int:
+    """An integer U with (num/den)**e <= U / 2**_FIXED, e given by its digits.
+
+    num/den is rounded up to fixed point. Then x**e is x**whole times the
+    nested integer square roots x**(2**-i) for the set bits i of the
+    fraction (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+    section 1.5), every step rounded up, so U never falls as num/den grows.
+    """
+    whole, numerator, bits = digits
+    one = 1 << _FIXED
+    s = -(-num * one // den)
     u = one
     for _ in range(whole):
         u = -(-u * s >> _FIXED)
-    bits = frac.denominator.bit_length() - 1
     for i in range(bits - 1, -1, -1):
         s = 1 + math.isqrt((s << _FIXED) - 1)
-        if frac.numerator >> i & 1:
+        if numerator >> i & 1:
             u = -(-u * s >> _FIXED)
     return u
+
+
+def _power_bound(x: Fraction, e: Fraction) -> int:
+    """An integer U with x**e <= U / 2**_FIXED, for rational x > 0 and e > 0."""
+    return _power_bound_int(x.numerator, x.denominator, _exponent_digits(e, x < 1))
 
 
 def _power_sum_bound(a: Fraction, lam: Fraction, b: Fraction) -> int:
     """An integer U with (a^2+b^2)^(lam/2) + ((1-a)^2+b^2)^(lam/2) <= U / 2**_FIXED."""
     return _power_bound(a**2 + b**2, lam / 2) + _power_bound((1 - a) ** 2 + b**2, lam / 2)
+
+
+def _float_seed(a: Fraction, lam: Fraction) -> float:
+    """The float root b in [0, 1] of
+    (a^2+b^2)^(lam/2) + ((1-a)^2+b^2)^(lam/2) = 1 - L2_MARGIN, by bisection.
+
+    The second power is written 1 + expm1(lam/2 * log1p(-2a + a^2 + b^2)),
+    so that its digits next to 1 survive. May raise OverflowError or
+    ValueError (a huge exponent, a rounded to 1).
+    """
+    af, half, margin = float(a), float(lam) / 2, float(L2_MARGIN)
+    lo, hi = 0.0, 1.0
+    for _ in range(_B_BITS):
+        mid = (lo + hi) / 2
+        sq = af * af + mid * mid
+        if sq**half + math.expm1(half * math.log1p(sq - 2 * af)) + margin < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _admissible_b(a: Fraction, lam: Fraction) -> int:
+    """The largest k < 2**_B_BITS for which b = k / 2**_B_BITS passes the
+    cap test of gen_l2_nonholder, or 0 when no k >= 1 does. The bases are
+    a^2 + b^2 and (1-a)^2 + b^2 over the common denominator den."""
+    top = 1 << _B_BITS
+    digits = {below: _exponent_digits(lam / 2, below) for below in (False, True)}
+    a_den2 = a.denominator**2
+    den = a_den2 << 2 * _B_BITS
+    near = a.numerator**2 << 2 * _B_BITS
+    far = (a.denominator - a.numerator) ** 2 << 2 * _B_BITS
+
+    def passes(k: int) -> bool:
+        if k <= 0 or k >= top:
+            return k <= 0
+        x, y = near + k * k * a_den2, far + k * k * a_den2
+        bound_x = _power_bound_int(x, den, digits[x < den])
+        return bound_x + _power_bound_int(y, den, digits[y < den]) < _L2_CAP
+
+    try:
+        seed = round(_float_seed(a, lam) * top)
+    except (OverflowError, ValueError):
+        seed = top // 2
+
+    def edge(sign: int, verdict: bool) -> int:
+        width = _SEED_BRACKET
+        while passes(seed + sign * width) != verdict:
+            width <<= 8
+        return min(max(seed + sign * width, 0), top)
+
+    lo, hi = edge(-1, True), edge(1, False)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def gen_l2_nonholder(
@@ -233,25 +318,39 @@ def gen_l2_nonholder(
     """Points 0, e1 and r_n = a_n e1 + b_n e_n for 2 <= n <= depth.
 
     Defaults: a_n = 2^-n and lambda_n = 1 + 2^-n. Each b_n is the largest
-    64-step dyadic rational whose defining constraint
+    multiple of 2^-64 below 1 whose defining constraint
     (a_n^2+b_n^2)^(lam_n/2) + ((1-a_n)^2+b_n^2)^(lam_n/2) < 1 holds with
     margin at least 2^-40 under an integer upper bound on the left side
     (256-bit fixed point, rounded up at every step), so each b_n is
     certified by construction; the margins under that bound land in the
     space metadata. Distances are Euclidean floats, while the retained
     rational coordinates make alignment tests exact.
+
+    The cap test asks whether that bound stays below 1 - 2^-40. The
+    search for b_n starts from the float root of the constraint: it
+    brackets that seed by 16 units of 2^-64 on each side, widens each end
+    256-fold until the end below passes the cap test and the end above
+    fails it (0 counts as passing, 1 as failing), and bisects inside. The
+    bound never falls as b grows: every step rounds up, and a non-dyadic
+    exponent is cut so that the bound stays at most 1 for a base below 1
+    and at least 1 from 1 up. So the test passes up to one b and fails
+    after it, and any bracket ends on the b that a blind 64-step bisection
+    of [0, 1] finds; the seed decides only how soon.
     """
     if depth < 2:
         raise BadDepth("depth must be at least 2")
     ns = list(range(2, depth + 1))
-    if a_seq is None:
-        a = {n: Fraction(1, 2**n) for n in ns}
-    else:
-        a = {n: Fraction(v) for n, v in zip(ns, a_seq, strict=True)}
-    if lam_seq is None:
-        lam = {n: 1 + Fraction(1, 2**n) for n in ns}
-    else:
-        lam = {n: Fraction(v) for n, v in zip(ns, lam_seq, strict=True)}
+
+    def listed(name: str, seq: Sequence) -> dict[int, Fraction]:
+        values = list(seq)
+        if len(values) != len(ns):
+            raise BadSequences(
+                f"{name} needs {len(ns)} values for depth {depth}, got {len(values)}"
+            )
+        return {n: Fraction(v) for n, v in zip(ns, values)}
+
+    a = {n: Fraction(1, 2**n) for n in ns} if a_seq is None else listed("a_seq", a_seq)
+    lam = {n: 1 + Fraction(1, 2**n) for n in ns} if lam_seq is None else listed("lam_seq", lam_seq)
     for n in ns:
         if not 0 < a[n] < 1:
             raise BadSequences("a_n must lie strictly between 0 and 1")
@@ -264,24 +363,17 @@ def gen_l2_nonholder(
             raise BadSequences("lambda_n must be strictly decreasing")
 
     one = 1 << _FIXED
-    cap = (1 - L2_MARGIN) * one
     b: dict[int, Fraction] = {}
     margins: dict[str, float] = {}
     for n in ns:
-        lo, hi = Fraction(0), Fraction(1)
-        for _ in range(_BISECTION_STEPS):
-            mid = (lo + hi) / 2
-            if _power_sum_bound(a[n], lam[n], mid) < cap:
-                lo = mid
-            else:
-                hi = mid
-        if lo == 0:
+        k = _admissible_b(a[n], lam[n])
+        if k == 0:
             raise ConstraintUnsatisfiable(
                 f"no admissible b at n={n}; the margin bound cannot be met"
             )
-        b[n] = lo
+        b[n] = Fraction(k, 1 << _B_BITS)
         total = _power_sum_bound(a[n], lam[n], b[n])
-        if not total < cap:
+        if not total < _L2_CAP:
             raise ConstraintUnsatisfiable(f"post-hoc recheck failed at n={n}")
         margins[f"r{n}"] = (one - total) / one
 

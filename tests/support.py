@@ -20,7 +20,8 @@ Fraction tableau that the integer simplex must match pivot for pivot,
 of LPs per candidate on ``_AttainmentLP``, the tableau that lazy mode
 (``freelip.lipfun._lazy_intervals``) builds inside one closure,
 ``reference_spiral_points`` the spiral generator's pairwise alignment
-test, and ``reference_cloud_matrix`` the Fraction distance matrix of a
+test, ``reference_admissible_b`` the l2 generator's blind bisection for
+b_n, and ``reference_cloud_matrix`` the Fraction distance matrix of a
 point cloud.
 """
 
@@ -686,6 +687,24 @@ def reference_spiral_points(lam: Fraction, depth: int, seed, one_sided: bool):
             pts[f"p{n}"] = sample(lam**n, radius)
         pts[f"q{n}"] = sample(1 - lam**n, radius)
     return pts
+
+
+def reference_admissible_b(a: Fraction, lam: Fraction) -> Fraction:
+    """b_n of the l2 family by 64 blind bisection steps on [0, 1] over
+    Fractions, each testing the certified bound against 1 - 2^-40; 0 when
+    no step passes. ``freelip.generators._admissible_b`` searches from a
+    float seed on integers and must end on the same b."""
+    from freelip.generators import L2_MARGIN, _FIXED, _power_sum_bound
+
+    cap = (1 - L2_MARGIN) * (1 << _FIXED)
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if _power_sum_bound(a, lam, mid) < cap:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def reference_cloud_matrix(points, norm="l2"):

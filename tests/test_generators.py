@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import freelip as fl
-from freelip import space
+from freelip import generators, space
 from freelip.classify import UnknownFamily
 from freelip.generators import (
     BadDepth,
@@ -17,13 +18,21 @@ from freelip.generators import (
     BadSequences,
     ConstraintUnsatisfiable,
     FamilySpec,
+    _B_BITS,
     _FIXED,
+    _GRID,
+    _admissible_b,
     _power_bound,
     _aligned_with,
     _spiral_points,
     family_at_depths,
 )
-from support import reference_cloud_matrix, reference_collinear, reference_spiral_points
+from support import (
+    reference_admissible_b,
+    reference_cloud_matrix,
+    reference_collinear,
+    reference_spiral_points,
+)
 
 
 # -- sup-norm family -----------------------------------------------------------
@@ -190,7 +199,19 @@ def test_slope_set_equals_pairwise_cross_product(c, pts):
         for a in range(len(pts))
         for b in range(a + 1, len(pts))
     )
-    assert _aligned_with(c, pts) == pairwise
+    # the generator hands _aligned_with its points on an integer grid
+    unit = math.lcm(*(v.denominator for pt in [c, *pts] for v in pt))
+    grid = [tuple(int(v * unit) for v in pt) for pt in pts]
+    assert _aligned_with(tuple(int(v * unit) for v in c), grid) == pairwise
+
+
+def test_spiral_coordinates_lie_on_the_integer_grid():
+    for lam in (F(1, 2), F(2, 3), F(3, 4), F(5, 7)):
+        for one_sided in (False, True):
+            for depth in range(1, 13):
+                unit = lam.denominator ** (2 * depth) * 1000 * _GRID
+                pts = _spiral_points(lam, depth, 0, one_sided)
+                assert all((v * unit).denominator == 1 for pt in pts.values() for v in pt)
 
 
 def test_spiral_one_sided_isolated_endpoint():
@@ -247,6 +268,13 @@ def test_l2_rejects_bad_sequences():
         fl.gen_l2_nonholder(None, [F(3, 2), F(7, 4)], 3)  # increasing lambda
     with pytest.raises(BadDepth):
         fl.gen_l2_nonholder(None, None, 1)
+    with pytest.raises(BadSequences, match="^a_seq needs 3 values for depth 4, got 1$"):
+        fl.gen_l2_nonholder([F(1, 2)], None, 4)
+    with pytest.raises(BadSequences, match="^lam_seq needs 2 values for depth 3, got 3$"):
+        fl.gen_l2_nonholder(None, [F(7, 4), F(3, 2), F(5, 4)], 3)
+    spec = FamilySpec("l2_nonholder", {"a_seq": [F(1, 2), F(1, 4), F(1, 8)]})
+    with pytest.raises(BadSequences, match="^a_seq needs 2 values for depth 3, got 3$"):
+        fl.strongly_exposed_verdict(spec, "0", "e1", (3, 4))
 
 
 # sha256 over repr((labels, dist, coords, rel_tol, mode, sorted(meta.items())))
@@ -265,6 +293,74 @@ def test_l2_depth_23_has_no_admissible_b():
     # perfbench/workloads.KNOWN_FAILURES matches this message
     with pytest.raises(ConstraintUnsatisfiable, match="^no admissible b at n=23"):
         fl.gen_l2_nonholder(None, None, 23)
+
+
+def _searched_b(a, lam):
+    return F(_admissible_b(a, lam), 2**_B_BITS)
+
+
+_DEFAULT_L2 = [(F(1, 2**n), 1 + F(1, 2**n)) for n in range(2, 24)]
+
+
+def _custom_l2_pairs():
+    """Seeded (a, lambda): a anywhere in (0, 1), near 1 or near 0; lambda
+    dyadic or not, in (1, 2) or with lambda/2 >= 1."""
+    rng = random.Random(0)
+    pairs = []
+    for i in range(100):
+        den = rng.randrange(2, 10**6)
+        a = (
+            F(rng.randrange(1, den), den),
+            1 - F(1, 2 ** rng.randrange(1, 50)),
+            F(1, 2 ** rng.randrange(1, 40)),
+        )[i % 3]
+        m = rng.randrange(1, 12)
+        if i % 4 == 1:
+            low = F(rng.randrange(1, 3**m), 3**m + 1)
+        else:
+            low = F(rng.randrange(1, 2**m), 2**m)
+        pairs.append((a, 2 + 4 * low if i % 5 == 0 else 1 + low))
+    return pairs
+
+
+def test_l2_search_equals_bisection_on_default_sequences():
+    for a, lam in _DEFAULT_L2:
+        assert _searched_b(a, lam) == reference_admissible_b(a, lam)
+    assert reference_admissible_b(*_DEFAULT_L2[-1]) == 0  # n = 23
+
+
+def test_l2_search_equals_bisection_on_custom_sequences():
+    pairs = _custom_l2_pairs()
+    found = [_searched_b(a, lam) for a, lam in pairs]
+    assert found == [reference_admissible_b(a, lam) for a, lam in pairs]
+    # both outcomes occur: no admissible b, and some b
+    assert 0 in found and any(found)
+
+
+def _overflow(a, lam):
+    raise OverflowError
+
+
+@pytest.mark.parametrize(
+    "seed", [lambda a, lam: 0.0, lambda a, lam: 1.0, _overflow], ids=["zero", "one", "overflow"]
+)
+def test_l2_search_from_a_useless_seed(monkeypatch, seed):
+    monkeypatch.setattr(generators, "_float_seed", seed)
+    for a, lam in _DEFAULT_L2[::5] + _custom_l2_pairs()[:10]:
+        assert _searched_b(a, lam) == reference_admissible_b(a, lam)
+
+
+def test_l2_depth_22_bound_count(monkeypatch):
+    # the blind bisection ran the integer bound 21 * 64 * 2 times at
+    # depth 22; the seeded search must need at most a third of that,
+    # the post-hoc recheck included
+    calls = []
+    core = generators._power_bound_int
+    monkeypatch.setattr(
+        generators, "_power_bound_int", lambda *args: calls.append(1) or core(*args)
+    )
+    fl.gen_l2_nonholder(None, None, 22)
+    assert len(calls) <= 21 * 64 * 2 // 3
 
 
 def _fractions(lo, hi, dens):
