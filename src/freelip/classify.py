@@ -234,19 +234,9 @@ def strongly_exposed_verdict(
     a proof.
     """
     _require_family(family)
-    return _exposure_trend(family, p, q, depths, decay_threshold, None)
-
-
-def _exposure_trend(family, p, q, depths, decay_threshold, deepest) -> ExposureTrend:
-    """The body of strongly_exposed_verdict; ``deepest`` is the generated
-    (space, pi, qi) at max(depths), or None to generate every depth."""
     records = []
-    deepest_depth = max(depths, default=None)
     for depth in depths:
-        if deepest is not None and depth == deepest_depth:
-            sp, pi, qi = deepest
-        else:
-            sp, pi, qi = _generate_pair(family, p, q, depth)
+        sp, pi, qi = _generate_pair(family, p, q, depth)
         ratio, _ = min_excess_ratio(sp, pi, qi)
         records.append(
             DepthRecord(depth=depth, min_ratio=ratio, strongly_exposed=ratio > 0)
@@ -280,22 +270,16 @@ def sequence_diagnostics(
     finite depth yet cannot be strongly exposed in the limit.
     """
     _require_family(family)
-    deepest = _generate_pair(family, p, q, max(depths)) if depths else None
-    return _sequence_records(family, p, q, depths, decay_threshold, deepest)
-
-
-def _sequence_records(family, p, q, depths, decay_threshold, deepest) -> SequenceDiagnostics:
-    """The body of sequence_diagnostics on the generated (space, pi, qi)
-    at max(depths); None when depths is empty."""
+    if depths:
+        deepest, pi, qi = _generate_pair(family, p, q, max(depths))
     records = []
     for n in depths:
         probe = family.probe_label(p, q, n)
         if probe is None:
             continue
-        sp, pi, qi = deepest
-        ri = sp.index(probe)
-        exc_val = float(sp.excess_raw(ri, pi, qi))
-        denom = float(sp.dist[ri][qi])
+        ri = deepest.index(probe)
+        exc_val = float(deepest.excess_raw(ri, pi, qi))
+        denom = float(deepest.dist[ri][qi])
         records.append(SequenceRecord(n=n, excess=exc_val, ratio=exc_val / denom))
     ratios = [rec.ratio for rec in records]
     monotone = all(a > b for a, b in zip(ratios, ratios[1:])) and len(ratios) >= 2
@@ -308,17 +292,4 @@ def _sequence_records(family, p, q, depths, decay_threshold, deepest) -> Sequenc
         decay_factor=decay,
         flag=flag,
         threshold=decay_threshold,
-    )
-
-
-def _diagnose(
-    family, p: str, q: str, depths: Sequence[int]
-) -> tuple[SequenceDiagnostics, ExposureTrend]:
-    """sequence_diagnostics then strongly_exposed_verdict at the default
-    threshold, with the deepest space generated once for both."""
-    _require_family(family)
-    deepest = _generate_pair(family, p, q, max(depths)) if depths else None
-    return (
-        _sequence_records(family, p, q, depths, DEFAULT_DECAY_THRESHOLD, deepest),
-        _exposure_trend(family, p, q, depths, DEFAULT_DECAY_THRESHOLD, deepest),
     )

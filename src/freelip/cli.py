@@ -250,7 +250,8 @@ def cmd_attainment(args, space) -> Report:
 def cmd_diagnose(args) -> Report:
     spec = _FAMILY_SPECS[args.family](args)
     p, q = args.pair
-    diag, trend = cls._diagnose(spec, p, q, args.depths)
+    diag = cls.sequence_diagnostics(spec, p, q, args.depths)
+    trend = cls.strongly_exposed_verdict(spec, p, q, args.depths)
     payload = {
         "pair": [p, q],
         "sequence": {

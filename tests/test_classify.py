@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freelip as fl
-from freelip.classify import DEFAULT_DECAY_THRESHOLD, UnknownFamily, _diagnose
+from freelip.classify import DEFAULT_DECAY_THRESHOLD, UnknownFamily
 from freelip.generators import FamilySpec
-from freelip.space import UnknownLabel
 from support import (
     CHAIN,
     EQUILATERAL,
@@ -276,35 +275,6 @@ def test_strongly_exposed_with_middle_every_depth():
     assert all(not r.strongly_exposed for r in trend.records)
     assert all(r.min_ratio == 0 for r in trend.records)
     assert not trend.limit_property_z_flag
-
-
-_DIAGNOSED = (
-    (FamilySpec("c0_counterexample"), ("p", "e")),
-    (FamilySpec("planar_spiral", {"lam": F(1, 2), "seed": 3}), ("p", "q")),
-    (FamilySpec("planar_spiral_one_sided", {"lam": F(2, 3)}), ("p", "q")),
-    (FamilySpec("l2_nonholder"), ("0", "e1")),
-)
-
-
-@pytest.mark.parametrize("spec, pair", _DIAGNOSED, ids=[spec.family for spec, _ in _DIAGNOSED])
-def test_diagnose_equals_the_two_public_functions(spec, pair):
-    for depths in ((4, 8), (8, 4, 4), (2, 5)):
-        expected = (
-            fl.sequence_diagnostics(spec, *pair, depths),
-            fl.strongly_exposed_verdict(spec, *pair, depths),
-        )
-        assert _diagnose(spec, *pair, depths) == expected
-    # no probe q1 / r1 in the c0 and l2 families: the same refusal
-    if spec.family.startswith("planar_spiral"):
-        diag, trend = _diagnose(spec, *pair, (8, 1))
-        assert diag == fl.sequence_diagnostics(spec, *pair, (8, 1))
-        assert trend == fl.strongly_exposed_verdict(spec, *pair, (8, 1))
-    else:
-        with pytest.raises(UnknownLabel) as public:
-            fl.sequence_diagnostics(spec, *pair, (8, 1))
-        with pytest.raises(UnknownLabel) as private:
-            _diagnose(spec, *pair, (8, 1))
-        assert str(private.value) == str(public.value)
 
 
 def test_unknown_family_rejected():

@@ -417,21 +417,6 @@ def test_diagnose_spiral_flags(capsys):
     assert all(r["strongly_exposed"] for r in payload["exposure"]["records"])
 
 
-def test_diagnose_generates_the_deepest_space_once(capsys, monkeypatch):
-    from freelip.generators import FamilySpec
-
-    depths = []
-    generate = FamilySpec.generate
-
-    def counted(self, depth):
-        depths.append(depth)
-        return generate(self, depth)
-
-    monkeypatch.setattr(FamilySpec, "generate", counted)
-    code, _, _ = run(capsys, "diagnose", "c0", "--pair", "p", "e", "--json")
-    assert code == 0 and depths == [32, 4, 8, 16]
-
-
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
