@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from fractions import Fraction
@@ -50,7 +49,7 @@ def _emit(args, digest: str | None, payload: dict, text: str) -> None:
             "payload": payload,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(formats.dumps_pretty(envelope))
     else:
         print(text)
 
@@ -223,7 +222,7 @@ def cmd_generate(args) -> Report:
         provenance = dict(out_space.meta)
         provenance["depth"] = args.depth
     doc = formats.space_to_dict(out_space, provenance=provenance)
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = formats.dumps_pretty(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

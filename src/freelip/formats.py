@@ -18,9 +18,16 @@ Three input formats are supported:
 A mode, base or tolerance given to a reader wins over the object's
 value, which wins over the default.
 
-Exact numbers serialize canonically as "num/den" strings. The content
-digest hashes the canonicalized matrix (labels sorted, entries in
-rational normal form), so it is stable across label orderings.
+Numbers must be finite: an infinite or NaN entry, coordinate or eps is
+a FormatError. Exact numbers serialize canonically as "num/den"
+strings. The content digest hashes the canonicalized matrix (labels
+sorted, entries in rational normal form), so it is stable across label
+orderings.
+
+:func:`dumps_pretty` is the one pretty JSON writer (the CLI's ``--json``
+envelope and ``generate``'s space files): the text of
+``json.dumps(obj, sort_keys=True, indent=2)``, built without the
+pure-Python encoder that ``indent`` selects before CPython 3.13.
 """
 
 from __future__ import annotations
@@ -30,7 +37,9 @@ import hashlib
 import io
 import json
 import math
+import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 from .space import EXACT, FLOAT, DEFAULT_REL_TOL, FiniteMetricSpace, from_points, validate
@@ -40,21 +49,32 @@ class FormatError(Exception):
     """Unreadable or structurally invalid input (not a metric violation)."""
 
 
+# "[+-]digits/digits" in ASCII: read as two ints, which Fraction(s) would
+# also do, after a longer regular expression
+_RATIO = re.compile(r"([+-]?[0-9]+)/([0-9]+)")
+
+
 def parse_number(v):
-    """Accept ints, floats, and 'num/den' or decimal strings."""
+    """Accept ints, finite floats, and 'num/den' or decimal strings."""
     if isinstance(v, bool):
         raise FormatError(f"not a number: {v!r}")
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise FormatError(f"not a finite number: {v!r}")
         return v
     if isinstance(v, str):
         s = v.strip()
         try:
-            if "/" in s:
-                return Fraction(s)
+            ratio = _RATIO.fullmatch(s)
+            if ratio:
+                return Fraction(int(ratio[1]), int(ratio[2]))
             if any(c in s for c in ".eE"):
-                return float(s)
+                x = float(s)
+                if not math.isfinite(x):
+                    raise FormatError(f"not a finite number: {v!r}")
+                return x
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a number: {v!r}") from exc
@@ -225,3 +245,144 @@ def _canon_entry(v) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     return repr(float(v))
+
+
+# -- the pretty writer -------------------------------------------------
+
+_int_text = int.__repr__
+_float_repr = float.__repr__
+
+
+def dumps_pretty(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    Up to CPython 3.12 ``indent`` makes the stdlib use its pure-Python
+    encoder, a chain of generators. This writer appends to one list and
+    tests the exact type of each item inline, falling back to the
+    stdlib's ``isinstance`` tests for tuples and subclasses. Values are
+    converted as the stdlib converts them: strings by the C
+    ``encode_basestring_ascii``, ints by ``int.__repr__``, floats by
+    ``float.__repr__`` or as ``NaN``, ``Infinity`` and ``-Infinity``.
+    Keys that are str, int, float, bool or None are converted after
+    sorting, and a value or key the stdlib refuses raises the same
+    TypeError. Unlike the stdlib it does not look for reference cycles:
+    a cyclic value raises RecursionError.
+    """
+    out: list[str] = []
+    _put_value(obj, out, "\n")
+    return "".join(out)
+
+
+def _float_text(v) -> str:
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return _float_repr(v)
+
+
+def _put_value(v, out: list, nl: str) -> None:
+    """Append v, any value, in the stdlib's order of tests; nl is the
+    newline and indent of the line v starts on."""
+    if isinstance(v, str):
+        out.append(encode_basestring_ascii(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(_int_text(v))
+    elif isinstance(v, float):
+        out.append(_float_text(v))
+    elif isinstance(v, (list, tuple)):
+        _put_array(v, out, nl)
+    elif isinstance(v, dict):
+        _put_object(v, out, nl)
+    else:
+        raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float_text(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return _int_text(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _put_object(o, out: list, nl: str) -> None:
+    if not o:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    lead, sep = "{" + inner, "," + inner
+    for k, v in sorted(o.items()):
+        if type(k) is not str:
+            k = _key_text(k)
+        out.append(lead + encode_basestring_ascii(k) + ": ")
+        lead = sep
+        t = type(v)
+        if t is str:
+            out.append(encode_basestring_ascii(v))
+        elif t is dict:
+            _put_object(v, out, inner)
+        elif t is list:
+            _put_array(v, out, inner)
+        elif v is None:
+            out.append("null")
+        elif v is True:
+            out.append("true")
+        elif v is False:
+            out.append("false")
+        elif t is int:
+            out.append(_int_text(v))
+        elif t is float:
+            out.append(_float_text(v))
+        else:
+            _put_value(v, out, inner)
+    out.append(nl + "}")
+
+
+def _put_array(o, out: list, nl: str) -> None:
+    if not o:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    lead, sep = "[" + inner, "," + inner
+    for v in o:
+        t = type(v)
+        if t is str:
+            out.append(lead + encode_basestring_ascii(v))
+        elif t is dict:
+            out.append(lead)
+            _put_object(v, out, inner)
+        elif t is list:
+            out.append(lead)
+            _put_array(v, out, inner)
+        elif v is None:
+            out.append(lead + "null")
+        elif v is True:
+            out.append(lead + "true")
+        elif v is False:
+            out.append(lead + "false")
+        elif t is int:
+            out.append(lead + _int_text(v))
+        elif t is float:
+            out.append(lead + _float_text(v))
+        else:
+            out.append(lead)
+            _put_value(v, out, inner)
+        lead = sep
+    out.append(nl + "]")

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from numbers import Real
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -203,8 +203,11 @@ def validate(
     labels, and triangle violations (with their deficit). In float mode
     a triangle deficit within the tolerance is repaired silently by
     accepting the matrix as-is. A mode other than "exact" or "float"
-    is rejected at once as bad_mode, and a rel_tol that is not a finite
-    number at least 0 as bad_tolerance.
+    is rejected at once as bad_mode, a rel_tol that is not a finite
+    number at least 0 as bad_tolerance, and an entry that does not
+    convert to the mode's type, or converts to an infinite or NaN
+    float, as bad_entry. Entries that already have the mode's type
+    are kept as they are.
     """
     if mode not in (EXACT, FLOAT):
         raise ValidationError([Violation("bad_mode")])
@@ -222,9 +225,15 @@ def validate(
 
     coerce = Fraction if mode == EXACT else float
     try:
-        d = tuple(tuple(coerce(v) for v in row) for row in rows)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        d = tuple(tuple(v if type(v) is coerce else coerce(v) for v in row) for row in rows)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError([Violation("bad_entry"), *violations]) from exc
+    if mode == FLOAT and not all(map(math.isfinite, chain.from_iterable(d))):
+        raise ValidationError([
+            *(Violation("bad_entry", i=i, j=j)
+              for i, row in enumerate(d) for j, v in enumerate(row) if not math.isfinite(v)),
+            *violations,
+        ])
 
     try:
         base_index = labels.index(base) if isinstance(base, str) else int(base)
@@ -274,7 +283,7 @@ def validate(
         frozen_coords = tuple(
             tuple(Fraction(c) for c in coords[lab]) for lab in labels
         )
-    return FiniteMetricSpace(
+    space = FiniteMetricSpace(
         labels=labels,
         base_index=base_index,
         dist=d,
@@ -284,6 +293,10 @@ def validate(
         coord_norm=coord_norm,
         meta=dict(meta) if meta else {},
     )
+    if unit is not None:
+        # the checked integer matrix becomes the space's cached one
+        space.__dict__["_int_matrix"] = (unit, m)
+    return space
 
 
 def from_points(
@@ -313,7 +326,10 @@ def from_points(
             if exact:
                 v = Fraction(sum(diff) if norm == "l1" else max(diff, default=0), den)
             else:
-                v = math.sqrt(sum(x * x for x in diff) / den**2)
+                try:
+                    v = math.sqrt(sum(x * x for x in diff) / den**2)
+                except OverflowError:
+                    v = math.inf  # past the float range: validate's bad_entry
             matrix[i][j] = matrix[j][i] = v
     return validate(
         matrix, labels, base=base, mode=EXACT if exact else FLOAT,
@@ -477,19 +493,24 @@ def _scan_pairs(
         unit, m = None, space.dist
         between_for = space._between_for
     fixed = None if eps_grid is None else _eps_values(space, eps_grid)
+    fixed_thresholds = fixed
+    if fixed is not None and exact:
+        # an integer distance is >= eps * unit iff it is >= its ceiling
+        fixed_thresholds = [-((-eps.numerator * unit) // eps.denominator) for eps in fixed]
     if pairs is None:
         pairs = combinations(range(n), 2)
     scans = []
     for p, q in pairs:
         row_p, row_q = m[p], m[q]
         d_pq = row_p[q]
-        grid = fixed if fixed is not None else _default_eps_grid(space, p, q)
-        # an integer distance is >= eps * unit iff it is >= its ceiling
-        thresholds = (
-            [-((-eps.numerator * unit) // eps.denominator) for eps in grid]
-            if exact
-            else grid
-        )
+        if fixed is not None:
+            grid, thresholds = fixed, fixed_thresholds
+        elif exact:
+            # quarter, half and full pair distance, read off the integer one
+            grid = [Fraction(d_pq, 4 * unit), Fraction(d_pq, 2 * unit), space.dist[p][q]]
+            thresholds = [-(-d_pq // 4), -(-d_pq // 2), d_pq]
+        else:
+            grid = thresholds = _default_eps_grid(space, p, q)
         best = [None] * len(grid)
         best_at = [None] * len(grid)
         middles = []

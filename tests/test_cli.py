@@ -100,6 +100,46 @@ def test_point_with_coordinates_that_are_not_an_array_exit_1(tmp_path, capsys):
     )
 
 
+# an infinite float entry read as zero_distance on every pair and a NaN
+# one as asymmetric (exit 2); with --mode exact, and for a point cloud, an
+# infinite number escaped as an OverflowError traceback
+@pytest.mark.parametrize(
+    "name, text, flags, shown",
+    [
+        ("inf.json", '{"labels": ["a", "b"], "matrix": [[0, 1e400], [1e400, 0]]}', [], "inf"),
+        ("nan.json", '{"labels": ["a", "b"], "matrix": [[0, NaN], [NaN, 0]]}', [], "nan"),
+        ("inf.json", '{"labels": ["a", "b"], "matrix": [[0, 1e400], [1e400, 0]]}',
+         ["--mode", "exact"], "inf"),
+        ("inf.csv", "a,b\n0,1e400\n1e400,0\n", ["--mode", "exact"], "'1e400'"),
+        ("cloud.json", '{"points": {"a": [0], "b": [1e400]}, "norm": "l1"}', [], "inf"),
+        ("cloud.json", '{"points": {"a": [0], "b": [-Infinity]}}', [], "-inf"),
+    ],
+    ids=["float", "nan", "exact-mode", "csv-exact-mode", "l1-cloud", "l2-cloud"],
+)
+def test_number_that_is_not_finite_exits_1(tmp_path, capsys, name, text, flags, shown):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(capsys, "validate", str(path), *flags) == (
+        1, "", f"error: not a finite number: {shown}\n"
+    )
+
+
+def test_eps_that_is_not_finite_exits_1(tmp_path, capsys):
+    # an OverflowError traceback on an exact space
+    path = write(tmp_path, "sp.json", CHAIN_SPACE)
+    assert run(capsys, "modulus", path, "a", "b", "--eps", "1e400") == (
+        1, "", "error: not a finite number: '1e400'\n"
+    )
+
+
+def test_l2_distance_past_the_float_range_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "cloud.json", {"points": {"a": [0], "b": [1e308]}})
+    code, out, _ = run(capsys, "validate", path, "--json")
+    assert code == 2
+    violations = json.loads(out)["payload"]["violations"]
+    assert [(v["kind"], v["i"], v["j"]) for v in violations] == [("bad_entry", 0, 1), ("bad_entry", 1, 0)]
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/nowhere.json")
     assert code == 1

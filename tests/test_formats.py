@@ -2,6 +2,8 @@
 point-cloud constructor they share with the generators."""
 
 import json
+import math
+from collections import OrderedDict
 from fractions import Fraction as F
 from unittest import mock
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import freelip as fl
 from freelip import formats
-from freelip.formats import FormatError, load_space, parse_number, space_from_csv
+from freelip.formats import FormatError, dumps_pretty, load_space, parse_number, space_from_csv
 from freelip.space import from_points
 from support import reference_cloud_matrix
 
@@ -172,3 +174,153 @@ def test_from_points_equals_fraction_reference(points, norm):
         assert sp.mode == "exact"
         assert [list(row) for row in sp.dist] == ref
     assert sp.coords == tuple(points.values()) and sp.coord_norm == norm
+
+
+# -- the pretty writer -------------------------------------------------
+
+
+def _stdlib(x):
+    return json.dumps(x, sort_keys=True, indent=2)
+
+
+def _outcome(write, x):
+    """The text written, or the type and message of the error raised."""
+    try:
+        return write(x)
+    except TypeError as exc:
+        return type(exc), str(exc)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    def __repr__(self):  # the stdlib writes the int, not this
+        return "seven"
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308]),
+    st.text(alphabet=st.sampled_from('a"\\\n\t\x00\x1f[],:{}é\u2028\U0001f600'), max_size=6),
+    st.builds(_Str, st.text(max_size=3)),
+    st.builds(_Int, st.integers(-5, 5)),
+)
+
+
+def _dicts(children):
+    # mostly one key type per dict, since sorting str against int keys
+    # raises TypeError; the last strategy mixes them and reaches it
+    return st.one_of(
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(st.integers(-(2**70), 2**70), children, max_size=4),
+        st.dictionaries(st.floats(), children, max_size=3),
+        st.dictionaries(st.booleans(), children, max_size=2),
+        st.dictionaries(st.none(), children, max_size=1),
+        st.dictionaries(st.text(max_size=3), children, max_size=4).map(
+            lambda d: OrderedDict(reversed(d.items()))
+        ),
+        st.dictionaries(
+            st.one_of(st.text(max_size=2), st.integers(), st.floats(), st.booleans(), st.none()),
+            children,
+            max_size=3,
+        ),
+    )
+
+
+_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        _dicts(children),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values)
+def test_dumps_pretty_equals_the_stdlib(x):
+    assert _outcome(dumps_pretty, x) == _outcome(_stdlib, x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        "plain", _Str('q"uote'), 0, -(2**100), _Int(7), True, False, None,
+        math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, [], {}, (), [[]], {"a": {}},
+        {"k": ["x", 1, 2.5, None, True, {"z": [], "y": ()}]},
+        {1: "a", 2.5: "b", True: "c", -(2**70): "d"},
+        {None: 1}, {False: 0}, {math.inf: 1, -math.inf: 2}, {_Str("b"): 1, "a": 2},
+        OrderedDict([("b", 1), ("a", 2)]), ["\u2028\U0001f600", "[,]", "\\"],
+    ],
+)
+def test_dumps_pretty_equals_the_stdlib_on_edge_values(x):
+    assert dumps_pretty(x) == _stdlib(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [F(1, 2), [F(1, 2)], {"a": F(1, 2)}, {(1, 2): 0}, {"a": 1, 2: 0}, {None: 0, 1: 0}, {1, 2}, b"x"],
+    ids=["fraction", "fraction-item", "fraction-value", "tuple-key", "str-int-keys",
+         "none-int-keys", "set", "bytes"],
+)
+def test_dumps_pretty_raises_what_the_stdlib_raises(x):
+    raised = _outcome(dumps_pretty, x)
+    assert raised[0] is TypeError and raised == _outcome(_stdlib, x)
+
+
+# -- parse_number ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "s",
+    ["3/4", "-3/4", "+3/4", "03/4", " 3/4 ", "1_0/3", "\u0663/4", "\u00b2/4", "3/0", "3/-4",
+     "3 / 4", "3/4/5", "/4", "3/", "-/4", "6/8", "-0/5"],
+)
+def test_parse_number_reads_a_ratio_as_fraction_does(s):
+    try:
+        expected = F(s)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(FormatError, match="not a number"):
+            parse_number(s)
+    else:
+        got = parse_number(s)
+        assert type(got) is F and got == expected
+
+
+@pytest.mark.parametrize(
+    "v", [math.inf, -math.inf, math.nan, "1e400", "-1e400", "1.5e999"],
+)
+def test_parse_number_refuses_what_is_not_finite(v):
+    with pytest.raises(FormatError, match="not a finite number"):
+        parse_number(v)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"labels": ["a", "b"], "matrix": [[0, 1e400], [1e400, 0]]}',
+        '{"labels": ["a", "b"], "matrix": [[0, NaN], [NaN, 0]]}',
+        '{"labels": ["a", "b"], "matrix": [[0, -Infinity], [-Infinity, 0]], "mode": "exact"}',
+        '{"labels": ["a", "b"], "matrix": [[0, "1e400"], ["1e400", 0]]}',
+        '{"points": {"a": [0], "b": [1e400]}, "norm": "l1"}',
+        '{"points": {"a": [0], "b": [Infinity]}}',
+    ],
+    ids=["float", "nan", "exact-mode", "string", "l1-cloud", "l2-cloud"],
+)
+def test_readers_refuse_numbers_that_are_not_finite(tmp_path, text):
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="not a finite number"):
+        load_space(str(path))
+
+
+def test_csv_reader_refuses_a_number_that_is_not_finite():
+    with pytest.raises(FormatError, match="not a finite number"):
+        space_from_csv("a,b\n0,1e400\n1e400,0\n")

@@ -1,5 +1,6 @@
 """Validation, excess, segments, alignment, modulus, and the snowflake."""
 
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -122,6 +123,62 @@ def test_validate_reports_an_entry_that_is_not_a_number():
     with pytest.raises(ValidationError) as err:
         fl.validate([[0, "x"], ["x", 0]], ["a", "b"])
     assert [v.kind for v in err.value.violations] == ["bad_entry"]
+
+
+# an infinite float entry was reported as a zero distance on every pair
+# (the tolerance became infinite) and a NaN one as asymmetric; in exact
+# mode both escaped as OverflowError or ValueError tracebacks
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_validate_reports_an_entry_that_is_not_finite(entry):
+    matrix = [[0, 1, entry], [1, 0, 1], [entry, 1, 0]]
+    with pytest.raises(ValidationError) as err:
+        fl.validate(matrix, ["a", "b", "c"], mode="float")
+    assert [(v.kind, v.i, v.j) for v in err.value.violations] == [
+        ("bad_entry", 0, 2), ("bad_entry", 2, 0)
+    ]
+    with pytest.raises(ValidationError) as err:
+        fl.validate(matrix, ["a", "b", "c"], mode="exact")
+    assert [v.kind for v in err.value.violations] == ["bad_entry"]
+
+
+def test_validate_reports_an_entry_past_the_float_range():
+    with pytest.raises(ValidationError) as err:
+        fl.validate([[0, 10**400], [10**400, 0]], ["a", "b"], mode="float")
+    assert [v.kind for v in err.value.violations] == ["bad_entry"]
+
+
+def test_l2_distance_past_the_float_range_is_a_bad_entry():
+    # the squared distance over den**2 raised OverflowError in from_points
+    with pytest.raises(ValidationError) as err:
+        from_points({"a": (F(0),), "b": (F(10**308),)})
+    assert [(v.kind, v.i, v.j) for v in err.value.violations] == [
+        ("bad_entry", 0, 1), ("bad_entry", 1, 0)
+    ]
+
+
+def test_validate_keeps_entries_of_the_mode_type():
+    half = F(1, 2)
+    sp = fl.validate([[0, half], [half, 0]], ["a", "b"])
+    assert sp.dist[0][1] is half
+
+
+def test_one_integer_matrix_per_exact_space(tmp_path, monkeypatch):
+    # validate's checked integer matrix is the one the kernel, the vertex
+    # oracle and the attainment pass read
+    doc = {"labels": ["a", "b", "c", "d"],
+           "matrix": [[0, "1/2", "3/4", "5/4"], ["1/2", 0, "1/4", "3/4"],
+                      ["3/4", "1/4", 0, "1/2"], ["5/4", "3/4", "1/2", 0]]}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    scaled_ints = fl.space._scaled_ints
+    monkeypatch.setattr(fl.space, "_scaled_ints", lambda rows: calls.append(1) or scaled_ints(rows))
+    sp = fl.load_space(str(path))
+    fl.classify_all(sp)
+    for p, q in [("a", "d"), ("b", "c"), ("d", "b")]:
+        fl.is_vertex(sp, p, q)
+        fl.attainment_set(sp, p, q, intervals="full")
+    assert len(calls) == 1
 
 
 FLOAT_TRIANGLE = [[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]]
