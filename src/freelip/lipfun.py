@@ -375,8 +375,15 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int, tol: float):
         tuple(space.num(Fraction(dist[e][pi]) - Fraction(dist[x][pi])) for x in range(n)),
     ]
 
+    exact = space.mode == "exact"
+
     def interval(i: int, j: int):
-        if any(abs((w[i] - w[j]) / dist[i][j]) < 1 - 2 * tol for w in witnesses):
+        d = dist[i][j]
+        # d > 0, so an exact slope is inside (-1, 1) when |w_i - w_j| < d
+        if exact:
+            if any(abs(w[i] - w[j]) < d for w in witnesses):
+                return None
+        elif any(abs((w[i] - w[j]) / d) < 1 - 2 * tol for w in witnesses):
             return None
         c = [Fraction(0)] * nv
         if var_of[i] is not None:

@@ -9,8 +9,10 @@ result, equal those of the textbook Fraction tableau; Fraction appears
 only where values enter and leave the solver, so feasibility and
 optimality verdicts are exact. A tableau is built once per constraint
 system (rows scaled to ints, slacks and artificials laid out, phase one
-run) and copied per objective for phase two. Problems here are tiny
-(tens of rows), so clarity wins over sparse cleverness.
+run) and copied per objective for phase two. A pivot touches only what
+it changes: the pivot row's nonzero entries are listed once, and every
+other row is scaled by the pivot entry and updated on those columns
+alone; the free tableaus of the Lipschitz ball are mostly zeros.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ def _exact(v) -> int | Fraction:
 
 def _int_row(values: Sequence) -> tuple[list[int], int]:
     """The values as integers over one positive denominator, the LCM of theirs."""
-    vals = [_exact(v) for v in values]
+    # _exact inlined on exact types: a bool or a subclass takes the Fraction
+    # path, which gives the same numerator and denominator
+    vals = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
     den = lcm(*{v.denominator for v in vals})
     return [v.numerator * (den // v.denominator) for v in vals], den
 
@@ -58,8 +62,9 @@ def _pivot(tab: list[list[int]], den: list[int], basis: list[int], pr: int, pc: 
     # Fraction-free: the pivot row becomes prow / a, every other row
     # (row * a - f * prow) / (den * a) reduced by its gcd. Each row holds
     # its denominator at its basic column and is in lowest terms, so
-    # prow / a already is. Rows are replaced, never written into, so a
-    # shallow copy of a prepared tableau leaves the prepared rows intact.
+    # prow / a already is. f * prow is subtracted on prow's nonzero
+    # columns only. Rows are replaced, never written into, so a shallow
+    # copy of a prepared tableau leaves the prepared rows intact.
     prow = tab[pr]
     a = prow[pc]
     if a < 0:
@@ -67,12 +72,13 @@ def _pivot(tab: list[list[int]], den: list[int], basis: list[int], pr: int, pc: 
         a = -a
     tab[pr] = prow
     den[pr] = a
-    for r in range(len(tab)):
-        if r == pr:
-            continue
-        f = tab[r][pc]
-        if f:
-            trow = [tv * a - f * pv for tv, pv in zip(tab[r], prow)]
+    nonzero = [(j, pv) for j, pv in enumerate(prow) if pv]
+    for r, row in enumerate(tab):
+        f = row[pc]
+        if f and r != pr:
+            trow = row.copy() if a == 1 else [v * a for v in row]
+            for j, pv in nonzero:
+                trow[j] -= f * pv
             d = den[r] * a
             g = gcd(d, *trow)
             if g > 1:

@@ -15,6 +15,9 @@ former rule, which rechecked a snowflake's excess inside a band above
 the tolerance at 34 digits; the library now decides by the tolerance
 alone and must agree. ``reference_solve_nonneg`` is the textbook
 Fraction tableau that the integer simplex must match pivot for pivot,
+``reference_int_row`` and ``reference_pivot`` the simplex's row scaling
+by an ``isinstance`` test per value and its fraction-free pivot as a
+dense update, which the simplex must match,
 ``reference_is_vertex`` the vertex oracle on dense molecule vectors,
 ``reference_full_attainment`` the full attainment intervals by one pair
 of LPs per candidate on ``_AttainmentLP``, the tableau that lazy mode
@@ -493,6 +496,56 @@ def reference_solve_nonneg(
             x[bi] = b[r]
     obj = sum((cv * xv for cv, xv in zip(cvec, x)), _ZERO)
     return simplex.LPResult(simplex.OPTIMAL, objective=obj, x=tuple(x))
+
+
+def reference_int_row(values: Sequence) -> tuple[list[int], int]:
+    """``freelip.simplex._int_row`` with an ``isinstance`` test per value:
+    ints and Fractions, subclasses included, as they are, anything else
+    as ``Fraction(v)``."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*{v.denominator for v in vals})
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def reference_pivot(tab: list[list[int]], den: list[int], basis: list[int], pr: int, pc: int) -> None:
+    """``freelip.simplex._pivot`` as a dense update: every other row with
+    f != 0 becomes (row * a - f * prow) / (den * a), reduced by its gcd,
+    one product per column. Rows are replaced, never written into."""
+    prow = tab[pr]
+    a = prow[pc]
+    if a < 0:
+        prow = [-v for v in prow]
+        a = -a
+    tab[pr] = prow
+    den[pr] = a
+    for r in range(len(tab)):
+        if r == pr:
+            continue
+        f = tab[r][pc]
+        if f:
+            trow = [tv * a - f * pv for tv, pv in zip(tab[r], prow)]
+            d = den[r] * a
+            g = math.gcd(d, *trow)
+            if g > 1:
+                trow = [v // g for v in trow]
+                d //= g
+            tab[r] = trow
+            den[r] = d
+    basis[pr] = pc
+
+
+def count_pivots(monkeypatch) -> list[int]:
+    """Count the calls of ``freelip.simplex._pivot`` for the rest of the
+    test; the count is the one item of the returned list."""
+    calls = [0]
+    pivot = simplex._pivot
+
+    def counting(*args):
+        calls[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    return calls
 
 
 def reference_is_vertex(space, p, q):

@@ -16,6 +16,7 @@ from support import (
     CHAIN,
     EQUILATERAL,
     VEE,
+    count_pivots,
     random_exact_space,
     random_float_space,
     random_space_with_midpoint,
@@ -325,9 +326,11 @@ def _lazy_corpus():
     return spaces
 
 
-def test_lazy_attainment_corpus_digest():
+def test_lazy_attainment_corpus_digest(monkeypatch):
     # Lazy mode's printed intervals and members depend on the LP optima
-    # (Bland's rule), so the whole output is pinned, LPFailure text included.
+    # (Bland's rule), so the whole output is pinned, LPFailure text
+    # included, and so is the pivot total of the path that reached them.
+    pivots = count_pivots(monkeypatch)
     digest, failures = hashlib.sha256(), 0
     for sp in _lazy_corpus():
         for p in range(sp.n):
@@ -341,6 +344,7 @@ def test_lazy_attainment_corpus_digest():
                     out = f"LPFailure: {exc}"
                 digest.update(out.encode() + b"\n")
     assert failures == 12
+    assert pivots[0] == 2602
     assert digest.hexdigest() == "256dd1a3b0bee6bfe588397aed3e417c6778e168db03bb0098cd5507a685722c"
 
 

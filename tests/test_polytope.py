@@ -1,5 +1,6 @@
 """Molecule vectors, the LP norm, vertex certificates, decompositions."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from support import (
     CHAIN,
     EQUILATERAL,
     VEE,
+    count_pivots,
     inject_midpoint,
     labels_for,
     random_exact_matrix,
@@ -123,6 +125,32 @@ def test_free_norm_dimension_mismatch():
         fl.free_norm(EQUILATERAL, [1, 2, 3])
 
 
+def _free_norm_corpus():
+    # An integer vector and a molecule on a plain space and on a space with
+    # a midpoint for each n in 4..8, each with a random base.
+    rng = random.Random(2020)
+    for n in range(4, 9):
+        for midpoint in (False, True):
+            if midpoint:
+                sp = random_space_with_midpoint(rng, n, base=rng.randrange(n))[0]
+            else:
+                sp = random_exact_space(rng, n, base=rng.randrange(n))
+            yield sp, [rng.randint(-9, 9) for _ in range(n - 1)]
+            p, q = rng.sample(range(n), 2)
+            yield sp, fl.molecule_vector(sp, p, q).vector
+
+
+def test_free_norm_pivot_ledger(monkeypatch):
+    # Bland's rule fixes the pivot path, so the pivot total over the corpus
+    # is pinned with the outputs: a cheaper pivot must not take other steps.
+    pivots = count_pivots(monkeypatch)
+    digest = hashlib.sha256()
+    for sp, coeffs in _free_norm_corpus():
+        digest.update(repr(fl.free_norm(sp, coeffs, with_witness=True)).encode())
+    assert pivots[0] == 102
+    assert digest.hexdigest() == "88980b0af8b780edef8a196be48b2ed1901b5379446b5442505e30b7937bd80b"
+
+
 def test_free_norm_float_mode():
     rng = random.Random(11)
     sp = random_float_space(rng, 4)
@@ -218,14 +246,7 @@ def test_is_vertex_matches_reference_oracle(seed, n, midpoints, denominators):
 def test_is_vertex_takes_the_pivots_of_the_reference_oracle(monkeypatch, seed, n, midpoint, denominators):
     # equal certificates could come from different pivot paths; equal
     # pivot counts, pair by pair, show the scaled columns take the same path
-    pivots = [0]
-    pivot = fl.simplex._pivot
-
-    def counting(*args):
-        pivots[0] += 1
-        return pivot(*args)
-
-    monkeypatch.setattr(fl.simplex, "_pivot", counting)
+    pivots = count_pivots(monkeypatch)
     rng = random.Random(seed)
     matrix = random_exact_matrix(rng, n - midpoint, denominators)
     if midpoint:
