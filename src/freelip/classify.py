@@ -65,9 +65,30 @@ class PropertyZResult:
 
 @dataclass(frozen=True)
 class ConcavityReport:
+    """The verdict of every pair, and whether the space is concave.
+
+    A report from :func:`classify_all` keeps its kernel scans in the
+    instance ``__dict__``, outside the fields, and builds
+    ``pair_verdicts`` from them the first time it is read. Equality,
+    repr, hash, ``asdict``, ``replace``, copies and pickles read the field
+    as any other, so a lazy report behaves as one built eagerly.
+    """
+
     pair_verdicts: tuple[PairVerdict, ...]
     is_concave: bool
     violating_triples: tuple[tuple[str, str, str], ...]
+
+    def __getattr__(self, name):
+        # reached only for a name missing from the instance dict
+        state = self.__dict__
+        scans = state.get("_scans") if name == "pair_verdicts" else None
+        if scans is None:
+            if name in state:  # built meanwhile by another thread
+                return state[name]
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        verdicts = state.setdefault(name, tuple(_verdict(s) for s in scans))
+        state.pop("_scans", None)
+        return verdicts
 
 
 @dataclass(frozen=True)
@@ -134,28 +155,35 @@ def classify_pair(
     """
     pi, qi = space.pair(p, q)
     (scan,) = _scan_pairs(space, eps_grid, [(pi, qi)])
-    return _verdict(space, scan)
+    return _verdict(scan)
 
 
-def _verdict(space: FiniteMetricSpace, scan: _PairScan) -> PairVerdict:
-    witness = space.labels[scan.middles[0]] if scan.middles else None
+_EXTREME_NOTES = (
+    "no point lies strictly between the endpoints: extreme",
+    "finite space: extreme and preserved extreme coincide",
+)
+
+
+def _notes(witness: str | None) -> tuple[str, ...]:
+    """The notes of a verdict whose first strict middle is witness."""
     if witness is None:
-        notes = (
-            "no point lies strictly between the endpoints: extreme",
-            "finite space: extreme and preserved extreme coincide",
-        )
-    else:
-        notes = (
-            f"point {witness!r} lies strictly between the endpoints: "
-            "the molecule is a proper convex combination, not extreme",
-        )
+        return _EXTREME_NOTES
+    return (
+        f"point {witness!r} lies strictly between the endpoints: "
+        "the molecule is a proper convex combination, not extreme",
+    )
+
+
+def _verdict(scan: _PairScan) -> PairVerdict:
+    labels = scan.labels
+    witness = labels[scan.middles[0]] if scan.middles else None
     return PairVerdict(
-        pair=(space.labels[scan.p], space.labels[scan.q]),
+        pair=(labels[scan.p], labels[scan.q]),
         is_extreme=witness is None,
         witness_middle=witness,
         min_ratio=scan.min_ratio,
         modulus=scan.modulus,
-        notes=notes,
+        notes=_notes(witness),
     )
 
 
@@ -165,16 +193,21 @@ def classify_all(space: FiniteMetricSpace, eps_grid=None) -> ConcavityReport:
     Pairs are deduplicated by the antisymmetry u_qp = -u_pq and reported
     in lexicographic index order. One scan of the excess over all
     (p, q, r) yields every verdict, equal to what :func:`classify_pair`
-    gives for the pair, and the aligned triples.
+    gives for the pair, and the aligned triples. The scan runs here; the
+    verdict records are built from it when ``pair_verdicts`` is first
+    read (see :class:`ConcavityReport`).
     """
     scans = _scan_pairs(space, eps_grid)
-    verdicts = tuple(_verdict(space, s) for s in scans)
     triples = _aligned(space, scans)
-    return ConcavityReport(
-        pair_verdicts=verdicts,
-        is_concave=not triples,
-        violating_triples=triples,
-    )
+    report = object.__new__(ConcavityReport)
+    report.__dict__.update(is_concave=not triples, violating_triples=triples, _scans=scans)
+    return report
+
+
+def _report_scans(report: ConcavityReport) -> list[_PairScan]:
+    """The kernel scans of a report from :func:`classify_all` whose
+    verdicts have not been read."""
+    return report.__dict__["_scans"]
 
 
 def property_z(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .formats import number_to_json
 from .space import (
     SpaceError,
     ValidationError,
+    _scan_pairs,
     concavity_modulus,
     holder_transform,
 )
@@ -97,17 +99,31 @@ def cmd_validate(args, space) -> Report:
     return EXIT_OK, formats.space_digest(space), payload, text
 
 
-def _verdict_payload(verdict: cls.PairVerdict) -> dict:
+def _number(num, den=None):
+    """A reported number as the payload writes it: an exact num/den (ints,
+    den > 0) as "n/d" in lowest terms, anything else by number_to_json."""
+    if den is None:
+        return number_to_json(num)
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
+def _pair_payload(scan) -> dict:
+    """The payload entry of one pair, printed from the kernel scan's own
+    numbers; equal to formatting the pair's public verdict."""
+    labels, unit = scan.labels, scan.unit
+    witness = labels[scan.middles[0]] if scan.middles else None
     return {
-        "p": verdict.pair[0],
-        "q": verdict.pair[1],
-        "extreme": verdict.is_extreme,
-        "witness": verdict.witness_middle,
-        "min_ratio": number_to_json(verdict.min_ratio),
+        "p": labels[scan.p],
+        "q": labels[scan.q],
+        "extreme": witness is None,
+        "witness": witness,
+        "min_ratio": _number(scan.ratio, scan.ratio_den),
         "modulus": [
-            [number_to_json(e.eps), number_to_json(e.delta)] for e in verdict.modulus.entries
+            [_number(*eps), _number(math.inf) if at is None else _number(delta, unit)]
+            for eps, delta, at in zip(scan.eps, scan.deltas, scan.delta_at)
         ],
-        "notes": list(verdict.notes),
+        "notes": list(cls._notes(witness)),
     }
 
 
@@ -119,10 +135,10 @@ def cmd_classify(args, space) -> Report:
     payload = {"space_digest": digest}
     lines = []
     if args.pair:
-        verdicts = [cls.classify_pair(space, args.pair[0], args.pair[1])]
+        scans = _scan_pairs(space, pairs=[space.pair(*args.pair)])
     else:
         summary = cls.classify_all(space)
-        verdicts = list(summary.pair_verdicts)
+        scans = cls._report_scans(summary)
         triples = [list(t) for t in summary.violating_triples]
         payload["concave"] = summary.is_concave
         payload["aligned_triples"] = triples
@@ -130,34 +146,33 @@ def cmd_classify(args, space) -> Report:
         if triples:
             lines.append("aligned triples (middle, end, end):")
             lines.extend(f"  {tuple(t)}" for t in triples)
-    payload["pairs"] = [_verdict_payload(v) for v in verdicts]
+    pairs = payload["pairs"] = [_pair_payload(s) for s in scans]
 
     if args.oracle:
         payload["oracle"] = []
-        for v in verdicts:
-            cert = polytope.is_vertex(space, v.pair[0], v.pair[1])
-            if cert.vertex != v.is_extreme:
+        for v in pairs:
+            pair = [v["p"], v["q"]]
+            cert = polytope.is_vertex(space, v["p"], v["q"])
+            if cert.vertex != v["extreme"]:
                 disagreement = {
-                    "pair": list(v.pair),
-                    "classifier_extreme": v.is_extreme,
+                    "pair": pair,
+                    "classifier_extreme": v["extreme"],
                     "oracle_vertex": cert.vertex,
-                    "classifier_witness": v.witness_middle,
+                    "classifier_witness": v["witness"],
                     "oracle_certificate": _cert_payload(cert),
                 }
-                text = f"DISAGREEMENT on pair {v.pair}"
+                text = f"DISAGREEMENT on pair {tuple(pair)}"
                 return EXIT_DISAGREEMENT, digest, {"disagreement": disagreement}, text
             payload["oracle"].append({
-                "pair": list(v.pair),
+                "pair": pair,
                 "vertex": cert.vertex,
                 "agrees": True,
                 "certificate": _cert_payload(cert),
             })
 
-    for v in verdicts:
-        mark = "extreme" if v.is_extreme else f"NOT extreme (middle {v.witness_middle})"
-        lines.append(
-            f"  u[{v.pair[0]},{v.pair[1]}]  {mark}  min_ratio={number_to_json(v.min_ratio)}"
-        )
+    for v in pairs:
+        mark = "extreme" if v["extreme"] else f"NOT extreme (middle {v['witness']})"
+        lines.append(f"  u[{v['p']},{v['q']}]  {mark}  min_ratio={v['min_ratio']}")
     if args.oracle:
         lines.append("oracle: all pairs agree")
     return EXIT_OK, digest, payload, "\n".join(lines)

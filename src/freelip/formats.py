@@ -56,10 +56,10 @@ _RATIO = re.compile(r"([+-]?[0-9]+)/([0-9]+)")
 
 def parse_number(v):
     """Accept ints, finite floats, and 'num/den' or decimal strings."""
+    # Fraction is tested last: isinstance with an ABC is a slow call on
+    # the floats and strings that input files are made of
     if isinstance(v, bool):
         raise FormatError(f"not a number: {v!r}")
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
     if isinstance(v, float):
         if not math.isfinite(v):
             raise FormatError(f"not a finite number: {v!r}")
@@ -78,17 +78,19 @@ def parse_number(v):
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a number: {v!r}") from exc
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v)
     raise FormatError(f"not a number: {v!r}")
 
 
 def number_to_json(v):
     """Canonical JSON form: exact -> 'num/den' string, float -> number."""
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
+    if isinstance(v, float):  # before the slow ABC test, as in parse_number
         if math.isinf(v):
             return "inf"
         return v
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, int):
         return f"{v}/1"
     return v
@@ -242,7 +244,7 @@ def space_digest(space: FiniteMetricSpace) -> str:
 
 
 def _canon_entry(v) -> str:
-    if isinstance(v, Fraction):
+    if not isinstance(v, float) and isinstance(v, Fraction):  # as in parse_number
         return f"{v.numerator}/{v.denominator}"
     return repr(float(v))
 

@@ -452,14 +452,54 @@ def _default_eps_grid(space: FiniteMetricSpace, pi: int, qi: int) -> list[Num]:
 
 
 class _PairScan(NamedTuple):
-    """What one pass over the third points r of a pair (p, q) finds."""
+    """What one pass over the third points r of a pair (p, q) finds.
+
+    It holds labels and plain numbers, never the space, so it pickles.
+    An exact number is kept as an integer numerator with a positive
+    integer denominator, unreduced; a float, math.inf or an eps value
+    given in the grid is kept as itself, with denominator None. The
+    public values are built from these only when :attr:`min_ratio` or
+    :attr:`modulus` is read, and the CLI prints from them directly.
+    """
 
     p: int
     q: int
+    labels: tuple[str, ...]
     middles: tuple[int, ...]  # strict middles, in index order
-    min_ratio: Num  # min excess(r;p,q) / min(d(p,r), d(q,r)); inf without r
     ratio_witness: int | None
-    modulus: ModulusTable
+    # min excess(r;p,q) / min(d(p,r), d(q,r)) as ratio / ratio_den; inf without r
+    ratio: Num | int
+    ratio_den: int | None
+    eps: tuple[tuple[Num | int, int | None], ...]  # (numerator, denominator) per eps
+    unit: int | None  # exact: the denominator of every delta
+    deltas: tuple[Num | int | None, ...]  # min excess per eps; None without admissible r
+    delta_at: tuple[int | None, ...]  # the witness of each delta
+
+    @property
+    def min_ratio(self) -> Num:
+        """The least excess ratio, a Fraction in exact mode; inf without r."""
+        return _value(self.ratio, self.ratio_den)
+
+    @property
+    def modulus(self) -> ModulusTable:
+        labels, unit = self.labels, self.unit
+        return ModulusTable(
+            p=labels[self.p],
+            q=labels[self.q],
+            entries=tuple(
+                ModulusEntry(
+                    eps=_value(*eps),
+                    delta=math.inf if at is None else _value(delta, unit),
+                    witness=None if at is None else labels[at],
+                )
+                for eps, delta, at in zip(self.eps, self.deltas, self.delta_at)
+            ),
+        )
+
+
+def _value(num, den) -> Num:
+    """num / den as a Fraction, or num itself when den is None."""
+    return num if den is None else Fraction(num, den)
 
 
 def _scan_pairs(
@@ -480,9 +520,11 @@ def _scan_pairs(
     witnesses are the first in index order. Exact spaces are scanned as
     integers over the common denominator of their distances: ratios
     compare by cross-multiplication, eps thresholds are rounded up to
-    integers, and a Fraction is built only for each reported value. Float
-    spaces compute the excess as :meth:`FiniteMetricSpace.excess_raw`
-    does and decide betweenness by :func:`_float_betweenness`, the rule
+    integers, and every reported number stays an integer pair; no
+    Fraction and no record is built here, only when a :class:`_PairScan`
+    property is read. Float spaces compute the excess as
+    :meth:`FiniteMetricSpace.excess_raw` does and decide betweenness by
+    :func:`_float_betweenness`, the rule
     :meth:`FiniteMetricSpace.is_between` also applies.
     """
     n, labels = space.n, space.labels
@@ -493,29 +535,30 @@ def _scan_pairs(
         unit, m = None, space.dist
         between_for = space._between_for
     fixed = None if eps_grid is None else _eps_values(space, eps_grid)
-    fixed_thresholds = fixed
-    if fixed is not None and exact:
-        # an integer distance is >= eps * unit iff it is >= its ceiling
-        fixed_thresholds = [-((-eps.numerator * unit) // eps.denominator) for eps in fixed]
+    if fixed is not None:
+        grid = tuple((eps, None) for eps in fixed)
+        thresholds = fixed
+        if exact:
+            # an integer distance is >= eps * unit iff it is >= its ceiling
+            thresholds = [-((-eps.numerator * unit) // eps.denominator) for eps in fixed]
     if pairs is None:
         pairs = combinations(range(n), 2)
     scans = []
     for p, q in pairs:
         row_p, row_q = m[p], m[q]
         d_pq = row_p[q]
-        if fixed is not None:
-            grid, thresholds = fixed, fixed_thresholds
-        elif exact:
+        if fixed is None and exact:
             # quarter, half and full pair distance, read off the integer one
-            grid = [Fraction(d_pq, 4 * unit), Fraction(d_pq, 2 * unit), space.dist[p][q]]
-            thresholds = [-(-d_pq // 4), -(-d_pq // 2), d_pq]
-        else:
-            grid = thresholds = _default_eps_grid(space, p, q)
+            grid = ((d_pq, 4 * unit), (d_pq, 2 * unit), (d_pq, unit))
+            thresholds = (-(-d_pq // 4), -(-d_pq // 2), d_pq)
+        elif fixed is None:
+            thresholds = _default_eps_grid(space, p, q)
+            grid = tuple((eps, None) for eps in thresholds)
         best = [None] * len(grid)
         best_at = [None] * len(grid)
         middles = []
         ratio = witness = None
-        ratio_num = ratio_den = 0  # exact mode: ratio_num / ratio_den
+        ratio_den = 0  # exact mode: the ratio is ratio / ratio_den
         if not exact:
             between = between_for(p, q)
         for r in range(n):
@@ -527,8 +570,8 @@ def _scan_pairs(
             if exact:
                 if e == 0:
                     middles.append(r)
-                if witness is None or e * ratio_den < ratio_num * near:
-                    ratio_num, ratio_den, witness = e, near, r
+                if witness is None or e * ratio_den < ratio * near:
+                    ratio, ratio_den, witness = e, near, r
             else:
                 if between(r, e):
                     middles.append(r)
@@ -541,23 +584,13 @@ def _scan_pairs(
                 if near >= t and (best[k] is None or e < best[k]):
                     best[k], best_at[k] = e, r
         if witness is None:
-            ratio = math.inf
-        elif exact:
-            ratio = Fraction(ratio_num, ratio_den)
-        entries = tuple(
-            ModulusEntry(eps=eps, delta=math.inf, witness=None)
-            if at is None
-            else ModulusEntry(
-                eps=eps,
-                delta=Fraction(delta, unit) if exact else delta,
-                witness=labels[at],
-            )
-            for eps, delta, at in zip(grid, best, best_at)
-        )
+            ratio, ratio_den = math.inf, None
+        elif not exact:
+            ratio_den = None
         scans.append(
             _PairScan(
-                p, q, tuple(middles), ratio, witness,
-                ModulusTable(p=labels[p], q=labels[q], entries=entries),
+                p, q, labels, tuple(middles), witness, ratio, ratio_den,
+                grid, unit, tuple(best), tuple(best_at),
             )
         )
     return scans

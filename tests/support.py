@@ -38,7 +38,7 @@ from typing import Sequence
 from mpmath import mp
 
 from freelip import simplex, validate
-from freelip.classify import _verdict
+from freelip.classify import PairVerdict, _notes
 from freelip.lipfun import Num
 from freelip.polytope import _lip_ball_rows
 from freelip.space import (
@@ -47,7 +47,6 @@ from freelip.space import (
     ModulusEntry,
     ModulusTable,
     SamePoint,
-    _PairScan,
     _default_eps_grid,
     _eps_values,
 )
@@ -303,14 +302,18 @@ def brute_force_classify_pair(space, p, q, eps_grid=None):
     if pi == qi:
         raise SamePoint("pair must consist of distinct points")
     middles = brute_force_strict_middles(space, pi, qi)
-    ratio, ratio_witness = brute_force_min_excess_ratio(space, pi, qi)
+    ratio, _ = brute_force_min_excess_ratio(space, pi, qi)
     grid = eps_grid if eps_grid is not None else _default_eps_grid(space, pi, qi)
     modulus = brute_force_modulus(space, pi, qi, grid)
-    scan = _PairScan(
-        pi, qi, tuple(space.index(m) for m in middles), ratio,
-        None if ratio_witness is None else space.index(ratio_witness), modulus,
+    witness = middles[0] if middles else None
+    return PairVerdict(
+        pair=(space.labels[pi], space.labels[qi]),
+        is_extreme=witness is None,
+        witness_middle=witness,
+        min_ratio=ratio,
+        modulus=modulus,
+        notes=_notes(witness),
     )
-    return _verdict(space, scan)
 
 
 def brute_force_aligned_triples(space):

@@ -4,6 +4,7 @@ point-cloud constructor they share with the generators."""
 import json
 import math
 from collections import OrderedDict
+from decimal import Decimal
 from fractions import Fraction as F
 from unittest import mock
 
@@ -324,3 +325,89 @@ def test_readers_refuse_numbers_that_are_not_finite(tmp_path, text):
 def test_csv_reader_refuses_a_number_that_is_not_finite():
     with pytest.raises(FormatError, match="not a finite number"):
         space_from_csv("a,b\n0,1e400\n1e400,0\n")
+
+
+# The number readers and writers as they were when they tested Fraction
+# first. The library must give the same value, of the same type, or raise
+# the same error with the same message.
+def _fraction_first_parse_number(v):
+    if isinstance(v, bool):
+        raise FormatError(f"not a number: {v!r}")
+    if isinstance(v, (int, F)):
+        return F(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise FormatError(f"not a finite number: {v!r}")
+        return v
+    if isinstance(v, str):
+        s = v.strip()
+        try:
+            ratio = formats._RATIO.fullmatch(s)
+            if ratio:
+                return F(int(ratio[1]), int(ratio[2]))
+            if any(c in s for c in ".eE"):
+                x = float(s)
+                if not math.isfinite(x):
+                    raise FormatError(f"not a finite number: {v!r}")
+                return x
+            return F(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"not a number: {v!r}") from exc
+    raise FormatError(f"not a number: {v!r}")
+
+
+def _fraction_first_number_to_json(v):
+    if isinstance(v, F):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, float):
+        if math.isinf(v):
+            return "inf"
+        return v
+    if isinstance(v, int):
+        return f"{v}/1"
+    return v
+
+
+def _fraction_first_canon_entry(v):
+    if isinstance(v, F):
+        return f"{v.numerator}/{v.denominator}"
+    return repr(float(v))
+
+
+class _Float(float):
+    def __repr__(self):
+        return f"_Float({float(self)!r})"
+
+
+class _Frac(F):
+    pass
+
+
+NUMBER_CASES = [
+    True, False, 0, 7, -3, 10**30, _Int(5), F(3, 4), F(-6), _Frac(1, 3),
+    1.5, -0.0, 1e-300, math.inf, -math.inf, math.nan, _Float(2.5), _Float(math.inf),
+    "3/4", " -5/10 ", "2", "1.25", "1e400", "x", "1/0", _Str("1/2"), _Str("0.5"),
+    None, [1], Decimal("1.5"),
+]
+
+
+def _number_outcome(fn, v):
+    try:
+        got = fn(v)
+    except Exception as exc:  # the error is part of the outcome
+        return ("raises", type(exc), str(exc))
+    return ("returns", type(got), repr(got))
+
+
+@pytest.mark.parametrize("v", NUMBER_CASES, ids=repr)
+@pytest.mark.parametrize(
+    "fn, reference",
+    [
+        (parse_number, _fraction_first_parse_number),
+        (formats.number_to_json, _fraction_first_number_to_json),
+        (formats._canon_entry, _fraction_first_canon_entry),
+    ],
+    ids=["parse_number", "number_to_json", "_canon_entry"],
+)
+def test_testing_fraction_last_keeps_every_outcome(fn, reference, v):
+    assert _number_outcome(fn, v) == _number_outcome(reference, v)

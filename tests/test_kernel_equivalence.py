@@ -9,7 +9,11 @@ gives, for both orientations of every pair: the same values, number types
 and witnesses, and the same error for the same bad arguments.
 """
 
+import copy
+import dataclasses
+import json
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -19,6 +23,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 import freelip as fl
+from freelip import cli, formats
+from freelip.formats import number_to_json
 from freelip.space import SpaceError, _default_eps_grid, _scan_pairs
 from support import (
     CHAIN,
@@ -374,3 +380,81 @@ def test_errors_match_references():
         assert _raised(CHAIN.is_between, *triple) == _raised(
             brute_force_is_between, CHAIN, *triple
         ) is not None
+
+
+# -- the lazy report and the CLI's printing from the scans ----------------
+
+
+def eager_report(space):
+    """The report built record by record from the per-pair functions."""
+    pairs = [(p, q) for p in range(space.n) for q in range(p + 1, space.n)]
+    triples = fl.aligned_triples(space)
+    return fl.ConcavityReport(
+        pair_verdicts=tuple(fl.classify_pair(space, p, q) for p, q in pairs),
+        is_concave=not triples,
+        violating_triples=triples,
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("build", [exact_midpoints, float_midpoints, l2_cloud])
+def test_lazy_report_behaves_as_the_eager_one(build, seed):
+    space = build(random.Random(seed), 7)
+    eager = eager_report(space)
+
+    def lazy():
+        return fl.classify_all(space)
+
+    assert lazy() == eager and eager == lazy()
+    assert repr(lazy()) == repr(eager)
+    assert hash(lazy()) == hash(eager)
+    assert dataclasses.asdict(lazy()) == dataclasses.asdict(eager)
+    assert dataclasses.replace(lazy()) == eager
+    assert dataclasses.replace(lazy(), is_concave=None) == dataclasses.replace(eager, is_concave=None)
+    assert copy.copy(lazy()) == eager
+    assert copy.deepcopy(lazy()) == eager
+    assert pickle.loads(pickle.dumps(lazy())) == eager
+    report = lazy()
+    assert report.pair_verdicts is report.pair_verdicts
+    assert pickle.loads(pickle.dumps(report)) == eager
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.pair_verdicts = ()
+    with pytest.raises(AttributeError):
+        report.no_such_field
+
+
+def verdict_entry(v):
+    """A public verdict as classify --json prints a pair, formatted here."""
+    return {
+        "p": v.pair[0],
+        "q": v.pair[1],
+        "extreme": v.is_extreme,
+        "witness": v.witness_middle,
+        "min_ratio": number_to_json(v.min_ratio),
+        "modulus": [[number_to_json(e.eps), number_to_json(e.delta)] for e in v.modulus.entries],
+        "notes": list(v.notes),
+    }
+
+
+def as_text(obj):
+    return json.dumps(obj, sort_keys=True)
+
+
+def classify_pairs(capsys, *argv):
+    assert cli.main(["classify", *argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["payload"]["pairs"]
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("build", BUILDERS)
+def test_cli_pairs_equal_the_formatted_public_verdicts(build, seed, tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(formats.space_to_dict(build(random.Random(seed), 6))))
+    space = fl.load_space(str(path))  # what the CLI reads, float rounding included
+    got = classify_pairs(capsys, str(path))
+    want = [verdict_entry(v) for v in eager_report(space).pair_verdicts]
+    # compared as text, in which 1 and 1.0 differ
+    assert as_text(got) == as_text(want)
+    for p, q in permutations(space.labels, 2):
+        (got,) = classify_pairs(capsys, str(path), "--pair", p, q)
+        assert as_text(got) == as_text(verdict_entry(fl.classify_pair(space, p, q)))

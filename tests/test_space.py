@@ -484,3 +484,16 @@ def test_scale_equivariance(sp, c):
 @given(space_strategy, st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]))
 def test_holder_concavity_property(sp, alpha):
     assert fl.aligned_triples(fl.holder_transform(sp, alpha)) == ()
+
+
+@pytest.mark.parametrize("base", [3, -1])
+def test_validate_refuses_a_base_outside_the_points(base):
+    # 3 is one past the last index of three points
+    with pytest.raises(ValidationError) as err:
+        fl.validate([[0, 1, 1], [1, 0, 1], [1, 1, 0]], ["a", "b", "c"], base=base)
+    assert [v.kind for v in err.value.violations] == ["bad_base"]
+
+
+def test_validate_accepts_the_last_point_as_base():
+    space = fl.validate([[0, 1, 1], [1, 0, 1], [1, 1, 0]], ["a", "b", "c"], base=2)
+    assert space.base_label == "c"
