@@ -14,6 +14,14 @@ only emerges in infinite limits.
 
 __version__ = "0.1.0"
 
+import logging as _logging
+
+# The library's logger is silent unless the application configures
+# logging: a NullHandler keeps records off logging.lastResort, and no
+# level or other handler is set (the logging HOWTO, "Configuring logging
+# for a library").
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
+
 from .space import (
     EXACT,
     FLOAT,

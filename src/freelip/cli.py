@@ -20,11 +20,12 @@ import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from . import classify as cls
 from . import formats, generators, lipfun, polytope, simplex
-from .formats import number_to_json
+from .formats import _float_repr, number_to_json
 from .space import (
     SpaceError,
     ValidationError,
@@ -99,32 +100,62 @@ def cmd_validate(args, space) -> Report:
     return EXIT_OK, formats.space_digest(space), payload, text
 
 
-def _number(num, den=None):
-    """A reported number as the payload writes it: an exact num/den (ints,
-    den > 0) as "n/d" in lowest terms, anything else by number_to_json."""
-    if den is None:
-        return number_to_json(num)
-    g = math.gcd(num, den)
-    return f"{num // g}/{den // g}"
+def _json_number(num, den) -> str:
+    """The JSON text of a number in a scan, as number_to_json and the
+    writer print its value: an exact num/den (ints, den > 0) as "n/d" in
+    lowest terms, a float by float.__repr__ and math.inf as "inf"."""
+    if den is not None:
+        g = math.gcd(num, den)
+        return f'"{num // g}/{den // g}"'
+    if num == math.inf:
+        return '"inf"'
+    return _float_repr(num)
 
 
-def _pair_payload(scan) -> dict:
-    """The payload entry of one pair, printed from the kernel scan's own
-    numbers; equal to formatting the pair's public verdict."""
-    labels, unit = scan.labels, scan.unit
-    witness = labels[scan.middles[0]] if scan.middles else None
-    return {
-        "p": labels[scan.p],
-        "q": labels[scan.q],
-        "extreme": witness is None,
-        "witness": witness,
-        "min_ratio": _number(scan.ratio, scan.ratio_den),
-        "modulus": [
-            [_number(*eps), _number(math.inf) if at is None else _number(delta, unit)]
-            for eps, delta, at in zip(scan.eps, scan.deltas, scan.delta_at)
-        ],
-        "notes": list(cls._notes(witness)),
-    }
+def _put_pairs(scans, out: list, nl: str) -> None:
+    """Append the JSON text of the ``pairs`` array, starting on a line of
+    newline and indent nl, to the writer's list out (see
+    :class:`formats._Rendered`).
+
+    Each entry is the text that ``json.dumps(..., sort_keys=True,
+    indent=2)`` gives for the pair's public verdict, printed from the
+    kernel scan's own numbers through one format string. The scans have
+    the default eps grid of three values, as ``classify`` makes them.
+    """
+    if not scans:
+        out.append("[]")
+        return
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+    row = f"{i3}[{i4}%s,{i4}%s{i3}]"
+    entry = (
+        f'{{{i2}"extreme": %s,{i2}"min_ratio": %s,{i2}"modulus": [{row},{row},{row}{i2}],'
+        f'{i2}"notes": [%s{i2}],{i2}"p": %s,{i2}"q": %s,{i2}"witness": %s{i1}}}'
+    )
+    extreme_notes = ",".join(i3 + encode_basestring_ascii(note) for note in cls._notes(None))
+    labels = [encode_basestring_ascii(label) for label in scans[0].labels]
+    num = _json_number
+    lead = "[" + i1
+    for s in scans:
+        if s.middles:
+            witness = s.middles[0]
+            (note,) = cls._notes(s.labels[witness])
+            extreme, notes, witness = "false", i3 + encode_basestring_ascii(note), labels[witness]
+        else:
+            extreme, notes, witness = "true", extreme_notes, "null"
+        unit = s.unit
+        (e1, e2, e3), (d1, d2, d3), (at1, at2, at3) = s.eps, s.deltas, s.delta_at
+        out.append(lead + entry % (
+            extreme, num(s.ratio, s.ratio_den),
+            num(*e1), '"inf"' if at1 is None else num(d1, unit),
+            num(*e2), '"inf"' if at2 is None else num(d2, unit),
+            num(*e3), '"inf"' if at3 is None else num(d3, unit),
+            notes, labels[s.p], labels[s.q], witness,
+        ))
+        lead = "," + i1
+    out.append(nl + "]")
 
 
 def cmd_classify(args, space) -> Report:
@@ -146,19 +177,20 @@ def cmd_classify(args, space) -> Report:
         if triples:
             lines.append("aligned triples (middle, end, end):")
             lines.extend(f"  {tuple(t)}" for t in triples)
-    pairs = payload["pairs"] = [_pair_payload(s) for s in scans]
+    payload["pairs"] = formats._Rendered(functools.partial(_put_pairs, scans))
+    labels = space.labels
 
     if args.oracle:
         payload["oracle"] = []
-        for v in pairs:
-            pair = [v["p"], v["q"]]
-            cert = polytope.is_vertex(space, v["p"], v["q"])
-            if cert.vertex != v["extreme"]:
+        for s in scans:
+            pair = [labels[s.p], labels[s.q]]
+            cert = polytope.is_vertex(space, *pair)
+            if cert.vertex != (not s.middles):
                 disagreement = {
                     "pair": pair,
-                    "classifier_extreme": v["extreme"],
+                    "classifier_extreme": not s.middles,
                     "oracle_vertex": cert.vertex,
-                    "classifier_witness": v["witness"],
+                    "classifier_witness": labels[s.middles[0]] if s.middles else None,
                     "oracle_certificate": _cert_payload(cert),
                 }
                 text = f"DISAGREEMENT on pair {tuple(pair)}"
@@ -170,9 +202,11 @@ def cmd_classify(args, space) -> Report:
                 "certificate": _cert_payload(cert),
             })
 
-    for v in pairs:
-        mark = "extreme" if v["extreme"] else f"NOT extreme (middle {v['witness']})"
-        lines.append(f"  u[{v['p']},{v['q']}]  {mark}  min_ratio={v['min_ratio']}")
+    for s in scans:
+        mark = f"NOT extreme (middle {labels[s.middles[0]]})" if s.middles else "extreme"
+        # the number as the payload prints it, without JSON's quotes
+        ratio = _json_number(s.ratio, s.ratio_den).strip('"')
+        lines.append(f"  u[{labels[s.p]},{labels[s.q]}]  {mark}  min_ratio={ratio}")
     if args.oracle:
         lines.append("oracle: all pairs agree")
     return EXIT_OK, digest, payload, "\n".join(lines)

@@ -27,7 +27,10 @@ orderings.
 :func:`dumps_pretty` is the one pretty JSON writer (the CLI's ``--json``
 envelope and ``generate``'s space files): the text of
 ``json.dumps(obj, sort_keys=True, indent=2)``, built without the
-pure-Python encoder that ``indent`` selects before CPython 3.13.
+pure-Python encoder that ``indent`` selects before CPython 3.13. A value
+that is a :class:`_Rendered` appends its own text to the writer's list,
+at the indent of the line it starts on; ``classify`` prints its pair
+entries that way, one format string per entry.
 """
 
 from __future__ import annotations
@@ -255,6 +258,18 @@ _int_text = int.__repr__
 _float_repr = float.__repr__
 
 
+class _Rendered:
+    """A value that writes its own text: ``put(out, nl)`` appends to the
+    writer's output list ``out``, where nl is the newline and indent of
+    the line the value starts on. The text must be what
+    :func:`dumps_pretty` writes for the value it stands for."""
+
+    __slots__ = ("put",)
+
+    def __init__(self, put):
+        self.put = put
+
+
 def dumps_pretty(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
 
@@ -268,7 +283,8 @@ def dumps_pretty(obj) -> str:
     Keys that are str, int, float, bool or None are converted after
     sorting, and a value or key the stdlib refuses raises the same
     TypeError. Unlike the stdlib it does not look for reference cycles:
-    a cyclic value raises RecursionError.
+    a cyclic value raises RecursionError. A :class:`_Rendered` value
+    writes its own text.
     """
     out: list[str] = []
     _put_value(obj, out, "\n")
@@ -304,6 +320,8 @@ def _put_value(v, out: list, nl: str) -> None:
         _put_array(v, out, nl)
     elif isinstance(v, dict):
         _put_object(v, out, nl)
+    elif isinstance(v, _Rendered):
+        v.put(out, nl)
     else:
         raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
 

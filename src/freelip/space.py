@@ -17,6 +17,7 @@ from both endpoints), and the snowflake transform d -> d^alpha.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -120,9 +121,9 @@ class FiniteMetricSpace:
         return _scaled_ints([[Fraction(v) for v in row] for row in self.dist])
 
     @cached_property
-    def _between_for(self):
-        """Float mode: the betweenness rule of :func:`_float_betweenness`."""
-        return _float_betweenness(self)
+    def _l2_between_for(self):
+        """The collinearity test of :func:`_l2_betweenness`, or None."""
+        return _l2_betweenness(self)
 
     def num(self, v) -> Num:
         """v in the space's number mode: a Fraction if exact, else a float."""
@@ -168,9 +169,10 @@ class FiniteMetricSpace:
     def is_between(self, r: Union[int, str], p: Union[int, str], q: Union[int, str]) -> bool:
         """Does r lie (weakly) between p and q, i.e. excess(r;p,q) = 0?
 
-        Exact spaces test the excess for zero. Float spaces decide a third
-        point by :func:`_float_betweenness`, the rule the classifier
-        kernel uses, so every betweenness verdict comes from one place.
+        Exact spaces test the excess for zero. Float spaces test it
+        against :attr:`abs_tol`, except l2 point clouds, which decide by
+        the exact collinearity of :func:`_l2_betweenness`: the rule the
+        classifier kernel applies.
         """
         ri = self.index(r)
         pi, qi = self.pair(p, q)
@@ -179,7 +181,10 @@ class FiniteMetricSpace:
         e = self.excess_raw(ri, pi, qi)
         if self.mode == EXACT:
             return e == 0
-        return self._between_for(pi, qi)(ri, e)
+        between_for = self._l2_between_for
+        if between_for is None:
+            return e <= self.abs_tol
+        return between_for(pi, qi)(ri)
 
 
 # -- construction ------------------------------------------------------
@@ -202,12 +207,13 @@ def validate(
     negative entries, nonzero diagonal, zero distance between distinct
     labels, and triangle violations (with their deficit). In float mode
     a triangle deficit within the tolerance is repaired silently by
-    accepting the matrix as-is. A mode other than "exact" or "float"
-    is rejected at once as bad_mode, a rel_tol that is not a finite
-    number at least 0 as bad_tolerance, and an entry that does not
-    convert to the mode's type, or converts to an infinite or NaN
-    float, as bad_entry. Entries that already have the mode's type
-    are kept as they are.
+    accepting the matrix as-is. A base that is neither a label nor the
+    index of a point (a bool or a float is no index) is reported as
+    bad_base. A mode other than "exact" or "float" is rejected at once
+    as bad_mode, a rel_tol that is not a finite number at least 0 as
+    bad_tolerance, and an entry that does not convert to the mode's
+    type, or converts to an infinite or NaN float, as bad_entry.
+    Entries that already have the mode's type are kept as they are.
     """
     if mode not in (EXACT, FLOAT):
         raise ValidationError([Violation("bad_mode")])
@@ -236,7 +242,10 @@ def validate(
         ])
 
     try:
-        base_index = labels.index(base) if isinstance(base, str) else int(base)
+        if isinstance(base, bool):
+            raise TypeError  # int(True) is 1, but a flag is no index
+        # operator.index refuses 1.5 and -0.5, which int() would truncate
+        base_index = labels.index(base) if isinstance(base, str) else operator.index(base)
     except (ValueError, TypeError):
         base_index = -1
     if not 0 <= base_index < n:
@@ -472,7 +481,7 @@ class _PairScan(NamedTuple):
     ratio_den: int | None
     eps: tuple[tuple[Num | int, int | None], ...]  # (numerator, denominator) per eps
     unit: int | None  # exact: the denominator of every delta
-    deltas: tuple[Num | int | None, ...]  # min excess per eps; None without admissible r
+    deltas: tuple[Num | int, ...]  # min excess per eps; math.inf without admissible r
     delta_at: tuple[int | None, ...]  # the witness of each delta
 
     @property
@@ -512,28 +521,40 @@ def _scan_pairs(
     third point r.
 
     This is the one implementation of strict middles, the min excess
-    ratio with its witness and the concavity modulus (the eps grid is
-    read once and defaults to quarter, half and full pair distance):
+    ratio with its witness and the concavity modulus:
     :func:`classify_all <freelip.classify.classify_all>` scans every
     pair, and the per-pair functions scan their one pair. The scan is
     symmetric in p and q, labels come out in the order given, and
-    witnesses are the first in index order. Exact spaces are scanned as
-    integers over the common denominator of their distances: ratios
-    compare by cross-multiplication, eps thresholds are rounded up to
-    integers, and every reported number stays an integer pair; no
-    Fraction and no record is built here, only when a :class:`_PairScan`
-    property is read. Float spaces compute the excess as
-    :meth:`FiniteMetricSpace.excess_raw` does and decide betweenness by
-    :func:`_float_betweenness`, the rule
-    :meth:`FiniteMetricSpace.is_between` also applies.
+    witnesses are the first in index order.
+
+    One loop serves both number modes. It walks the rows of p and q
+    together. The default eps grid (quarter, half and full pair
+    distance) is nondecreasing, so its three least excesses are running
+    minima behind nested tests: a point too near p or q for d/4 is
+    tested against nothing more. An eps grid that is given is read once,
+    and :func:`_least_excess` finds its minima. A third point is between
+    p and q when its excess is at most :attr:`FiniteMetricSpace.abs_tol`,
+    except on an l2 point cloud, where the exact collinearity test of
+    :func:`_l2_betweenness` decides, as in
+    :meth:`FiniteMetricSpace.is_between`.
+
+    Exact spaces are scanned as integers over the common denominator of
+    their distances, where the tolerance is 0: ratios compare by
+    cross-multiplication, eps thresholds are rounded up to integers,
+    and every reported number stays an integer pair; no Fraction and no
+    record is built here, only when a :class:`_PairScan` property is
+    read. Float spaces compute the excess as
+    :meth:`FiniteMetricSpace.excess_raw` does, and a middle's ratio is
+    0.0.
     """
     n, labels = space.n, space.labels
     exact = space.mode == EXACT
     if exact:
-        unit, m = space._int_matrix
+        (unit, m), tol = space._int_matrix, 0
     else:
-        unit, m = None, space.dist
-        between_for = space._between_for
+        unit, m, tol = None, space.dist, space.abs_tol
+    l2_between_for = space._l2_between_for
+    between = None
     fixed = None if eps_grid is None else _eps_values(space, eps_grid)
     if fixed is not None:
         grid = tuple((eps, None) for eps in fixed)
@@ -541,59 +562,78 @@ def _scan_pairs(
         if exact:
             # an integer distance is >= eps * unit iff it is >= its ceiling
             thresholds = [-((-eps.numerator * unit) // eps.denominator) for eps in fixed]
+        t1 = t2 = t3 = math.inf  # no distance reaches these: the default minima stay unset
     if pairs is None:
         pairs = combinations(range(n), 2)
     scans = []
     for p, q in pairs:
         row_p, row_q = m[p], m[q]
         d_pq = row_p[q]
-        if fixed is None and exact:
-            # quarter, half and full pair distance, read off the integer one
-            grid = ((d_pq, 4 * unit), (d_pq, 2 * unit), (d_pq, unit))
-            thresholds = (-(-d_pq // 4), -(-d_pq // 2), d_pq)
-        elif fixed is None:
-            thresholds = _default_eps_grid(space, p, q)
-            grid = tuple((eps, None) for eps in thresholds)
-        best = [None] * len(grid)
-        best_at = [None] * len(grid)
+        if fixed is None:
+            if exact:
+                # quarter, half and full pair distance, read off the integer one
+                grid = ((d_pq, 4 * unit), (d_pq, 2 * unit), (d_pq, unit))
+                t1, t2, t3 = -(-d_pq // 4), -(-d_pq // 2), d_pq
+            else:
+                t1, t2, t3 = _default_eps_grid(space, p, q)
+                grid = ((t1, None), (t2, None), (t3, None))
+        if l2_between_for is not None:
+            between = l2_between_for(p, q)
         middles = []
-        ratio = witness = None
-        ratio_den = 0  # exact mode: the ratio is ratio / ratio_den
-        if not exact:
-            between = between_for(p, q)
-        for r in range(n):
+        # exact: the least ratio is ratio / ratio_den, and 1/0 stands for inf
+        ratio, ratio_den = (1, 0) if exact else (math.inf, None)
+        witness = w1 = w2 = w3 = None
+        m1 = m2 = m3 = math.inf
+        for r, (a, b) in enumerate(zip(row_p, row_q)):
             if r == p or r == q:
                 continue
-            a, b = row_p[r], row_q[r]
             e = a + b - d_pq
             near = b if b < a else a
+            mid = e <= tol if between is None else between(r)
+            if mid:
+                middles.append(r)
             if exact:
-                if e == 0:
-                    middles.append(r)
-                if witness is None or e * ratio_den < ratio * near:
+                if e * ratio_den < ratio * near:
                     ratio, ratio_den, witness = e, near, r
             else:
-                if between(r, e):
-                    middles.append(r)
-                    value = 0.0
-                else:
-                    value = e / near
-                if witness is None or value < ratio:
+                value = 0.0 if mid else e / near
+                if value < ratio:
                     ratio, witness = value, r
-            for k, t in enumerate(thresholds):
-                if near >= t and (best[k] is None or e < best[k]):
-                    best[k], best_at[k] = e, r
+            if near >= t1:
+                if e < m1:
+                    m1, w1 = e, r
+                if near >= t2:
+                    if e < m2:
+                        m2, w2 = e, r
+                    if near >= t3 and e < m3:
+                        m3, w3 = e, r
         if witness is None:
             ratio, ratio_den = math.inf, None
-        elif not exact:
-            ratio_den = None
+        if fixed is None:
+            deltas, delta_at = (m1, m2, m3), (w1, w2, w3)
+        else:
+            deltas, delta_at = zip(*(_least_excess(row_p, row_q, p, q, t) for t in thresholds))
         scans.append(
             _PairScan(
                 p, q, labels, tuple(middles), witness, ratio, ratio_den,
-                grid, unit, tuple(best), tuple(best_at),
+                grid, unit, deltas, delta_at,
             )
         )
     return scans
+
+
+def _least_excess(row_p, row_q, p: int, q: int, threshold) -> tuple:
+    """The least excess over (p, q) of a third point r with
+    min(d(p,r), d(q,r)) >= threshold, and the first r that attains it;
+    (math.inf, None) when no point qualifies."""
+    d_pq = row_p[q]
+    least, at = math.inf, None
+    for r, (a, b) in enumerate(zip(row_p, row_q)):
+        if r != p and r != q and (b if b < a else a) >= threshold:
+            e = a + b - d_pq
+            if e < least:
+                least, at = e, r
+    return least, at
 
 
 def _aligned(
@@ -606,42 +646,36 @@ def _aligned(
     return tuple((labels[r], labels[p], labels[q]) for r, p, q in found)
 
 
-def _float_betweenness(space: FiniteMetricSpace):
-    """The float-mode betweenness rule: ``between_for(p, q)`` returns a
-    test ``between(r, e)`` of whether a third point r of excess e lies
-    between p and q.
+def _l2_betweenness(space: FiniteMetricSpace):
+    """The betweenness rule of a float l2 point cloud with exact
+    coordinates: ``between_for(p, q)`` returns a test ``between(r)`` of
+    whether a third point r lies between p and q. None for every other
+    space, where r is between p and q when its excess is at most the
+    absolute tolerance.
 
-    Exact l2 coordinates decide it by collinearity on integer-scaled
-    coordinates (l2 is strictly convex, so metric and linear betweenness
-    coincide). Otherwise r is between p and q when its excess is at
-    most the absolute tolerance.
+    The test is collinearity on integer-scaled coordinates (l2 is
+    strictly convex, so metric and linear betweenness coincide).
     """
-    if space.coords is not None and space.coord_norm == "l2":
-        _, pts = _scaled_ints(space.coords)
-        dims = len(pts[0]) if pts else 0
-        minors = [(a, b) for a in range(dims) for b in range(a + 1, dims)]
+    if space.mode != FLOAT or space.coords is None or space.coord_norm != "l2":
+        return None
+    _, pts = _scaled_ints(space.coords)
+    dims = len(pts[0]) if pts else 0
+    minors = [(a, b) for a in range(dims) for b in range(a + 1, dims)]
 
-        def between_for(p, q):
-            origin = pts[p]
-            v = [y - x for x, y in zip(origin, pts[q])]
-            vv = sum(x * x for x in v)
+    def between_for(p, q):
+        origin = pts[p]
+        v = [y - x for x, y in zip(origin, pts[q])]
+        vv = sum(x * x for x in v)
 
-            def between(r, e):
-                w = [y - x for x, y in zip(origin, pts[r])]
-                if any(w[a] * v[b] != w[b] * v[a] for a, b in minors):
-                    return False
-                return 0 <= sum(x * y for x, y in zip(w, v)) <= vv
+        def between(r):
+            w = [y - x for x, y in zip(origin, pts[r])]
+            if any(w[a] * v[b] != w[b] * v[a] for a, b in minors):
+                return False
+            return 0 <= sum(x * y for x, y in zip(w, v)) <= vv
 
-            return between
+        return between
 
-        return between_for
-
-    tol = space.abs_tol
-
-    def between(r, e):
-        return e <= tol
-
-    return lambda p, q: between
+    return between_for
 
 
 def holder_transform(space: FiniteMetricSpace, alpha) -> FiniteMetricSpace:

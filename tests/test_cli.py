@@ -321,7 +321,9 @@ def test_zero_tolerance_stays_valid(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("base", [None, [1]], ids=["null", "array"])
+@pytest.mark.parametrize(
+    "base", [None, [1], 1.5, -0.5, True], ids=["null", "array", "1.5", "-0.5", "true"]
+)
 def test_base_that_is_neither_label_nor_index_exits_2(tmp_path, capsys, base):
     path = write(tmp_path, "sp.json", dict(TWO_POINTS, base=base))
     code, out, err = run(capsys, "validate", path, "--json")

@@ -11,6 +11,7 @@ and witnesses, and the same error for the same bad arguments.
 
 import copy
 import dataclasses
+import functools
 import json
 import math
 import pickle
@@ -116,6 +117,13 @@ def custom_grid(space):
     return [0.3, F(7, 5), 2.0, 1e3]
 
 
+def unsorted_grid(space):
+    """Out of order, with a repeated value and one above every distance."""
+    if space.mode == "exact":
+        return [F(7, 5), F(1, 3), F(10**6), 2, F(1, 3)]
+    return [F(7, 5), 0.3, 1e6, 2.0, 0.3]
+
+
 def assert_same(got, want, *context):
     assert got == want, context
     # repr tells Fraction from float and 0 from 0.0, which == does not
@@ -174,6 +182,19 @@ def test_kernel_ratio_witness_equals_min_excess_ratio(seed, n, build):
     for scan in _scan_pairs(space):
         ratio, witness = brute_force_min_excess_ratio(space, scan.p, scan.q)
         assert (scan.min_ratio, space.labels[scan.ratio_witness]) == (ratio, witness)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("build", BUILDERS)
+def test_kernel_on_an_unsorted_grid_with_a_repeat_and_an_eps_past_every_distance(build, seed):
+    space = build(random.Random(seed), 7)
+    grid = unsorted_grid(space)
+    assert space.num(grid[2]) > space.scale
+    assert_kernel_matches(space, grid)
+    for v in fl.classify_all(space, grid).pair_verdicts:
+        entries = v.modulus.entries
+        assert (entries[2].delta, entries[2].witness) == (math.inf, None)
+        assert entries[1] == entries[4]
 
 
 def test_two_point_space():
@@ -323,6 +344,9 @@ def test_excess_equal_to_the_tolerance_is_between():
     )
     assert space.excess_raw(2, 0, 1) == space.abs_tol
     assert space.is_between("r", "p", "q")
+    # the kernel's inline test agrees
+    (scan,) = _scan_pairs(space, pairs=[(0, 1)])
+    assert (scan.middles, scan.min_ratio, scan.ratio_witness) == ((2,), 0.0, 2)
     assert_kernel_matches(space)
 
 
@@ -458,3 +482,44 @@ def test_cli_pairs_equal_the_formatted_public_verdicts(build, seed, tmp_path, ca
     for p, q in permutations(space.labels, 2):
         (got,) = classify_pairs(capsys, str(path), "--pair", p, q)
         assert as_text(got) == as_text(verdict_entry(fl.classify_pair(space, p, q)))
+
+
+@st.composite
+def relabelled_spaces(draw):
+    """A space of 2 to 7 points under labels drawn from all of text: below
+    4 points a random exact metric or its float rounding, else one of
+    the BUILDERS."""
+    n = draw(st.integers(2, 7))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if n < 4:
+        matrix = random_exact_matrix(rng, n, WIDE)
+        space = draw(st.sampled_from((
+            fl.validate(matrix, labels_for(n)),
+            fl.validate([[float(v) for v in row] for row in matrix], labels_for(n), mode="float"),
+        )))
+    else:
+        space = draw(st.sampled_from(BUILDERS))(rng, n)
+    labels = draw(st.lists(st.text(), min_size=n, max_size=n, unique=True))
+    coords = None if space.coords is None else dict(zip(labels, space.coords))
+    return fl.validate(
+        space.dist, labels, mode=space.mode, rel_tol=space.rel_tol,
+        coords=coords, coord_norm=space.coord_norm,
+    )
+
+
+# two points: the ratio and every delta print as "inf"
+TWO_POINTS = [[0, 3], [3, 0]], ['"\\\x00é', "\u2028"]
+
+
+@example(fl.validate(*TWO_POINTS))
+@example(fl.validate(*TWO_POINTS, mode="float"))
+@settings(max_examples=100, deadline=None)
+@given(relabelled_spaces())
+def test_rendered_pairs_equal_the_stdlib_dump_of_the_verdicts(space):
+    # pairs sits where the envelope puts it: in payload, in the envelope
+    entries = [verdict_entry(v) for v in eager_report(space).pair_verdicts]
+    rendered = formats._Rendered(functools.partial(cli._put_pairs, _scan_pairs(space)))
+    got = formats.dumps_pretty({"payload": {"pairs": rendered, "space_digest": "d"}, "tool": "t"})
+    want = json.dumps({"payload": {"pairs": entries, "space_digest": "d"}, "tool": "t"},
+                      sort_keys=True, indent=2)
+    assert got == want

@@ -494,6 +494,29 @@ def test_validate_refuses_a_base_outside_the_points(base):
     assert [v.kind for v in err.value.violations] == ["bad_base"]
 
 
+@pytest.mark.parametrize(
+    "base", [1.5, -0.5, 1.0, True, False, F(1), None, [1]],
+    ids=["1.5", "-0.5", "1.0", "True", "False", "Fraction", "None", "list"],
+)
+def test_validate_refuses_a_base_that_is_not_a_label_or_an_index(base):
+    # int() would read 1.5 as 1, -0.5 as 0 and True as 1
+    with pytest.raises(ValidationError) as err:
+        fl.validate([[0, 1, 1], [1, 0, 1], [1, 1, 0]], ["a", "b", "c"], base=base)
+    assert [v.kind for v in err.value.violations] == ["bad_base"]
+
+
+class _Index:
+    """An integer type that is not int, as numpy's are."""
+
+    def __index__(self):
+        return 1
+
+
+def test_validate_accepts_an_index_of_another_integer_type():
+    space = fl.validate([[0, 1, 1], [1, 0, 1], [1, 1, 0]], ["a", "b", "c"], base=_Index())
+    assert space.base_label == "b"
+
+
 def test_validate_accepts_the_last_point_as_base():
     space = fl.validate([[0, 1, 1], [1, 0, 1], [1, 1, 0]], ["a", "b", "c"], base=2)
     assert space.base_label == "c"
