@@ -12,13 +12,12 @@ constant.
 Norm attainment of a pair (p,q): over all f in the Lipschitz unit ball
 with phi(f,p,q) = 1, the achievable values of phi(f,x,y) form an
 interval, and (x,y) belongs to the attainment set exactly when that
-interval is the single point +1 or -1. Every constraint on such f bounds
-a difference f(v) - f(u), so each interval end is a shortest-path length
-in the metric with the one edge p -> q weighted -d(p,q): full mode reads
-all intervals off one Floyd-Warshall pass on integers. Lazy mode is one
-closure over one LP tableau: it bounds only the candidates that no
-feasible function seen so far rules out, by an exact min and max LP, and
-keeps both optima as further functions to rule candidates out with.
+interval is the single point +1 or -1. Full mode reads each interval in
+closed form off the metric segments from p to q, so on an exact space
+{x,y} is a member exactly when p, x, y and q lie in that order on a
+geodesic: d(p,x) + d(x,y) + d(y,q) = d(p,q). Lazy mode bounds, on one LP
+tableau, only the candidates that no feasible function seen so far rules
+out, by an exact min and max LP, and keeps both optima to rule more out.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Mapping, Sequence, Union
 
 from . import simplex
 from .polytope import _coefficients, _lip_ball_rows
-from .space import FiniteMetricSpace, Num, SpaceError, _scan_pairs
+from .space import EXACT, FiniteMetricSpace, Num, SpaceError, _scan_pairs
 
 
 class EmptySubset(SpaceError):
@@ -268,17 +267,18 @@ def attainment_set(
     {L(f) <= 1, f(e) = 0, phi(f,p,q) = 1}; membership means the interval
     degenerates to +1 or -1 (within the space tolerance in float mode).
     (p,q) and (q,p) are always members. intervals="full" reports every
-    interval, read off one shortest-path pass (:func:`_path_intervals`);
-    no LP runs. intervals="lazy" bounds a candidate by two exact LPs and
-    skips them for candidates already disqualified by a feasible function
-    produced along the way. Both modes return identical members, and
-    the intervals lazy mode reports equal those of full mode.
+    interval in closed form (:func:`_path_intervals`) and runs no LP; on
+    an exact space, {x,y} is a member iff d(p,x) + d(x,y) + d(y,q) =
+    d(p,q). intervals="lazy" bounds a candidate by two exact LPs and skips
+    them for candidates already disqualified by a feasible function
+    produced along the way. Both modes return identical members, and the
+    intervals lazy mode reports equal those of full mode.
     """
     if intervals not in ("lazy", "full"):
         raise ValueError("intervals must be 'lazy' or 'full'")
     pi, qi = space.pair(p, q)
 
-    tol = 0.0 if space.mode == "exact" else space.rel_tol
+    tol = 0.0 if space.mode == EXACT else space.rel_tol
     if intervals == "full":
         interval = _path_intervals(space, pi, qi)
     else:
@@ -306,39 +306,39 @@ def attainment_set(
 
 
 def _path_intervals(space: FiniteMetricSpace, pi: int, qi: int):
-    """Every candidate interval of the attainment polytope of (p,q), from
-    one all-pairs shortest-path pass.
+    """Every candidate interval of the attainment polytope of (p,q), in
+    closed form on the distances read as exact rationals scaled to ints.
 
-    Each constraint is a difference constraint f(v) - f(u) <= w(u,v):
-    w(u,v) = d(u,v) for every ordered pair, except that phi(f,p,q) = 1
-    adds f(q) - f(p) <= -d(p,q), so w(p,q) = -d(p,q). Over the polytope,
-    max f(v) - f(u) is the length D[u][v] of a shortest u-v path, and the
-    polytope is empty exactly when some cycle is negative (Cormen et al.,
-    Introduction to Algorithms, 3rd ed., section 24.4). Floyd-Warshall
-    runs on the distances read as exact rationals and scaled to ints; the
-    scale cancels in phi(f,x,y), whose interval is [-D[x][y], D[y][x]]
-    over d(x,y). Returns the map (x, y) -> (lo, hi), in the space's
-    number mode; the values equal the LP's.
+    The constraints f(v) - f(u) <= d(u,v) and, from phi(f,p,q) = 1,
+    f(q) - f(p) <= -d(p,q) make max f(y) - f(x) the shortest x-y path
+    D(x,y) once the arc p -> q is negated. A shortest simple path takes
+    that arc at most once, and its parts before p and after q are paths
+    of the plain shortest-path closure c. So
+    D(x,y) = min(c(x,y), c(x,p) - d(p,q) + c(q,y)), and the polytope is
+    empty exactly when c(q,p) < d(p,q). A validated exact space is its own
+    closure; a float space's rational reading may break a triangle. The
+    interval of phi(f,x,y) is [-D(x,y), D(y,x)] over d(x,y), in the
+    space's number mode; the values equal the LP's.
     """
     _, m = space._int_matrix
-    n = space.n
-    short = [list(row) for row in m]
-    short[pi][qi] = -m[pi][qi]
-    for k in range(n):
-        via = short[k]
-        for row in short:
-            ik = row[k]
-            for j, kj in enumerate(via):
-                if ik + kj < row[j]:
-                    row[j] = ik + kj
-    if any(short[i][i] < 0 for i in range(n)):
+    c = m
+    if space.mode != EXACT:
+        c = [list(row) for row in m]
+        for k, via in enumerate(c):
+            for row in c:
+                ik = row[k]
+                for j, kj in enumerate(via):
+                    if ik + kj < row[j]:
+                        row[j] = ik + kj
+    d = m[pi][qi]
+    if c[qi][pi] < d:
         raise simplex.LPFailure(
             f"attainment LP ended {simplex.INFEASIBLE}; the polytope is never empty"
         )
-    num = space.num
+    num, to_p, from_q = space.num, [row[pi] - d for row in c], c[qi]
     return lambda i, j: (
-        num(Fraction(-short[i][j], m[i][j])),
-        num(Fraction(short[j][i], m[i][j])),
+        num(Fraction(-min(c[i][j], to_p[i] + from_q[j]), m[i][j])),
+        num(Fraction(min(c[j][i], to_p[j] + from_q[i]), m[i][j])),
     )
 
 
@@ -375,7 +375,7 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int, tol: float):
         tuple(space.num(Fraction(dist[e][pi]) - Fraction(dist[x][pi])) for x in range(n)),
     ]
 
-    exact = space.mode == "exact"
+    exact = space.mode == EXACT
 
     def interval(i: int, j: int):
         d = dist[i][j]

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Union
 
 from . import simplex
-from .space import EXACT, FiniteMetricSpace, SpaceError
+from .space import EXACT, FiniteMetricSpace, SpaceError, _scaled_ints
 
 MAX_ORACLE_POINTS = 12
 
@@ -258,8 +257,7 @@ def is_vertex(
     # cross-multiplication (D > 0 off the diagonal).
     phi = list(res.farkas[:-1])
     f = phi[:e] + [0] + phi[e:]
-    f_den = lcm(*{v.denominator for v in f})
-    g = [v.numerator * (f_den // v.denominator) for v in f]
+    f_den, (g,) = _scaled_ints([f])
     unit, dm = space._int_matrix
     top, bot = g[pi] - g[qi], dm[pi][qi]
     hi, hi_d = -top, bot  # u_qp is always among the others

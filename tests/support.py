@@ -672,8 +672,8 @@ class _AttainmentLP:
 def reference_full_attainment(space, p, q):
     """``attainment_set(space, p, q, intervals="full")`` as two exact LPs
     per candidate pair on the shared attainment tableau
-    (:class:`_AttainmentLP`). The library reads the same intervals off
-    shortest paths and must return an equal set, or raise the same
+    (:class:`_AttainmentLP`). The library reads the same intervals in
+    closed form and must return an equal set, or raise the same
     ``LPFailure`` when the polytope is empty."""
     from freelip.lipfun import AttainmentSet
 

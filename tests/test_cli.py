@@ -50,6 +50,8 @@ BROKEN_SPACE = {
     "mode": "exact",
 }
 
+ONE_POINT_SPACE = {"labels": ["a"], "base": "a", "matrix": [[0]], "mode": "exact"}
+
 
 def test_validate_ok(tmp_path, capsys):
     path = write(tmp_path, "sp.json", VALID_SPACE)
@@ -146,13 +148,18 @@ def test_missing_file_exit_1(capsys):
 
 
 def test_classify_with_oracle_agreement(tmp_path, capsys):
-    path = write(tmp_path, "sp.json", VALID_SPACE)
-    code, out, _ = run(capsys, "classify", path, "--oracle", "--json")
-    assert code == 0
-    payload = json.loads(out)["payload"]
-    assert payload["concave"] is True
-    assert all(row["agrees"] for row in payload["oracle"])
-    assert all(p["extreme"] for p in payload["pairs"])
+    # a single point has no pair: every list prints empty
+    for doc in (VALID_SPACE, ONE_POINT_SPACE):
+        path = write(tmp_path, "sp.json", doc)
+        code, out, _ = run(capsys, "classify", path, "--oracle", "--json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        payload = json.loads(out)["payload"]
+        assert payload["concave"] is True and payload["aligned_triples"] == []
+        assert all(row["agrees"] for row in payload["oracle"])
+        assert all(p["extreme"] for p in payload["pairs"])
+        n = len(doc["labels"])
+        assert len(payload["pairs"]) == len(payload["oracle"]) == n * (n - 1) // 2
 
 
 def test_classify_middle_point_emits_weights(tmp_path, capsys):
@@ -569,6 +576,7 @@ def test_shared_parser_matches_fresh_process(tmp_path, capsys):
     # the same command prints in a process of its own, and leave the
     # parser's defaults as built
     chain = write(tmp_path, "chain.json", CHAIN_SPACE)
+    one = write(tmp_path, "one.json", ONE_POINT_SPACE)
     commands = [
         ["diagnose", "c0", "--pair", "p", "e", "--json"],
         ["classify", chain, "--oracle", "--json"],
@@ -579,12 +587,13 @@ def test_shared_parser_matches_fresh_process(tmp_path, capsys):
         ["modulus", chain, "a", "b", "--eps", "1/2", "--json"],
         ["diagnose", "c0", "--pair", "p", "e", "--json"],
         ["classify", chain, "--pair", "b", "a"],
+        ["classify", one, "--json"],
     ]
     before = _defaults(cli._parser())
     assert cli._parser() is cli._parser()
     shared = [(main(argv), _without_timestamp(capsys.readouterr().out)) for argv in commands]
     assert _defaults(cli._parser()) == before
-    assert [code for code, _ in shared] == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert [code for code, _ in shared] == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
 
     src = str(Path(freelip.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -293,14 +294,22 @@ def test_attainment_alignment_consistency():
         assert (p, m) in att.members and (m, q) in att.members
 
 
+SPACE_KINDS = {
+    "exact": random_exact_space,
+    "midpoint": lambda rng, n: random_space_with_midpoint(rng, n)[0],
+    "float": random_float_space,
+}
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(3, 9), st.booleans())
-@example(seed=4, n=5, exact=False)  # the rational reading breaks a triangle
-def test_full_attainment_matches_lp_reference(seed, n, exact):
-    # Full intervals come from shortest paths; the reference runs two LPs
-    # per candidate. Equal repr: same members, interval values and order.
+@given(st.integers(0, 10**6), st.integers(3, 9), st.sampled_from(sorted(SPACE_KINDS)))
+@example(seed=4, n=5, kind="float")  # the rational reading breaks a triangle
+def test_full_attainment_matches_lp_reference(seed, n, kind):
+    # Full intervals come in closed form; the reference runs two LPs per
+    # candidate. Equal repr: same members, interval values and order. An
+    # injected midpoint gives members beyond the pair itself.
     rng = random.Random(seed)
-    sp = random_exact_space(rng, n) if exact else random_float_space(rng, n)
+    sp = SPACE_KINDS[kind](rng, n)
     p, q = rng.sample(range(n), 2)
     try:
         ref = reference_full_attainment(sp, p, q)
@@ -310,6 +319,24 @@ def test_full_attainment_matches_lp_reference(seed, n, exact):
         assert str(got.value) == str(exc)
         return
     assert repr(fl.attainment_set(sp, p, q, intervals="full")) == repr(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 9), st.sampled_from(["exact", "midpoint"]))
+def test_full_attainment_members_are_the_metric_segments(seed, n, kind):
+    # A third decider, free of shortest paths and LPs: besides the pair,
+    # (x,y) and (y,x) are members exactly when p, x, y and q lie in that
+    # order on a geodesic.
+    rng = random.Random(seed)
+    sp = SPACE_KINDS[kind](rng, n)
+    p, q = rng.sample(range(n), 2)
+    d = sp.dist
+    members = {(p, q), (q, p)}
+    for x, y in permutations(range(n), 2):
+        if {x, y} != {p, q} and d[p][x] + d[x][y] + d[y][q] == d[p][q]:
+            members |= {(x, y), (y, x)}
+    want = tuple((sp.labels[a], sp.labels[b]) for a, b in sorted(members))
+    assert fl.attainment_set(sp, p, q, intervals="full").members == want
 
 
 def _lazy_corpus():
