@@ -234,9 +234,12 @@ def property_z(
     )
 
 
-def _require_family(family) -> None:
+def _require_family(family, depths: Sequence[int]) -> None:
     if not hasattr(family, "generate") or not hasattr(family, "probe_label"):
         raise UnknownFamily(f"not a generator-backed family: {family!r}")
+    # the trend compares the last depth with the first
+    if any(b <= a for a, b in zip(depths, depths[1:])):
+        raise ValueError("depths must be strictly increasing")
 
 
 def _generate_pair(family, p: str, q: str, depth: int):
@@ -266,7 +269,7 @@ def strongly_exposed_verdict(
     of losing strong exposure in the limit. A flag is a diagnostic, never
     a proof.
     """
-    _require_family(family)
+    _require_family(family, depths)
     records = []
     for depth in depths:
         sp, pi, qi = _generate_pair(family, p, q, depth)
@@ -302,7 +305,7 @@ def sequence_diagnostics(
     flag marks candidate pairs whose molecules stay extreme at every
     finite depth yet cannot be strongly exposed in the limit.
     """
-    _require_family(family)
+    _require_family(family, depths)
     if depths:
         deepest, pi, qi = _generate_pair(family, p, q, max(depths))
     records = []

@@ -15,7 +15,8 @@ interval, and (x,y) belongs to the attainment set exactly when that
 interval is the single point +1 or -1. Full mode reads each interval in
 closed form off the metric segments from p to q, so on an exact space
 {x,y} is a member exactly when p, x, y and q lie in that order on a
-geodesic: d(p,x) + d(x,y) + d(y,q) = d(p,q). Lazy mode bounds, on one LP
+geodesic: d(p,x) + d(x,y) + d(y,q) = d(p,q). A float space takes the
+closed form in both modes. Lazy mode on an exact space bounds, on one LP
 tableau, only the candidates that no feasible function seen so far rules
 out, by an exact min and max LP, and keeps both optima to rule more out.
 """
@@ -248,7 +249,7 @@ def peaking_candidate(
 class AttainmentSet:
     """Pairs at which every norm-attaining function of (p,q) must also
     attain its norm, with the slope intervals that were computed: every
-    one in full mode, those the lazy shortcut left to an LP otherwise."""
+    one in full mode or on a float space, else those left to an LP."""
 
     pair: tuple[str, str]
     members: tuple[tuple[str, str], ...]
@@ -269,8 +270,9 @@ def attainment_set(
     (p,q) and (q,p) are always members. intervals="full" reports every
     interval in closed form (:func:`_path_intervals`) and runs no LP; on
     an exact space, {x,y} is a member iff d(p,x) + d(x,y) + d(y,q) =
-    d(p,q). intervals="lazy" bounds a candidate by two exact LPs and skips
-    them for candidates already disqualified by a feasible function
+    d(p,q). A float space takes the closed form in both modes. On an
+    exact space intervals="lazy" bounds a candidate by two exact LPs and
+    skips them for candidates already disqualified by a feasible function
     produced along the way. Both modes return identical members, and the
     intervals lazy mode reports equal those of full mode.
     """
@@ -279,10 +281,10 @@ def attainment_set(
     pi, qi = space.pair(p, q)
 
     tol = 0.0 if space.mode == EXACT else space.rel_tol
-    if intervals == "full":
+    if intervals == "full" or space.mode != EXACT:
         interval = _path_intervals(space, pi, qi)
     else:
-        interval = _lazy_intervals(space, pi, qi, tol)
+        interval = _lazy_intervals(space, pi, qi)
     lab, one = space.labels, space.num(1)
     out_intervals = {(lab[pi], lab[qi]): (one, one), (lab[qi], lab[pi]): (-one, -one)}
     members = [(pi, qi), (qi, pi)]
@@ -313,23 +315,13 @@ def _path_intervals(space: FiniteMetricSpace, pi: int, qi: int):
     f(q) - f(p) <= -d(p,q) make max f(y) - f(x) the shortest x-y path
     D(x,y) once the arc p -> q is negated. A shortest simple path takes
     that arc at most once, and its parts before p and after q are paths
-    of the plain shortest-path closure c. So
-    D(x,y) = min(c(x,y), c(x,p) - d(p,q) + c(q,y)), and the polytope is
-    empty exactly when c(q,p) < d(p,q). A validated exact space is its own
-    closure; a float space's rational reading may break a triangle. The
-    interval of phi(f,x,y) is [-D(x,y), D(y,x)] over d(x,y), in the
-    space's number mode; the values equal the LP's.
+    of the plain shortest-path closure c (:attr:`FiniteMetricSpace._closure`).
+    So D(x,y) = min(c(x,y), c(x,p) - d(p,q) + c(q,y)), and the polytope is
+    empty exactly when c(q,p) < d(p,q). The interval of phi(f,x,y) is
+    [-D(x,y), D(y,x)] over d(x,y), in the space's number mode; the values
+    equal the LP's.
     """
-    _, m = space._int_matrix
-    c = m
-    if space.mode != EXACT:
-        c = [list(row) for row in m]
-        for k, via in enumerate(c):
-            for row in c:
-                ik = row[k]
-                for j, kj in enumerate(via):
-                    if ik + kj < row[j]:
-                        row[j] = ik + kj
+    m, c = space._int_matrix[1], space._closure
     d = m[pi][qi]
     if c[qi][pi] < d:
         raise simplex.LPFailure(
@@ -342,11 +334,10 @@ def _path_intervals(space: FiniteMetricSpace, pi: int, qi: int):
     )
 
 
-def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int, tol: float):
-    """The map (x, y) -> LP interval, or None when a feasible function seen
-    so far has a slope strictly inside (-1, 1) there, which rules (x,y)
-    out without an LP. The 2*tol guard keeps the shortcut conservative in
-    float mode.
+def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int):
+    """On an exact space, the map (x, y) -> LP interval, or None when a
+    feasible function seen so far has a slope strictly inside (-1, 1)
+    there, which rules (x,y) out without an LP.
 
     The LPs run in g = f - h, with h(x) = d(x,q) - d(e,q) feasible:
     phi(f,p,q) = 1 merges g(p) and g(q) into one variable and every
@@ -355,7 +346,7 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int, tol: float):
     d(e,p) - d(x,p); every LP optimum joins them.
     """
     n, e, dist = space.n, space.base_index, space.dist
-    h = [Fraction(dist[x][qi]) - Fraction(dist[e][qi]) for x in range(n)]
+    h = [dist[x][qi] - dist[e][qi] for x in range(n)]
     # Variables: the shared p/q one first, then the other non-base points
     # in index order (None = fixed 0). Bland's rule makes the optima depend
     # on this order.
@@ -370,22 +361,14 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int, tol: float):
             nv += 1
     lp = simplex.Tableau(nv, *_lip_ball_rows(space, var_of, nv, h), free=True)
 
-    witnesses = [
-        tuple(map(space.num, h)),
-        tuple(space.num(Fraction(dist[e][pi]) - Fraction(dist[x][pi])) for x in range(n)),
-    ]
-
-    exact = space.mode == EXACT
+    witnesses = [h, [dist[e][pi] - dist[x][pi] for x in range(n)]]
 
     def interval(i: int, j: int):
         d = dist[i][j]
-        # d > 0, so an exact slope is inside (-1, 1) when |w_i - w_j| < d
-        if exact:
-            if any(abs(w[i] - w[j]) < d for w in witnesses):
-                return None
-        elif any(abs((w[i] - w[j]) / d) < 1 - 2 * tol for w in witnesses):
+        # d > 0, so a slope is inside (-1, 1) when |w_i - w_j| < d
+        if any(abs(w[i] - w[j]) < d for w in witnesses):
             return None
-        c = [Fraction(0)] * nv
+        c = [0] * nv
         if var_of[i] is not None:
             c[var_of[i]] += 1
         if var_of[j] is not None:
@@ -397,10 +380,8 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int, tol: float):
                 raise simplex.LPFailure(
                     f"attainment LP ended {res.status}; the polytope is never empty"
                 )
-            bounds.append(space.num((res.objective + h[i] - h[j]) / Fraction(dist[i][j])))
-            witnesses.append(tuple(
-                space.num(h[x] if v is None else res.x[v] + h[x]) for x, v in enumerate(var_of)
-            ))
+            bounds.append((res.objective + h[i] - h[j]) / d)
+            witnesses.append([h[x] if v is None else res.x[v] + h[x] for x, v in enumerate(var_of)])
         return tuple(bounds)
 
     return interval

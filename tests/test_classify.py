@@ -277,6 +277,15 @@ def test_strongly_exposed_with_middle_every_depth():
     assert not trend.limit_property_z_flag
 
 
+@pytest.mark.parametrize("depths", [(32, 4), (4, 4), (4, 16, 8)])
+def test_diagnostics_refuse_depths_that_do_not_increase(depths):
+    # both compare the last depth with the first, in the order given
+    spec = FamilySpec("c0_counterexample")
+    for diagnose in (fl.sequence_diagnostics, fl.strongly_exposed_verdict):
+        with pytest.raises(ValueError, match="^depths must be strictly increasing$"):
+            diagnose(spec, "p", "e", depths)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(UnknownFamily):
         fl.strongly_exposed_verdict(object(), "p", "q", depths=(4,))

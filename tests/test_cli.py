@@ -466,6 +466,14 @@ def test_diagnose_spiral_flags(capsys):
     assert all(r["strongly_exposed"] for r in payload["exposure"]["records"])
 
 
+def test_diagnose_refuses_depths_that_do_not_increase(capsys):
+    # in the order given, 32 then 4 would read as a decay factor of 6.6
+    for depths in (["32", "4"], ["4", "4"]):
+        for json_flag in ([], ["--json"]):
+            got = run(capsys, "diagnose", "c0", "--pair", "p", "e", "--depths", *depths, *json_flag)
+            assert got == (1, "", "error: depths must be strictly increasing\n")
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -616,11 +624,12 @@ def test_cli_import_pulls_in_no_third_party_package():
     assert done.stdout.strip() == "False"
 
 
-# tests/cli_corpus.py; the commands digest was re-recorded when the reader
-# began to refuse string, nan, infinite and negative tolerances by name,
-# which changed only the calls on those tolerances. argparse wraps usage
-# lines differently from Python 3.13 on
-CLI_CORPUS_COMMANDS = (1175, "04ebf432452fd316dae65d4c9cfd682a3825120a044e914ed76e27cc064fbc76")
+# tests/cli_corpus.py; the commands digest was re-recorded when lazy
+# attainment began to take the closed form on float spaces, which changed
+# only the eight float `attainment --json` calls without `--intervals full`:
+# each now prints what its full twin prints. argparse wraps usage lines
+# differently from Python 3.13 on
+CLI_CORPUS_COMMANDS = (1175, "10666a006eb70c684e54a635ca820df0462308c749c0ca227b3fe2a0d8ddf36c")
 CLI_CORPUS_PARSER = {
     (3, 10): "60346ec71f81db57ff1956c4db311d66560b3d25c1e78f4e6a038e4aee83a6ce",
     (3, 11): "60346ec71f81db57ff1956c4db311d66560b3d25c1e78f4e6a038e4aee83a6ce",

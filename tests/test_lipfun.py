@@ -13,10 +13,12 @@ import freelip as fl
 from freelip import simplex
 from freelip.lipfun import AlphaTooLarge, BadAlpha, EmptySubset, MiddlePointExists
 from freelip.polytope import DimensionMismatch
+from freelip.space import FiniteMetricSpace, from_points
 from support import (
     CHAIN,
     EQUILATERAL,
     VEE,
+    closure,
     count_pivots,
     random_exact_space,
     random_float_space,
@@ -353,26 +355,94 @@ def _lazy_corpus():
     return spaces
 
 
+def _attainment_text(space, p, q, intervals):
+    """The repr of the attainment set, or the LPFailure message."""
+    try:
+        return repr(fl.attainment_set(space, p, q, intervals=intervals))
+    except simplex.LPFailure as exc:
+        return f"LPFailure: {exc}"
+
+
 def test_lazy_attainment_corpus_digest(monkeypatch):
-    # Lazy mode's printed intervals and members depend on the LP optima
-    # (Bland's rule), so the whole output is pinned, LPFailure text
-    # included, and so is the pivot total of the path that reached them.
+    # On exact spaces lazy mode's printed intervals and members depend on
+    # the LP optima (Bland's rule), so the whole output is pinned, and so
+    # is the pivot total of the path that reached them.
     pivots = count_pivots(monkeypatch)
-    digest, failures = hashlib.sha256(), 0
+    digest = hashlib.sha256()
     for sp in _lazy_corpus():
-        for p in range(sp.n):
-            for q in range(sp.n):
-                if p == q:
-                    continue
-                try:
-                    out = repr(fl.attainment_set(sp, p, q, intervals="lazy"))
-                except simplex.LPFailure as exc:
-                    failures += 1
-                    out = f"LPFailure: {exc}"
-                digest.update(out.encode() + b"\n")
+        if sp.mode == "exact":
+            for p, q in permutations(range(sp.n), 2):
+                digest.update(_attainment_text(sp, p, q, "lazy").encode() + b"\n")
+    assert pivots[0] == 2102
+    assert digest.hexdigest() == "a207a8230d80b25243044fdf57208401545e0382344f6556e9e2855fe225553c"
+
+
+def test_lazy_attainment_corpus_floats_equal_full(monkeypatch):
+    # Float spaces take the closed form in both modes and solve no LP; 12
+    # runs find the polytope of the rational reading empty.
+    pivots = count_pivots(monkeypatch)
+    failures = 0
+    for sp in _lazy_corpus():
+        if sp.mode != "exact":
+            for p, q in permutations(range(sp.n), 2):
+                lazy = _attainment_text(sp, p, q, "lazy")
+                assert lazy == _attainment_text(sp, p, q, "full")
+                failures += lazy.startswith("LPFailure")
     assert failures == 12
-    assert pivots[0] == 2602
-    assert digest.hexdigest() == "256dd1a3b0bee6bfe588397aed3e417c6778e168db03bb0098cd5507a685722c"
+    assert pivots[0] == 0
+
+
+def _l2_cloud(rng, n):
+    points = set()
+    while len(points) < n:
+        points.add((rng.randint(-6, 6), rng.randint(-6, 6)))
+    return from_points({f"x{i}": pt for i, pt in enumerate(sorted(points))}, "l2")
+
+
+FLOAT_KINDS = {
+    "float": random_float_space,
+    "snowflake": lambda rng, n: fl.holder_transform(random_exact_space(rng, n), F(rng.randint(1, 9), 10)),
+    "l2": _l2_cloud,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 8), st.sampled_from(sorted(FLOAT_KINDS)))
+@example(seed=1, n=5, kind="float")  # the rational reading breaks a triangle
+def test_float_lazy_attainment_equals_full(seed, n, kind):
+    # The same members, interval values and order, or the same LPFailure
+    # text, for every ordered pair.
+    sp = FLOAT_KINDS[kind](random.Random(seed), n)
+    assert sp.mode == "float"
+    for p, q in permutations(range(n), 2):
+        assert _attainment_text(sp, p, q, "lazy") == _attainment_text(sp, p, q, "full")
+
+
+def test_closure_of_the_rational_reading():
+    rng = random.Random(31)
+    spaces = [random_float_space(rng, n) for n in range(2, 10) for _ in range(4)]
+    spaces.append(random_float_space(random.Random(1), 5))
+    broken = 0
+    for sp in spaces:
+        unit, m = sp._int_matrix
+        want = closure([[F(v) for v in row] for row in sp.dist])
+        assert [[F(v, unit) for v in row] for row in sp._closure] == want
+        broken += sp._closure != m
+    assert broken > 0  # some readings break a triangle, so the loop ran
+    exact = random_exact_space(rng, 6)
+    assert exact._closure is exact._int_matrix[1]
+
+
+def test_closure_is_computed_once_per_space(monkeypatch):
+    calls = []
+    prop = FiniteMetricSpace.__dict__["_closure"]
+    func = prop.func
+    monkeypatch.setattr(prop, "func", lambda space: calls.append(space) or func(space))
+    sp = random_float_space(random.Random(5), 7)
+    for p, q in permutations(range(sp.n), 2):
+        for intervals in ("lazy", "full"):
+            _attainment_text(sp, p, q, intervals)
+    assert calls == [sp]
 
 
 def _count_tableaux(monkeypatch):

@@ -292,6 +292,20 @@ def test_pair_contract(call, takes_r):
                 call(CHAIN, "xx", p, q)
 
 
+def test_index_refuses_a_flag():
+    # True == 1 and False == 0, but a flag is no index, as for validate's base
+    for flag in (True, False):
+        with pytest.raises(UnknownLabel, match=f"^no point labeled {flag}$"):
+            CHAIN.index(flag)
+        for p, q in ((flag, "c"), ("c", flag)):
+            with pytest.raises(UnknownLabel, match=f"^no point labeled {flag}$"):
+                CHAIN.pair(p, q)
+    # read as indices, True and False would name the pair ('b', 'a')
+    with pytest.raises(UnknownLabel, match="^no point labeled True$"):
+        fl.classify_pair(CHAIN, True, False)
+    assert (CHAIN.index(1), CHAIN.pair(1, 0)) == (1, (1, 0))
+
+
 # -- segments and alignment -----------------------------------------------
 
 
