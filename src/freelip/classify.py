@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .space import (
     FiniteMetricSpace,
     ModulusTable,
+    SpaceError,
     _PairScan,
     _aligned,
     _scan_pairs,
@@ -42,6 +43,10 @@ DEFAULT_DECAY_THRESHOLD = 0.1
 class UnknownFamily(Exception):
     """Raised when an operation needs a generator-backed family and gets
     something else, or the family does not carry the requested points."""
+
+
+class BadDepth(SpaceError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -234,12 +239,14 @@ def property_z(
     )
 
 
-def _require_family(family, depths: Sequence[int]) -> None:
+def _family_depths(family, depths: Iterable[int]) -> list[int]:
     if not hasattr(family, "generate") or not hasattr(family, "probe_label"):
         raise UnknownFamily(f"not a generator-backed family: {family!r}")
+    depths = list(depths)
     # the trend compares the last depth with the first
     if any(b <= a for a, b in zip(depths, depths[1:])):
-        raise ValueError("depths must be strictly increasing")
+        raise BadDepth("depths must be strictly increasing")
+    return depths
 
 
 def _generate_pair(family, p: str, q: str, depth: int):
@@ -269,7 +276,7 @@ def strongly_exposed_verdict(
     of losing strong exposure in the limit. A flag is a diagnostic, never
     a proof.
     """
-    _require_family(family, depths)
+    depths = _family_depths(family, depths)
     records = []
     for depth in depths:
         sp, pi, qi = _generate_pair(family, p, q, depth)
@@ -305,7 +312,7 @@ def sequence_diagnostics(
     flag marks candidate pairs whose molecules stay extreme at every
     finite depth yet cannot be strongly exposed in the limit.
     """
-    _require_family(family, depths)
+    depths = _family_depths(family, depths)
     if depths:
         deepest, pi, qi = _generate_pair(family, p, q, max(depths))
     records = []

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .space import FiniteMetricSpace, SpaceError, from_points, validate
 from .space import holder_transform  # noqa: F401  perfbench/tracing.py wraps it here
-from .classify import UnknownFamily
+from .classify import BadDepth, UnknownFamily, _family_depths
 
 REJECTION_BUDGET = 1000
 L2_MARGIN = Fraction(1, 2**40)
@@ -44,10 +44,6 @@ _L2_CAP = math.ceil((1 - L2_MARGIN) * (1 << _FIXED))
 
 
 class BadLambda(SpaceError):
-    pass
-
-
-class BadDepth(SpaceError):
     pass
 
 
@@ -442,7 +438,4 @@ def family_at_depths(spec: FamilySpec, depths: Sequence[int]) -> list[FiniteMetr
     The same seed drives every depth, so the shallower spaces are exact
     prefixes (labels and distance sub-matrix) of the deeper ones.
     """
-    depths = list(depths)
-    if any(b <= a for a, b in zip(depths, depths[1:])):
-        raise BadDepth("depths must be strictly increasing")
-    return [spec.generate(d) for d in depths]
+    return [spec.generate(d) for d in _family_depths(spec, depths)]

@@ -307,6 +307,21 @@ def attainment_set(
     )
 
 
+def _closure(space: FiniteMetricSpace) -> list[list[int]]:
+    """The shortest-path closure of the space's integer matrix; a float
+    space's rational reading may break a triangle, an exact one cannot."""
+    _, c = space._int_matrix
+    if space.mode != EXACT:
+        c = [list(row) for row in c]
+        for k, via in enumerate(c):
+            for row in c:
+                ik = row[k]
+                for j, kj in enumerate(via):
+                    if ik + kj < row[j]:
+                        row[j] = ik + kj
+    return c
+
+
 def _path_intervals(space: FiniteMetricSpace, pi: int, qi: int):
     """Every candidate interval of the attainment polytope of (p,q), in
     closed form on the distances read as exact rationals scaled to ints.
@@ -315,13 +330,13 @@ def _path_intervals(space: FiniteMetricSpace, pi: int, qi: int):
     f(q) - f(p) <= -d(p,q) make max f(y) - f(x) the shortest x-y path
     D(x,y) once the arc p -> q is negated. A shortest simple path takes
     that arc at most once, and its parts before p and after q are paths
-    of the plain shortest-path closure c (:attr:`FiniteMetricSpace._closure`).
-    So D(x,y) = min(c(x,y), c(x,p) - d(p,q) + c(q,y)), and the polytope is
+    of the plain shortest-path closure c (:func:`_closure`). So
+    D(x,y) = min(c(x,y), c(x,p) - d(p,q) + c(q,y)), and the polytope is
     empty exactly when c(q,p) < d(p,q). The interval of phi(f,x,y) is
     [-D(x,y), D(y,x)] over d(x,y), in the space's number mode; the values
     equal the LP's.
     """
-    m, c = space._int_matrix[1], space._closure
+    m, c = space._int_matrix[1], _closure(space)
     d = m[pi][qi]
     if c[qi][pi] < d:
         raise simplex.LPFailure(

@@ -121,21 +121,6 @@ class FiniteMetricSpace:
         return _scaled_ints([[Fraction(v) for v in row] for row in self.dist])
 
     @cached_property
-    def _closure(self) -> list[list[int]]:
-        """The shortest-path closure of the :attr:`_int_matrix` matrix; on an
-        exact space, which validation proved metric, that matrix itself."""
-        c = self._int_matrix[1]
-        if self.mode != EXACT:
-            c = [list(row) for row in c]
-            for k, via in enumerate(c):
-                for row in c:
-                    ik = row[k]
-                    for j, kj in enumerate(via):
-                        if ik + kj < row[j]:
-                            row[j] = ik + kj
-        return c
-
-    @cached_property
     def _l2_between_for(self):
         """The collinearity test of :func:`_l2_betweenness`, or None."""
         return _l2_betweenness(self)

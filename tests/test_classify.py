@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freelip as fl
-from freelip.classify import DEFAULT_DECAY_THRESHOLD, UnknownFamily
+from freelip import generators
+from freelip.classify import DEFAULT_DECAY_THRESHOLD, BadDepth, UnknownFamily
 from freelip.generators import FamilySpec
+from freelip.space import SpaceError
 from support import (
     CHAIN,
     EQUILATERAL,
@@ -279,11 +281,19 @@ def test_strongly_exposed_with_middle_every_depth():
 
 @pytest.mark.parametrize("depths", [(32, 4), (4, 4), (4, 16, 8)])
 def test_diagnostics_refuse_depths_that_do_not_increase(depths):
-    # both compare the last depth with the first, in the order given
+    # both compare the last depth with the first, in the order given; the
+    # refusal is the generators' own, so one SpaceError handler catches it
+    spec = FamilySpec("c0_counterexample")
+    assert generators.BadDepth is BadDepth and issubclass(BadDepth, SpaceError)
+    for diagnose in (fl.sequence_diagnostics, fl.strongly_exposed_verdict):
+        with pytest.raises(BadDepth, match="^depths must be strictly increasing$"):
+            diagnose(spec, "p", "e", depths)
+
+
+def test_diagnostics_take_depths_from_an_iterator():
     spec = FamilySpec("c0_counterexample")
     for diagnose in (fl.sequence_diagnostics, fl.strongly_exposed_verdict):
-        with pytest.raises(ValueError, match="^depths must be strictly increasing$"):
-            diagnose(spec, "p", "e", depths)
+        assert diagnose(spec, "p", "e", iter((4, 8, 16))) == diagnose(spec, "p", "e", (4, 8, 16))
 
 
 def test_unknown_family_rejected():

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import freelip as fl
 from freelip import simplex
-from freelip.lipfun import AlphaTooLarge, BadAlpha, EmptySubset, MiddlePointExists
+from freelip.lipfun import AlphaTooLarge, BadAlpha, EmptySubset, MiddlePointExists, _closure
 from freelip.polytope import DimensionMismatch
-from freelip.space import FiniteMetricSpace, from_points
+from freelip.space import from_points
 from support import (
     CHAIN,
     EQUILATERAL,
@@ -343,8 +343,9 @@ def test_full_attainment_members_are_the_metric_segments(seed, n, kind):
 
 def _lazy_corpus():
     # Exact spaces, spaces with an injected midpoint and float spaces, each
-    # with a random base, so every base is p or q for some pairs. Some
-    # float spaces read as rationals break a triangle and raise LPFailure.
+    # with a random base, so every base is p or q for some pairs, then a
+    # snowflake and an l2 cloud. Some float spaces read as rationals break
+    # a triangle and raise LPFailure.
     rng = random.Random(2024)
     spaces = [random_exact_space(rng, n, base=rng.randrange(n)) for n in (2, 3, 4, 5, 6, 7, 5, 6)]
     for n in (4, 5, 6, 7):
@@ -352,6 +353,10 @@ def _lazy_corpus():
     for n in (3, 4, 5, 5, 5, 6, 6):
         spaces.append(random_float_space(rng, n, base=rng.randrange(n)))
     spaces.append(random_float_space(random.Random(1), 5))
+    # a snowflake and a planar l2 cloud with three collinear points
+    spaces.append(fl.holder_transform(random_exact_space(random.Random(7), 6), F(1, 2)))
+    cloud = [(0, 0), (1, 2), (2, 4), (5, 1), (-3, 2), (4, -4)]
+    spaces.append(from_points({f"x{i}": pt for i, pt in enumerate(cloud)}, "l2"))
     return spaces
 
 
@@ -392,32 +397,6 @@ def test_lazy_attainment_corpus_floats_equal_full(monkeypatch):
     assert pivots[0] == 0
 
 
-def _l2_cloud(rng, n):
-    points = set()
-    while len(points) < n:
-        points.add((rng.randint(-6, 6), rng.randint(-6, 6)))
-    return from_points({f"x{i}": pt for i, pt in enumerate(sorted(points))}, "l2")
-
-
-FLOAT_KINDS = {
-    "float": random_float_space,
-    "snowflake": lambda rng, n: fl.holder_transform(random_exact_space(rng, n), F(rng.randint(1, 9), 10)),
-    "l2": _l2_cloud,
-}
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 8), st.sampled_from(sorted(FLOAT_KINDS)))
-@example(seed=1, n=5, kind="float")  # the rational reading breaks a triangle
-def test_float_lazy_attainment_equals_full(seed, n, kind):
-    # The same members, interval values and order, or the same LPFailure
-    # text, for every ordered pair.
-    sp = FLOAT_KINDS[kind](random.Random(seed), n)
-    assert sp.mode == "float"
-    for p, q in permutations(range(n), 2):
-        assert _attainment_text(sp, p, q, "lazy") == _attainment_text(sp, p, q, "full")
-
-
 def test_closure_of_the_rational_reading():
     rng = random.Random(31)
     spaces = [random_float_space(rng, n) for n in range(2, 10) for _ in range(4)]
@@ -425,24 +404,13 @@ def test_closure_of_the_rational_reading():
     broken = 0
     for sp in spaces:
         unit, m = sp._int_matrix
+        c = _closure(sp)
         want = closure([[F(v) for v in row] for row in sp.dist])
-        assert [[F(v, unit) for v in row] for row in sp._closure] == want
-        broken += sp._closure != m
+        assert [[F(v, unit) for v in row] for row in c] == want
+        broken += c != m
     assert broken > 0  # some readings break a triangle, so the loop ran
     exact = random_exact_space(rng, 6)
-    assert exact._closure is exact._int_matrix[1]
-
-
-def test_closure_is_computed_once_per_space(monkeypatch):
-    calls = []
-    prop = FiniteMetricSpace.__dict__["_closure"]
-    func = prop.func
-    monkeypatch.setattr(prop, "func", lambda space: calls.append(space) or func(space))
-    sp = random_float_space(random.Random(5), 7)
-    for p, q in permutations(range(sp.n), 2):
-        for intervals in ("lazy", "full"):
-            _attainment_text(sp, p, q, intervals)
-    assert calls == [sp]
+    assert _closure(exact) is exact._int_matrix[1]
 
 
 def _count_tableaux(monkeypatch):
