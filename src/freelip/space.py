@@ -5,8 +5,14 @@ fractions.Fraction, so betweenness and alignment are literal equality
 tests. Float mode keeps binary floats and compares through a relative
 tolerance (default 1e-9 of the largest distance). Euclidean point clouds
 with rational coordinates additionally carry their coordinates, and
-alignment questions on them are decided exactly through collinearity,
-independent of floating-point rounding.
+alignment questions on them are decided exactly, independent of the
+tolerance. A certified float filter settles the clear cases: a third
+point whose float excess, on distances recomputed from the integer
+coordinates, lies above the rounding bound :data:`_ROUNDING_BOUND` times
+the sum of the three distances is not between the pair. The rest go to
+an exact collinearity test on the integers. The same bound lets
+:func:`from_points` skip the cubic triangle check of an l2 cloud, whose
+triangle inequality is a theorem.
 
 The quantities computed here are the raw material for the classification
 layer: the excess d(r,p) + d(r,q) - d(p,q) of a point over a pair, metric
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -31,6 +38,16 @@ EXACT = "exact"
 FLOAT = "float"
 
 DEFAULT_REL_TOL = 1e-9
+
+# K * u with K = 2**5 and u = 2**-53, the unit roundoff of a double. A
+# float l2 distance is the rounded square root of a rounded number, so it
+# is within 1.52u of the true distance, relatively, while that number is a
+# normal float. In float arithmetic on such distances, the excess of a
+# point that lies between p and q (true excess 0) comes out at most 2.54u
+# times the sum of its three distances, and a triangle deficit (true
+# deficit at most 0) at most 7.6u times the largest distance. K = 2**5
+# leaves a factor of four over both; CHANGES gives the derivation.
+_ROUNDING_BOUND = 2.0**-48
 
 
 class SpaceError(Exception):
@@ -122,7 +139,7 @@ class FiniteMetricSpace:
 
     @cached_property
     def _l2_between_for(self):
-        """The collinearity test of :func:`_l2_betweenness`, or None."""
+        """The filtered test of :func:`_l2_betweenness`, or None."""
         return _l2_betweenness(self)
 
     def num(self, v) -> Num:
@@ -170,9 +187,11 @@ class FiniteMetricSpace:
         """Does r lie (weakly) between p and q, i.e. excess(r;p,q) = 0?
 
         Exact spaces test the excess for zero. Float spaces test it
-        against :attr:`abs_tol`, except l2 point clouds, which decide by
-        the exact collinearity of :func:`_l2_betweenness`: the rule the
-        classifier kernel applies.
+        against :attr:`abs_tol`, except l2 point clouds, which take the
+        rule of :func:`_l2_betweenness`: a float excess above the rounding
+        bound :data:`_ROUNDING_BOUND` on the cloud's own distances means
+        no, and every other triple is decided by exact collinearity. It is
+        the rule the classifier kernel applies.
         """
         ri = self.index(r)
         pi, qi = self.pair(p, q)
@@ -215,6 +234,13 @@ def validate(
     type, or converts to an infinite or NaN float, as bad_entry.
     Entries that already have the mode's type are kept as they are.
     """
+    return _validated(matrix, labels, base, mode, rel_tol, coords, coord_norm, meta, triangles=True)
+
+
+def _validated(matrix, labels, base, mode, rel_tol, coords, coord_norm, meta, *, triangles: bool):
+    """:func:`validate`, with its cubic triangle check run only when
+    ``triangles`` is true; :func:`from_points` turns it off where the
+    rounding bound proves that the check finds nothing."""
     if mode not in (EXACT, FLOAT):
         raise ValidationError([Violation("bad_mode")])
     # a flag is no tolerance, and nan fails the comparison
@@ -271,19 +297,20 @@ def validate(
                 violations.append(Violation("negative", i=i, j=j))
             elif m[i][j] <= tol:
                 violations.append(Violation("zero_distance", i=i, j=j))
-    cols = list(zip(*m))
-    for i in range(n):
-        row = m[i]
-        for j in range(i + 1, n):
-            dij, col = row[j], cols[j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                deficit = dij - row[k] - col[k]
-                if deficit > tol:
-                    if unit is not None:
-                        deficit = Fraction(deficit, unit)
-                    violations.append(Violation("triangle", i=i, j=j, k=k, deficit=deficit))
+    if triangles:
+        cols = list(zip(*m))
+        for i in range(n):
+            row = m[i]
+            for j in range(i + 1, n):
+                dij, col = row[j], cols[j]
+                for k in range(n):
+                    if k == i or k == j:
+                        continue
+                    deficit = dij - row[k] - col[k]
+                    if deficit > tol:
+                        if unit is not None:
+                            deficit = Fraction(deficit, unit)
+                        violations.append(Violation("triangle", i=i, j=j, k=k, deficit=deficit))
     if violations:
         raise ValidationError(violations)
 
@@ -318,16 +345,35 @@ def from_points(
     """The validated space of labelled rational points under the norm
     "l2", "l1" or "linf", keeping the coordinates.
 
-    Distances are computed once for i < j, on the coordinates scaled to
-    integers over one denominator den. l1 and linf give an exact space,
-    sum or max |x - y| over den; l2 a float space of math.sqrt(S / den**2),
-    S the squared distance: the float root of the correctly rounded
-    quotient, so rounded twice, and at times one ulp from the correctly
-    rounded distance. ``rel_tol`` is l2's alone.
+    Coordinates are read through Fraction, as :func:`validate` reads
+    ``coords``; a coordinate that does not convert, or points of unequal
+    dimension, are refused at once as bad_entry. Distances are computed
+    once for i < j, on the coordinates scaled to integers over one
+    denominator den. l1 and linf give an exact space, sum or max |x - y|
+    over den; l2 a float space of math.sqrt(S / den**2), S the squared
+    distance: the float root of the correctly rounded quotient, so
+    rounded twice, and at times one ulp from the correctly rounded
+    distance. ``rel_tol`` is l2's alone.
+
+    The triangle inequality of l2 distances is a theorem, so an l2 cloud
+    skips the cubic triangle check of :func:`validate` where rounding
+    cannot make a float deficit exceed the tolerance: ``rel_tol`` at
+    least :data:`_ROUNDING_BOUND` (2**-48) and every quotient S / den**2
+    a normal float. Any other l2 cloud gets the full check. Either way
+    the result, or the violations raised, are those of the full check.
     """
     labels = list(points)
-    den, ints = _scaled_ints([points[lab] for lab in labels])
+    try:
+        rows = [[c if type(c) is Fraction else Fraction(c) for c in points[lab]] for lab in labels]
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError([Violation("bad_entry")]) from exc
+    if len({len(row) for row in rows}) > 1:
+        raise ValidationError([Violation("bad_entry")])
+    den, ints = _scaled_ints(rows)
     exact = norm != "l2"
+    den2 = den * den
+    # true while the rounding bound covers every triangle deficit of the floats
+    certified = not exact and isinstance(rel_tol, Real) and rel_tol >= _ROUNDING_BOUND
     matrix = [[Fraction(0) if exact else 0.0] * len(ints) for _ in ints]
     for i, u in enumerate(ints):
         for j in range(i + 1, len(ints)):
@@ -336,14 +382,17 @@ def from_points(
                 v = Fraction(sum(diff) if norm == "l1" else max(diff, default=0), den)
             else:
                 try:
-                    v = math.sqrt(sum(x * x for x in diff) / den**2)
+                    quotient = sum(x * x for x in diff) / den2
                 except OverflowError:
-                    v = math.inf  # past the float range: validate's bad_entry
+                    quotient = math.inf  # past the float range: validate's bad_entry
+                if quotient < sys.float_info.min:
+                    certified = False  # zero or subnormal: no relative bound
+                v = math.sqrt(quotient)
             matrix[i][j] = matrix[j][i] = v
-    return validate(
-        matrix, labels, base=base, mode=EXACT if exact else FLOAT,
-        rel_tol=DEFAULT_REL_TOL if exact else rel_tol,
-        coords=points, coord_norm=norm, meta=meta,
+    return _validated(
+        matrix, labels, base, EXACT if exact else FLOAT,
+        DEFAULT_REL_TOL if exact else rel_tol,
+        {str(lab): row for lab, row in zip(labels, rows)}, norm, meta, triangles=not certified,
     )
 
 
@@ -534,9 +583,11 @@ def _scan_pairs(
     tested against nothing more. An eps grid that is given is read once,
     and :func:`_least_excess` finds its minima. A third point is between
     p and q when its excess is at most :attr:`FiniteMetricSpace.abs_tol`,
-    except on an l2 point cloud, where the exact collinearity test of
-    :func:`_l2_betweenness` decides, as in
-    :meth:`FiniteMetricSpace.is_between`.
+    except on an l2 point cloud, where :func:`_l2_betweenness` decides,
+    as in :meth:`FiniteMetricSpace.is_between`: its certified float
+    filter answers no for a point whose excess is above the rounding
+    bound, and its exact collinearity test answers for the rest, and
+    wherever the filter's floats leave the float range.
 
     Exact spaces are scanned as integers over the common denominator of
     their distances, where the tolerance is 0: ratios compare by
@@ -653,29 +704,61 @@ def _l2_betweenness(space: FiniteMetricSpace):
     space, where r is between p and q when its excess is at most the
     absolute tolerance.
 
-    The test is collinearity on integer-scaled coordinates (l2 is
-    strictly convex, so metric and linear betweenness coincide).
+    The rule is a certified float filter in front of an exact test. Its
+    floats a, b and c are math.sqrt(S) of the integer squared distances
+    S from r to p, r to q and p to q on the integer-scaled coordinates,
+    computed here once per space and never read from ``space.dist``,
+    which :func:`validate` takes from its caller. A point r whose float
+    excess a + b - c is above :data:`_ROUNDING_BOUND` times a + b + c is
+    not between p and q: if it were, its true excess would be 0 and the
+    float one at most 2.54 * 2**-53 times that sum. Every other point
+    goes to :func:`_l2_collinear`, which decides (l2 is strictly convex,
+    so metric and linear betweenness coincide). A root is math.inf where
+    S is 0 (coinciding points) or past the float range; every comparison
+    with it is false, so those triples get the exact test, as do all
+    triples of a cloud whose points differ in dimension. A root is
+    never subnormal, since S is a positive integer.
     """
     if space.mode != FLOAT or space.coords is None or space.coord_norm != "l2":
         return None
     _, pts = _scaled_ints(space.coords)
     dims = len(pts[0]) if pts else 0
     minors = [(a, b) for a in range(dims) for b in range(a + 1, dims)]
+    roots = [[math.inf] * len(pts) for _ in pts]
+    if all(len(x) == dims for x in pts):
+        for i, x in enumerate(pts):
+            for j in range(i + 1, len(pts)):
+                square = sum((s - t) ** 2 for s, t in zip(x, pts[j]))
+                try:
+                    root = math.sqrt(square) if square else math.inf
+                except OverflowError:
+                    root = math.inf
+                roots[i][j] = roots[j][i] = root
 
     def between_for(p, q):
-        origin = pts[p]
-        v = [y - x for x, y in zip(origin, pts[q])]
-        vv = sum(x * x for x in v)
+        root_p, root_q = roots[p], roots[q]
+        c = root_p[q]
 
         def between(r):
-            w = [y - x for x, y in zip(origin, pts[r])]
-            if any(w[a] * v[b] != w[b] * v[a] for a, b in minors):
+            s = root_p[r] + root_q[r]
+            if s - c > _ROUNDING_BOUND * (s + c):
                 return False
-            return 0 <= sum(x * y for x, y in zip(w, v)) <= vv
+            return _l2_collinear(minors, pts[p], pts[q], pts[r])
 
         return between
 
     return between_for
+
+
+def _l2_collinear(minors, p, q, r) -> bool:
+    """Exact: does the integer point r lie on the segment from p to q?
+    With v = q - p and w = r - p, every 2x2 minor (a, b) of w against v
+    is zero and 0 <= w.v <= v.v."""
+    v = [y - x for x, y in zip(p, q)]
+    w = [y - x for x, y in zip(p, r)]
+    if any(w[a] * v[b] != w[b] * v[a] for a, b in minors):
+        return False
+    return 0 <= sum(x * y for x, y in zip(w, v)) <= sum(x * x for x in v)
 
 
 def holder_transform(space: FiniteMetricSpace, alpha) -> FiniteMetricSpace:

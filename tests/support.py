@@ -537,18 +537,23 @@ def reference_pivot(tab: list[list[int]], den: list[int], basis: list[int], pr: 
     basis[pr] = pc
 
 
-def count_pivots(monkeypatch) -> list[int]:
-    """Count the calls of ``freelip.simplex._pivot`` for the rest of the
-    test; the count is the one item of the returned list."""
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Count the calls of ``module.name`` for the rest of the test; the
+    count is the one item of the returned list."""
     calls = [0]
-    pivot = simplex._pivot
+    fn = getattr(module, name)
 
     def counting(*args):
         calls[0] += 1
-        return pivot(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(simplex, "_pivot", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_pivots(monkeypatch) -> list[int]:
+    """Count the calls of ``freelip.simplex._pivot``, as :func:`count_calls`."""
+    return count_calls(monkeypatch, simplex, "_pivot")
 
 
 def reference_is_vertex(space, p, q):

@@ -29,6 +29,7 @@ from freelip.formats import number_to_json
 from freelip.space import SpaceError, _default_eps_grid, _scan_pairs
 from support import (
     CHAIN,
+    _linearly_between,
     brute_force_aligned_triples,
     brute_force_classify_pair,
     brute_force_is_between,
@@ -37,6 +38,7 @@ from support import (
     brute_force_modulus,
     brute_force_strict_middles,
     closure,
+    count_calls,
     highprec_excess,
     inject_midpoint,
     labels_for,
@@ -365,6 +367,106 @@ def test_l2_near_collinear_point():
 def test_spiral_and_l2_family():
     assert_kernel_matches(fl.gen_planar_spiral(F(1, 2), 5, seed=3))
     assert_kernel_matches(fl.gen_l2_nonholder(None, None, 6))
+
+
+# -- the certified float filter of l2 clouds -----------------------------
+
+
+def assert_filter_is_exact(space):
+    """The filtered test equals the exact reference on every (r, p, q)."""
+    between_for = space._l2_between_for
+    for p, q in permutations(range(space.n), 2):
+        between = between_for(p, q)
+        for r in range(space.n):
+            if r != p and r != q:
+                want = _linearly_between(space.coords, r, p, q)
+                assert between(r) == want, (space.labels[r], space.labels[p], space.labels[q])
+
+
+_coordinate = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def filter_clouds(draw):
+    """Rational clouds of 1 to 4 dimensions with points on, and 1/den off,
+    segments of others, den up to 10**100, scaled by 1, by 2**-520
+    (distances below 2**-511) or by (10**200 + 1) / 10**200 (squared
+    distances past the float range). The matrix is a placeholder: the
+    filter computes its own distances from the coordinates."""
+    dims = draw(st.integers(1, 4))
+    point = st.tuples(*[_coordinate] * dims)
+    base = draw(st.lists(point, min_size=2, max_size=5, unique=True))
+    pts = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        p, q = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        t = draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(-1, 2), F(3, 2)]))
+        den = 10 ** draw(st.integers(0, 100))
+        off = draw(st.tuples(*[st.integers(-1, 1)] * dims))
+        pts.append(tuple(a + t * (b - a) + F(o, den) for a, b, o in zip(p, q, off)))
+    scale = draw(st.sampled_from([F(1), F(1, 2**520), F(10**200 + 1, 10**200)]))
+    pts = list(dict.fromkeys(tuple(c * scale for c in pt) for pt in pts))
+    n = len(pts)
+    matrix = [[0.0 if i == j else 1.0 for j in range(n)] for i in range(n)]
+    labels = labels_for(n)
+    return fl.validate(matrix, labels, mode="float", coords=dict(zip(labels, pts)), coord_norm="l2")
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(filter_clouds())
+def test_l2_filter_equals_the_exact_betweenness(space):
+    assert_filter_is_exact(space)
+
+
+def test_l2_filter_leaves_coinciding_points_to_the_exact_test():
+    # validate takes coordinates as given, and two labels may share one
+    # point; the filter has no bound there, and the exact test answers
+    # as it did before the filter: every point lies between two that
+    # coincide, and a point between itself and any other
+    coords = {"p": [0, 0], "q": [0, 0], "r": [3, 4], "s": [3, 4], "t": [6, 8]}
+    matrix = [[0.0 if i == j else 1.0 for j in range(5)] for i in range(5)]
+    space = fl.validate(matrix, list(coords), mode="float", coords=coords, coord_norm="l2")
+    assert space.is_between("r", "p", "q") and space.is_between("t", "r", "s")
+    assert space.is_between("r", "s", "p") and space.is_between("r", "s", "t")
+    assert not space.is_between("p", "r", "t")
+
+
+def grid_cloud():
+    """The 3 x 3 integer grid under l2: eight aligned triples."""
+    return fl.space_from_dict({"points": {f"g{i}{j}": [i, j] for i in range(3) for j in range(3)}})
+
+
+L2_SPACES = {
+    "spiral 4": lambda: fl.gen_planar_spiral(F(1, 2), 4, seed=0),
+    "spiral 6": lambda: fl.gen_planar_spiral(F(1, 2), 6, seed=0),
+    "spiral 8": lambda: fl.gen_planar_spiral(F(1, 2), 8, seed=0),
+    "l2 8": lambda: fl.gen_l2_nonholder(None, None, 8),
+    "l2 16": lambda: fl.gen_l2_nonholder(None, None, 16),  # sixteen dimensions
+    "grid": grid_cloud,
+}
+
+
+@pytest.mark.parametrize("name", L2_SPACES)
+def test_l2_filter_on_the_families_and_a_grid(name):
+    assert_filter_is_exact(L2_SPACES[name]())
+
+
+# The exact collinearity tests that classify_all runs. Before the filter
+# it ran one for every third point of every pair: 360, 1,092, 2,448 and
+# 252 on the families, 4,152 in all, and 252 on the grid. Now only points
+# whose float excess is within the rounding bound get one.
+COLLINEAR_LEDGER = {"spiral 4": 0, "spiral 6": 0, "spiral 8": 0, "l2 8": 0, "grid": 8}
+
+
+def test_collinearity_ledger(monkeypatch):
+    spaces = {name: L2_SPACES[name]() for name in COLLINEAR_LEDGER}
+    calls = count_calls(monkeypatch, fl.space, "_l2_collinear")
+    counts = {}
+    for name, space in spaces.items():
+        calls[0] = 0
+        fl.classify_all(space)
+        counts[name] = calls[0]
+    assert counts == COLLINEAR_LEDGER
 
 
 def test_c0_family():

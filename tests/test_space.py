@@ -12,7 +12,7 @@ import freelip as fl
 from freelip.space import (
     BadExponent, BadGrid, SamePoint, UnknownLabel, ValidationError, from_points,
 )
-from support import CHAIN, EQUILATERAL, random_exact_space, scaled
+from support import CHAIN, EQUILATERAL, random_exact_space, reference_cloud_matrix, scaled
 
 
 # -- validation ----------------------------------------------------------
@@ -201,6 +201,80 @@ def test_from_points_refuses_a_nan_tolerance():
     with pytest.raises(ValidationError) as err:
         from_points(cloud, rel_tol=math.nan)
     assert [v.kind for v in err.value.violations] == ["bad_tolerance"]
+
+
+# unequal dimensions were cut short by zip, so the space validated and
+# classify_all raised IndexError; float and str coordinates raised
+# AttributeError on their missing denominator
+@pytest.mark.parametrize("points", [
+    {"a": [0, 0], "b": [3], "c": [0, 4]},
+    {"a": ["x", 0], "b": [1, 1]},
+    {"a": [None, 0], "b": [1, 1]},
+    {"a": [math.nan, 0], "b": [1, 1]},
+    {"a": [math.inf, 0], "b": [1, 1]},
+    {"a": 3, "b": [1]},
+])
+@pytest.mark.parametrize("norm", ["l2", "l1"])
+def test_from_points_refuses_bad_coordinates(points, norm):
+    with pytest.raises(ValidationError) as err:
+        from_points(points, norm)
+    assert [v.kind for v in err.value.violations] == ["bad_entry"]
+
+
+@pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
+def test_from_points_reads_coordinates_through_fraction(norm):
+    want = from_points({"a": (F(1, 2), F(0)), "b": (F(1, 3), F(1)), "c": (F(2), F(3))}, norm)
+    got = from_points({"a": (0.5, 0), "b": ("1/3", 1), "c": (2, "3")}, norm)
+    assert (got.dist, got.coords) == (want.dist, want.coords)
+
+
+def _cloud_matrix(points):
+    """from_points' l2 floats, past the float range as math.inf."""
+    try:
+        return reference_cloud_matrix(points)
+    except OverflowError:
+        return [[math.inf if a != b else 0.0 for b in points] for a in points]
+
+
+def _outcome(build):
+    try:
+        sp = build()
+    except ValidationError as exc:
+        return exc.violations
+    return sp.labels, sp.base_index, sp.dist, sp.mode, sp.rel_tol, sp.coords, sp.coord_norm
+
+
+_unit = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def near_duplicate_clouds(draw):
+    """Planar clouds at a scale of 1, 2**-520 (distances below 2**-511)
+    or 10**200 (squares past the float range), with points 10**-k off
+    others."""
+    pts = draw(st.lists(st.tuples(_unit, _unit), min_size=2, max_size=6, unique=True))
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.sampled_from(pts))
+        k = draw(st.integers(1, 20))
+        pts.append((x + F(draw(st.sampled_from([-1, 1])), 10**k), y))
+    scale = draw(st.sampled_from([F(1), F(1, 2**520), F(10**200)]))
+    return {f"x{i}": (x * scale, y * scale) for i, (x, y) in enumerate(dict.fromkeys(pts))}
+
+
+# the rounding bound that lets an l2 cloud skip the triangle check
+BOUND = 2.0**-48
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_duplicate_clouds(), st.sampled_from([0, 1e-17, BOUND, 1e-9]))
+def test_from_points_equals_the_full_validation(points, rel_tol):
+    # from_points skips the cubic triangle check where the rounding bound
+    # proves it finds nothing; the full check must agree
+    full = _outcome(lambda: fl.validate(
+        _cloud_matrix(points), list(points), mode="float", rel_tol=rel_tol,
+        coords=points, coord_norm="l2",
+    ))
+    assert _outcome(lambda: from_points(points, rel_tol=rel_tol)) == full
 
 
 def test_validate_accepts_a_zero_tolerance():
