@@ -331,17 +331,13 @@ def _path_intervals(space: FiniteMetricSpace, pi: int, qi: int):
     D(x,y) once the arc p -> q is negated. A shortest simple path takes
     that arc at most once, and its parts before p and after q are paths
     of the plain shortest-path closure c (:func:`_closure`). So
-    D(x,y) = min(c(x,y), c(x,p) - d(p,q) + c(q,y)), and the polytope is
-    empty exactly when c(q,p) < d(p,q). The interval of phi(f,x,y) is
-    [-D(x,y), D(y,x)] over d(x,y), in the space's number mode; the values
-    equal the LP's.
+    D(x,y) = min(c(x,y), c(x,p) - d(p,q) + c(q,y)), with d(p,q) read off
+    c, so c(q,p) = d(p,q) and the polytope is never empty. The interval
+    of phi(f,x,y) is [-D(x,y), D(y,x)] over the raw d(x,y), in the
+    space's number mode; the values equal the LP's.
     """
     m, c = space._int_matrix[1], _closure(space)
-    d = m[pi][qi]
-    if c[qi][pi] < d:
-        raise simplex.LPFailure(
-            f"attainment LP ended {simplex.INFEASIBLE}; the polytope is never empty"
-        )
+    d = c[pi][qi]
     num, to_p, from_q = space.num, [row[pi] - d for row in c], c[qi]
     return lambda i, j: (
         num(Fraction(-min(c[i][j], to_p[i] + from_q[j]), m[i][j])),

@@ -12,7 +12,8 @@ coordinates, lies above the rounding bound :data:`_ROUNDING_BOUND` times
 the sum of the three distances is not between the pair. The rest go to
 an exact collinearity test on the integers. The same bound lets
 :func:`from_points` skip the cubic triangle check of an l2 cloud, whose
-triangle inequality is a theorem.
+triangle inequality is a theorem. Coordinates have one reader, and the
+filter reads the squared distances that :func:`from_points` computed.
 
 The quantities computed here are the raw material for the classification
 layer: the excess d(r,p) + d(r,q) - d(p,q) of a point over a pair, metric
@@ -36,6 +37,7 @@ Num = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
+_NORMS = ("l2", "l1", "linf")
 
 DEFAULT_REL_TOL = 1e-9
 
@@ -75,8 +77,8 @@ class Violation:
     """One violated metric axiom, with the witnessing indices."""
 
     kind: str  # not_square | bad_labels | bad_base | bad_mode | bad_tolerance |
-    #            asymmetric | negative | nonzero_diagonal | zero_distance |
-    #            triangle | bad_entry
+    #            bad_norm | asymmetric | negative | nonzero_diagonal |
+    #            zero_distance | triangle | bad_entry
     i: int | None = None
     j: int | None = None
     k: int | None = None
@@ -136,6 +138,12 @@ class FiniteMetricSpace:
         if self.mode == EXACT:
             return _scaled_ints(self.dist)
         return _scaled_ints([[Fraction(v) for v in row] for row in self.dist])
+
+    @cached_property
+    def _l2_squares(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The integer-scaled points and their squared distances; from_points seeds them."""
+        _, pts = _scaled_ints(self.coords)
+        return pts, _squared_distances(pts)
 
     @cached_property
     def _l2_between_for(self):
@@ -230,24 +238,30 @@ def validate(
     index of a point (a bool or a float is no index) is reported as
     bad_base. A mode other than "exact" or "float" is rejected at once
     as bad_mode, a rel_tol that is not a finite number at least 0 as
-    bad_tolerance, and an entry that does not convert to the mode's
+    bad_tolerance, a coord_norm other than None, "l2", "l1" or "linf"
+    as bad_norm, and an entry that does not convert to the mode's
     type, or converts to an infinite or NaN float, as bad_entry.
-    Entries that already have the mode's type are kept as they are.
+    Entries that already have the mode's type are kept as they are, and
+    ``coords`` are read, and refused, as :func:`from_points` reads points.
     """
-    return _validated(matrix, labels, base, mode, rel_tol, coords, coord_norm, meta, triangles=True)
+    if coord_norm is not None and coord_norm not in _NORMS:
+        raise ValidationError([Violation("bad_norm")])
+    labels = tuple(str(x) for x in labels)
+    points = None if coords is None else _read_points(coords, labels)
+    return _validated(matrix, labels, base, mode, rel_tol, points, coord_norm, meta, triangles=True)
 
 
-def _validated(matrix, labels, base, mode, rel_tol, coords, coord_norm, meta, *, triangles: bool):
-    """:func:`validate`, with its cubic triangle check run only when
-    ``triangles`` is true; :func:`from_points` turns it off where the
-    rounding bound proves that the check finds nothing."""
+def _validated(matrix, labels, base, mode, rel_tol, points, coord_norm, meta, *,
+               triangles: bool, squares=None):
+    """:func:`validate` on read labels and coordinates, its cubic triangle
+    check run only if ``triangles``; :func:`from_points` turns it off where
+    the rounding bound proves it finds nothing, and seeds ``squares``."""
     if mode not in (EXACT, FLOAT):
         raise ValidationError([Violation("bad_mode")])
     # a flag is no tolerance, and nan fails the comparison
     if isinstance(rel_tol, bool) or not (isinstance(rel_tol, Real) and 0 <= rel_tol < math.inf):
         raise ValidationError([Violation("bad_tolerance")])
     violations: list[Violation] = []
-    labels = tuple(str(x) for x in labels)
     n = len(labels)
     if len(set(labels)) != n or n == 0:
         violations.append(Violation("bad_labels"))
@@ -314,24 +328,20 @@ def _validated(matrix, labels, base, mode, rel_tol, coords, coord_norm, meta, *,
     if violations:
         raise ValidationError(violations)
 
-    frozen_coords = None
-    if coords is not None:
-        frozen_coords = tuple(
-            tuple(Fraction(c) for c in coords[lab]) for lab in labels
-        )
     space = FiniteMetricSpace(
         labels=labels,
         base_index=base_index,
         dist=d,
         mode=mode,
         rel_tol=rel_tol,
-        coords=frozen_coords,
+        coords=points,
         coord_norm=coord_norm,
         meta=dict(meta) if meta else {},
     )
-    if unit is not None:
-        # the checked integer matrix becomes the space's cached one
+    if unit is not None:  # the checked integer matrix becomes the cached one
         space.__dict__["_int_matrix"] = (unit, m)
+    if squares is not None:
+        space.__dict__["_l2_squares"] = squares
     return space
 
 
@@ -345,15 +355,14 @@ def from_points(
     """The validated space of labelled rational points under the norm
     "l2", "l1" or "linf", keeping the coordinates.
 
-    Coordinates are read through Fraction, as :func:`validate` reads
-    ``coords``; a coordinate that does not convert, or points of unequal
-    dimension, are refused at once as bad_entry. Distances are computed
-    once for i < j, on the coordinates scaled to integers over one
-    denominator den. l1 and linf give an exact space, sum or max |x - y|
-    over den; l2 a float space of math.sqrt(S / den**2), S the squared
-    distance: the float root of the correctly rounded quotient, so
-    rounded twice, and at times one ulp from the correctly rounded
-    distance. ``rel_tol`` is l2's alone.
+    Another norm is refused at once as bad_norm, and the points as
+    bad_entry where :func:`_read_points` refuses them. Distances are
+    computed once for i < j, on the coordinates scaled to integers over
+    one denominator den. l1 and linf give an exact space, sum or max
+    |x - y| over den; l2 a float space of math.sqrt(S / den**2), S the
+    squared distance, which the space keeps: the float root of the
+    correctly rounded quotient, so rounded twice, and at times one ulp
+    from the correctly rounded distance. ``rel_tol`` is l2's alone.
 
     The triangle inequality of l2 distances is a theorem, so an l2 cloud
     skips the cubic triangle check of :func:`validate` where rounding
@@ -362,27 +371,24 @@ def from_points(
     a normal float. Any other l2 cloud gets the full check. Either way
     the result, or the violations raised, are those of the full check.
     """
-    labels = list(points)
-    try:
-        rows = [[c if type(c) is Fraction else Fraction(c) for c in points[lab]] for lab in labels]
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError([Violation("bad_entry")]) from exc
-    if len({len(row) for row in rows}) > 1:
-        raise ValidationError([Violation("bad_entry")])
+    if norm not in _NORMS:
+        raise ValidationError([Violation("bad_norm")])
+    rows = _read_points(points, list(points))
     den, ints = _scaled_ints(rows)
     exact = norm != "l2"
+    squares = None if exact else _squared_distances(ints)
     den2 = den * den
     # true while the rounding bound covers every triangle deficit of the floats
     certified = not exact and isinstance(rel_tol, Real) and rel_tol >= _ROUNDING_BOUND
     matrix = [[Fraction(0) if exact else 0.0] * len(ints) for _ in ints]
     for i, u in enumerate(ints):
         for j in range(i + 1, len(ints)):
-            diff = [abs(x - y) for x, y in zip(u, ints[j])]
             if exact:
+                diff = [abs(x - y) for x, y in zip(u, ints[j])]
                 v = Fraction(sum(diff) if norm == "l1" else max(diff, default=0), den)
             else:
                 try:
-                    quotient = sum(x * x for x in diff) / den2
+                    quotient = squares[i][j] / den2
                 except OverflowError:
                     quotient = math.inf  # past the float range: validate's bad_entry
                 if quotient < sys.float_info.min:
@@ -390,10 +396,37 @@ def from_points(
                 v = math.sqrt(quotient)
             matrix[i][j] = matrix[j][i] = v
     return _validated(
-        matrix, labels, base, EXACT if exact else FLOAT,
-        DEFAULT_REL_TOL if exact else rel_tol,
-        {str(lab): row for lab, row in zip(labels, rows)}, norm, meta, triangles=not certified,
+        matrix, tuple(str(lab) for lab in points), base, EXACT if exact else FLOAT,
+        DEFAULT_REL_TOL if exact else rel_tol, rows, norm, meta,
+        triangles=not certified, squares=None if exact else (ints, squares),
     )
+
+
+def _read_points(points: Mapping, labels: Sequence) -> tuple[tuple[Fraction, ...], ...]:
+    """Each label's point, its coordinates read through Fraction; bad_entry
+    for a missing label, a point that is a str or no sequence, a coordinate
+    that does not convert, and points of unequal dimension."""
+    rows = []
+    try:
+        for lab in labels:
+            point = points[lab]
+            if isinstance(point, str) or not isinstance(point, Sequence):
+                raise TypeError(f"point {lab!r} is no sequence of coordinates")
+            rows.append(tuple(c if type(c) is Fraction else Fraction(c) for c in point))
+    except (LookupError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError([Violation("bad_entry")]) from exc
+    if len({len(row) for row in rows}) > 1:
+        raise ValidationError([Violation("bad_entry")])
+    return tuple(rows)
+
+
+def _squared_distances(pts: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer squared l2 distances between integer points."""
+    squares = [[0] * len(pts) for _ in pts]
+    for i, x in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            squares[i][j] = squares[j][i] = sum((s - t) ** 2 for s, t in zip(x, pts[j]))
+    return squares
 
 
 # -- elementary quantities ---------------------------------------------
@@ -707,33 +740,30 @@ def _l2_betweenness(space: FiniteMetricSpace):
     The rule is a certified float filter in front of an exact test. Its
     floats a, b and c are math.sqrt(S) of the integer squared distances
     S from r to p, r to q and p to q on the integer-scaled coordinates,
-    computed here once per space and never read from ``space.dist``,
-    which :func:`validate` takes from its caller. A point r whose float
-    excess a + b - c is above :data:`_ROUNDING_BOUND` times a + b + c is
-    not between p and q: if it were, its true excess would be 0 and the
-    float one at most 2.54 * 2**-53 times that sum. Every other point
-    goes to :func:`_l2_collinear`, which decides (l2 is strictly convex,
-    so metric and linear betweenness coincide). A root is math.inf where
-    S is 0 (coinciding points) or past the float range; every comparison
-    with it is false, so those triples get the exact test, as do all
-    triples of a cloud whose points differ in dimension. A root is
-    never subnormal, since S is a positive integer.
+    which the space keeps (:attr:`FiniteMetricSpace._l2_squares`), never
+    from ``space.dist``, which :func:`validate` takes from its caller. A
+    point r whose float excess a + b - c is above :data:`_ROUNDING_BOUND`
+    times a + b + c is not between p and q: if it were, its true excess
+    would be 0 and the float one at most 2.54 * 2**-53 times that sum.
+    Every other point goes to :func:`_l2_collinear`, which decides (l2 is
+    strictly convex, so metric and linear betweenness coincide). A root
+    is math.inf where S is 0 (coinciding points) or past the float range;
+    every comparison with it is false, so those triples get the exact
+    test. A root is never subnormal, since S is a positive integer.
     """
     if space.mode != FLOAT or space.coords is None or space.coord_norm != "l2":
         return None
-    _, pts = _scaled_ints(space.coords)
+    pts, squares = space._l2_squares
     dims = len(pts[0]) if pts else 0
     minors = [(a, b) for a in range(dims) for b in range(a + 1, dims)]
     roots = [[math.inf] * len(pts) for _ in pts]
-    if all(len(x) == dims for x in pts):
-        for i, x in enumerate(pts):
-            for j in range(i + 1, len(pts)):
-                square = sum((s - t) ** 2 for s, t in zip(x, pts[j]))
-                try:
-                    root = math.sqrt(square) if square else math.inf
-                except OverflowError:
-                    root = math.inf
-                roots[i][j] = roots[j][i] = root
+    for i, row in enumerate(squares):
+        for j in range(i + 1, len(row)):
+            try:
+                root = math.sqrt(row[j]) if row[j] else math.inf
+            except OverflowError:
+                root = math.inf
+            roots[i][j] = roots[j][i] = root
 
     def between_for(p, q):
         root_p, root_q = roots[p], roots[q]

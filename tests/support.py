@@ -39,7 +39,7 @@ from mpmath import mp
 
 from freelip import simplex, validate
 from freelip.classify import PairVerdict, _notes
-from freelip.lipfun import Num
+from freelip.lipfun import Num, _closure
 from freelip.polytope import _lip_ball_rows
 from freelip.space import (
     EXACT,
@@ -599,20 +599,20 @@ def reference_is_vertex(space, p, q):
 class _AttainmentLP:
     """Shared LP scaffolding for one attainment-set computation.
 
-    Works in the shifted variable g = f - h where h(x) = d(x,q) - d(e,q),
-    a feasible point; the equality phi(f,p,q) = 1 then merges g(p) and
-    g(q) into one variable and every right-hand side becomes nonnegative,
-    so each bound is a single phase-two run on the one tableau built here.
+    Works in the shifted variable g = f - h where h(x) = c(x,q) - c(e,q),
+    c the shortest-path closure (``freelip.lipfun._closure``) that the
+    library reads the pair distance from; h is feasible, and on an exact
+    space c is the matrix itself. The equality phi(f,p,q) = 1 then merges
+    g(p) and g(q) into one variable and every right-hand side becomes
+    nonnegative, so each bound is a single phase-two run on the one
+    tableau built here.
     """
 
     def __init__(self, space: FiniteMetricSpace, pi: int, qi: int):
         self.space = space
-        self.pi, self.qi = pi, qi
         e = space.base_index
-        self.h = tuple(
-            Fraction(space.dist[x][qi]) - Fraction(space.dist[e][qi])
-            for x in range(space.n)
-        )
+        unit, c = space._int_matrix[0], _closure(space)
+        self.h = tuple(Fraction(c[x][qi] - c[e][qi], unit) for x in range(space.n))
         # variable ids: one per non-base point, p and q shared; None = fixed 0
         var_of: list[int | None] = [None] * space.n
         nv = 0
@@ -634,14 +634,6 @@ class _AttainmentLP:
         self.nv = nv
         a_ub, b_ub = _lip_ball_rows(space, var_of, nv, self.h)
         self.lp = simplex.Tableau(nv, a_ub, b_ub, free=True)
-        self.last_witnesses: list[tuple[Num, ...]] = []
-
-    def _to_f(self, g: Sequence[Fraction]) -> tuple[Num, ...]:
-        vals = []
-        for x in range(self.space.n):
-            gx = Fraction(0) if self.var_of[x] is None else g[self.var_of[x]]
-            vals.append(gx + self.h[x])
-        return tuple(map(self.space.num, vals))
 
     def interval(self, i: int, j: int) -> tuple[Num, Num]:
         c = [Fraction(0)] * self.nv
@@ -651,7 +643,6 @@ class _AttainmentLP:
             c[self.var_of[j]] -= 1
         d = Fraction(self.space.dist[i][j])
         dh = self.h[i] - self.h[j]
-        self.last_witnesses = []
         bounds = []
         for maximize in (False, True):
             res = self.lp.solve(c, maximize)
@@ -660,26 +651,14 @@ class _AttainmentLP:
                     f"attainment LP ended {res.status}; the polytope is never empty"
                 )
             bounds.append((res.objective + dh) / d)
-            self.last_witnesses.append(self._to_f(res.x))
         return tuple(map(self.space.num, bounds))
-
-    def h_primary(self) -> tuple[Num, ...]:
-        return tuple(map(self.space.num, self.h))
-
-    def h_secondary(self) -> tuple[Num, ...]:
-        space, e = self.space, self.space.base_index
-        return tuple(
-            space.num(-Fraction(space.dist[x][self.pi]) + Fraction(space.dist[e][self.pi]))
-            for x in range(space.n)
-        )
 
 
 def reference_full_attainment(space, p, q):
     """``attainment_set(space, p, q, intervals="full")`` as two exact LPs
     per candidate pair on the shared attainment tableau
     (:class:`_AttainmentLP`). The library reads the same intervals in
-    closed form and must return an equal set, or raise the same
-    ``LPFailure`` when the polytope is empty."""
+    closed form and must return an equal set."""
     from freelip.lipfun import AttainmentSet
 
     pi, qi = space.index(p), space.index(q)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import freelip
-from freelip import cli
+from freelip import cli, lipfun, simplex
 from freelip.cli import main
 from cli_corpus import run_corpus
 from support import random_float_space
@@ -442,16 +442,31 @@ def test_attainment_equilateral(tmp_path, capsys):
     assert payload["members"] == [["a", "b"], ["b", "a"]]
 
 
-def test_attainment_lp_failure_is_one_error_line(tmp_path, capsys):
+def test_float_attainment_reads_the_closure(tmp_path, capsys):
     # The float space passes validation, but read as exact rationals its
-    # distances break a triangle by one ulp, so the attainment polytope of
-    # (x0, x3) is empty (ROADMAP item 3); the CLI reports it, no traceback.
+    # distances break a triangle by one ulp; attainment reads d(x0,x3) off
+    # the closure, so the polytope is not empty and both modes agree.
     space = random_float_space(random.Random(1), 5)
     path = write(tmp_path, "float.json", freelip.space_to_dict(space))
+    payloads = []
     for intervals in ("lazy", "full"):
         code, out, err = run(capsys, "attainment", path, "x0", "x3", "--intervals", intervals, "--json")
-        assert code == 1 and out == ""
-        assert err == "error: attainment LP ended infeasible; the polytope is never empty\n"
+        assert code == 0 and err == ""
+        payloads.append(json.loads(out)["payload"])
+    assert payloads[0] == payloads[1]
+    assert ["x0", "x3"] in payloads[0]["members"] and ["x3", "x0"] in payloads[0]["members"]
+
+
+def test_attainment_lp_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # an LP that fails is reported on one error line, with no traceback
+    def failing(*args, **kwargs):
+        raise simplex.LPFailure("attainment LP ended infeasible; the polytope is never empty")
+
+    monkeypatch.setattr(lipfun, "attainment_set", failing)
+    path = write(tmp_path, "sp.json", VALID_SPACE)
+    code, out, err = run(capsys, "attainment", path, "a", "b", "--json")
+    assert code == 1 and out == ""
+    assert err == "error: attainment LP ended infeasible; the polytope is never empty\n"
 
 
 def test_diagnose_spiral_flags(capsys):

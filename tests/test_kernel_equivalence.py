@@ -373,14 +373,20 @@ def test_spiral_and_l2_family():
 
 
 def assert_filter_is_exact(space):
-    """The filtered test equals the exact reference on every (r, p, q)."""
-    between_for = space._l2_between_for
-    for p, q in permutations(range(space.n), 2):
-        between = between_for(p, q)
-        for r in range(space.n):
-            if r != p and r != q:
-                want = _linearly_between(space.coords, r, p, q)
-                assert between(r) == want, (space.labels[r], space.labels[p], space.labels[q])
+    """The filtered test equals the exact reference on every (r, p, q),
+    both on the space and on a copy without the squared distances that
+    from_points may have seeded, which computes its own."""
+    copy = dataclasses.replace(space)
+    assert "_l2_squares" not in copy.__dict__
+    assert copy._l2_squares == space._l2_squares
+    for sp in (space, copy):
+        between_for = sp._l2_between_for
+        for p, q in permutations(range(sp.n), 2):
+            between = between_for(p, q)
+            for r in range(sp.n):
+                if r != p and r != q:
+                    want = _linearly_between(sp.coords, r, p, q)
+                    assert between(r) == want, (sp.labels[r], sp.labels[p], sp.labels[q])
 
 
 _coordinate = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
@@ -391,8 +397,7 @@ def filter_clouds(draw):
     """Rational clouds of 1 to 4 dimensions with points on, and 1/den off,
     segments of others, den up to 10**100, scaled by 1, by 2**-520
     (distances below 2**-511) or by (10**200 + 1) / 10**200 (squared
-    distances past the float range). The matrix is a placeholder: the
-    filter computes its own distances from the coordinates."""
+    distances past the float range), as a mapping of label to point."""
     dims = draw(st.integers(1, 4))
     point = st.tuples(*[_coordinate] * dims)
     base = draw(st.lists(point, min_size=2, max_size=5, unique=True))
@@ -405,17 +410,24 @@ def filter_clouds(draw):
         pts.append(tuple(a + t * (b - a) + F(o, den) for a, b, o in zip(p, q, off)))
     scale = draw(st.sampled_from([F(1), F(1, 2**520), F(10**200 + 1, 10**200)]))
     pts = list(dict.fromkeys(tuple(c * scale for c in pt) for pt in pts))
-    n = len(pts)
-    matrix = [[0.0 if i == j else 1.0 for j in range(n)] for i in range(n)]
-    labels = labels_for(n)
-    return fl.validate(matrix, labels, mode="float", coords=dict(zip(labels, pts)), coord_norm="l2")
-
+    return dict(zip(labels_for(len(pts)), pts))
 
 
 @settings(max_examples=150, deadline=None)
 @given(filter_clouds())
-def test_l2_filter_equals_the_exact_betweenness(space):
-    assert_filter_is_exact(space)
+def test_l2_filter_equals_the_exact_betweenness(points):
+    # validate takes the coordinates with a placeholder matrix, so the
+    # filter computes the squared distances; from_points hands over its
+    # own, where it accepts the cloud
+    n = len(points)
+    matrix = [[0.0 if i == j else 1.0 for j in range(n)] for i in range(n)]
+    assert_filter_is_exact(fl.validate(matrix, list(points), mode="float", coords=points, coord_norm="l2"))
+    try:
+        cloud = fl.space.from_points(points, rel_tol=0)
+    except fl.ValidationError:
+        return  # a distance rounds to 0.0, overflows or breaks a triangle
+    assert "_l2_squares" in cloud.__dict__
+    assert_filter_is_exact(cloud)
 
 
 def test_l2_filter_leaves_coinciding_points_to_the_exact_test():

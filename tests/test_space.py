@@ -12,7 +12,9 @@ import freelip as fl
 from freelip.space import (
     BadExponent, BadGrid, SamePoint, UnknownLabel, ValidationError, from_points,
 )
-from support import CHAIN, EQUILATERAL, random_exact_space, reference_cloud_matrix, scaled
+from support import (
+    CHAIN, EQUILATERAL, count_calls, random_exact_space, reference_cloud_matrix, scaled,
+)
 
 
 # -- validation ----------------------------------------------------------
@@ -203,9 +205,21 @@ def test_from_points_refuses_a_nan_tolerance():
     assert [v.kind for v in err.value.violations] == ["bad_tolerance"]
 
 
+def _read_cloud(entry, points, labels=None):
+    """The space of a cloud through one entry point: from_points under
+    l2 or l1, or validate with coords under l2 on a placeholder matrix."""
+    if entry != "validate":
+        return from_points(points, entry)
+    labels = list(points) if labels is None else labels
+    matrix = [[0.0 if a == b else 1.0 for b in labels] for a in labels]
+    return fl.validate(matrix, labels, mode="float", coords=points, coord_norm="l2")
+
+
 # unequal dimensions were cut short by zip, so the space validated and
 # classify_all raised IndexError; float and str coordinates raised
-# AttributeError on their missing denominator
+# AttributeError on their missing denominator. validate read the same
+# points through an unchecked Fraction loop: a bare ValueError, a str
+# point read as one-character coordinates, unequal dimensions accepted.
 @pytest.mark.parametrize("points", [
     {"a": [0, 0], "b": [3], "c": [0, 4]},
     {"a": ["x", 0], "b": [1, 1]},
@@ -213,12 +227,54 @@ def test_from_points_refuses_a_nan_tolerance():
     {"a": [math.nan, 0], "b": [1, 1]},
     {"a": [math.inf, 0], "b": [1, 1]},
     {"a": 3, "b": [1]},
+    {"a": "12", "b": "34"},
 ])
-@pytest.mark.parametrize("norm", ["l2", "l1"])
-def test_from_points_refuses_bad_coordinates(points, norm):
+@pytest.mark.parametrize("entry", ["l2", "l1", "validate"])
+def test_from_points_refuses_bad_coordinates(points, entry):
     with pytest.raises(ValidationError) as err:
-        from_points(points, norm)
+        _read_cloud(entry, points)
     assert [v.kind for v in err.value.violations] == ["bad_entry"]
+
+
+def test_validate_refuses_coordinates_without_a_label():
+    # a label without a point raised KeyError
+    with pytest.raises(ValidationError) as err:
+        _read_cloud("validate", {"a": [0, 0], "b": [1, 1]}, labels=["a", "b", "c"])
+    assert [v.kind for v in err.value.violations] == ["bad_entry"]
+
+
+# "L2" was read as linf and labelled "L2"; validate kept any coord_norm
+@pytest.mark.parametrize("norm", ["L2", "banana", None])
+def test_from_points_refuses_an_unknown_norm(norm):
+    with pytest.raises(ValidationError) as err:
+        from_points({"a": [0, 0], "b": [3, 4]}, norm)
+    assert [v.kind for v in err.value.violations] == ["bad_norm"]
+
+
+@pytest.mark.parametrize("norm", ["L2", "banana", ""])
+def test_validate_refuses_an_unknown_coordinate_norm(norm):
+    with pytest.raises(ValidationError) as err:
+        fl.validate([[0, 5], [5, 0]], ["a", "b"], coords={"a": [0, 0], "b": [3, 4]}, coord_norm=norm)
+    assert [v.kind for v in err.value.violations] == ["bad_norm"]
+
+
+def test_one_squared_distance_pass_per_point_cloud(tmp_path, monkeypatch):
+    # from_points computes the cloud's squared distances for its l2
+    # distances and hands them to the space, whose filter reads them;
+    # a space validated with coords computes them on first use
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps({"points": {"a": [0, 0], "b": [1, 2], "c": [2, 4], "d": [5, 1]}}))
+    calls = count_calls(monkeypatch, fl.space, "_squared_distances")
+    sp = fl.load_space(str(path))
+    assert not fl.classify_all(sp).is_concave
+    assert fl.aligned_triples(sp) == (("b", "a", "c"),)
+    assert calls == [1]
+    coords = dict(zip(sp.labels, sp.coords))
+    again = fl.validate(sp.dist, sp.labels, mode="float", coords=coords, coord_norm="l2")
+    assert calls == [1]
+    fl.classify_all(again)
+    fl.aligned_triples(again)
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
