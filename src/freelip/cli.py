@@ -4,12 +4,13 @@ Subcommands: validate, classify, modulus, generate, attainment, diagnose.
 Exit codes: 0 success, 1 parse/usage errors and failed LPs, 2 metric
 violations, 3 classifier/oracle disagreement (an internal inconsistency).
 Errors print as one "error: ..." line on stderr. Every command returns
-its report, ``(exit code, input digest, payload, text)``. :func:`main`
-loads the space file of validate, classify, modulus and attainment, so
-an invalid one gets the same itemized report from each; it writes the
-report and maps errors to exit codes. JSON
-output carries a report envelope whose payload region is byte-identical
-across identical invocations; the timestamp lives outside it.
+its report, ``(exit code, input digest, payload, text)``; under
+``--json``, which prints no text, classify leaves the text empty.
+:func:`main` loads the space file of validate, classify, modulus and
+attainment, so an invalid one gets the same itemized report from each;
+it writes the report and maps errors to exit codes. JSON output carries
+a report envelope whose payload region is byte-identical across
+identical invocations; the timestamp lives outside it.
 """
 
 from __future__ import annotations
@@ -158,25 +159,38 @@ def _put_pairs(scans, out: list, nl: str) -> None:
     out.append(nl + "]")
 
 
+def _put_triples(triples, out: list, nl: str) -> None:
+    """Append the JSON text of the ``aligned_triples`` array of label
+    triples, as :func:`_put_pairs` appends the pairs: one format string
+    per triple."""
+    if not triples:
+        out.append("[]")
+        return
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    entry = f"[{i2}%s,{i2}%s,{i2}%s{i1}]"
+    text = {label: encode_basestring_ascii(label) for label in set().union(*triples)}
+    out.append(
+        "[" + i1 + ("," + i1).join(entry % (text[r], text[p], text[q]) for r, p, q in triples) + nl + "]"
+    )
+
+
 def cmd_classify(args, space) -> Report:
     digest = formats.space_digest(space)
     if args.oracle:
         polytope.oracle_guard(space)
 
     payload = {"space_digest": digest}
-    lines = []
+    summary = None
     if args.pair:
         scans = _scan_pairs(space, pairs=[space.pair(*args.pair)])
     else:
         summary = cls.classify_all(space)
         scans = cls._report_scans(summary)
-        triples = [list(t) for t in summary.violating_triples]
         payload["concave"] = summary.is_concave
-        payload["aligned_triples"] = triples
-        lines.append(f"concave: {summary.is_concave}")
-        if triples:
-            lines.append("aligned triples (middle, end, end):")
-            lines.extend(f"  {tuple(t)}" for t in triples)
+        payload["aligned_triples"] = formats._Rendered(
+            functools.partial(_put_triples, summary.violating_triples)
+        )
     payload["pairs"] = formats._Rendered(functools.partial(_put_pairs, scans))
     labels = space.labels
 
@@ -201,7 +215,15 @@ def cmd_classify(args, space) -> Report:
                 "agrees": True,
                 "certificate": _cert_payload(cert),
             })
+    if args.json:  # the text is printed only without --json
+        return EXIT_OK, digest, payload, ""
 
+    lines = []
+    if summary is not None:
+        lines.append(f"concave: {summary.is_concave}")
+        if summary.violating_triples:
+            lines.append("aligned triples (middle, end, end):")
+            lines.extend(f"  {t}" for t in summary.violating_triples)
     for s in scans:
         mark = f"NOT extreme (middle {labels[s.middles[0]]})" if s.middles else "extreme"
         # the number as the payload prints it, without JSON's quotes

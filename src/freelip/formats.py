@@ -18,6 +18,16 @@ Three input formats are supported:
 A mode, base or tolerance given to a reader wins over the object's
 value, which wins over the default.
 
+A matrix whose every entry is an int or a "num/den" string, the form
+that :func:`number_to_json` writes, is read as integers unless the mode
+is float: each distinct string once, as two ints, reduced; then the
+matrix is scaled to integers over the least common multiple of the
+denominators. ``validate`` checks those integers as they are, and the
+space builds its matrix of Fractions only when ``dist`` is first read.
+Any other entry, like a float mode, sends the whole matrix through
+:func:`parse_number`; either way the space, its digest and every error
+are the same.
+
 Numbers must be finite: an infinite or NaN entry, coordinate or eps is
 a FormatError. Exact numbers serialize canonically as "num/den"
 strings. The content digest hashes the canonicalized matrix (labels
@@ -42,10 +52,13 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
-from .space import EXACT, FLOAT, DEFAULT_REL_TOL, FiniteMetricSpace, from_points, validate
+from .space import (
+    EXACT, FLOAT, DEFAULT_REL_TOL, FiniteMetricSpace, _IntMatrix, from_points, validate,
+)
 
 
 class FormatError(Exception):
@@ -135,11 +148,46 @@ def space_from_dict(
         raw = _array(obj, "matrix")
         if not all(isinstance(row, list) for row in raw):
             raise FormatError("every 'matrix' row must be an array")
-        matrix = [[parse_number(v) for v in row] for row in raw]
-        if mode is None:
-            mode = EXACT if all(isinstance(v, Fraction) for row in matrix for v in row) else FLOAT
+        matrix = None if mode == FLOAT else _ratio_ints(raw)
+        if matrix is not None:
+            mode = EXACT  # every entry an int or a ratio string, as parse_number infers
+        else:
+            matrix = [[parse_number(v) for v in row] for row in raw]
+            if mode is None:
+                mode = EXACT if all(isinstance(v, Fraction) for row in matrix for v in row) else FLOAT
         return validate(matrix, [str(x) for x in labels], base=base, mode=mode, rel_tol=rel_tol)
     raise FormatError("JSON object has neither 'matrix' nor 'points'")
+
+
+def _ratio_ints(raw: list) -> _IntMatrix | None:
+    """The matrix of a file whose every entry is an int (not a bool) or a
+    "num/den" string, read as :func:`parse_number` reads it, reduced, and
+    scaled to integers over the least common multiple of the
+    denominators: the ``_int_matrix`` of the space it makes. None for any
+    other entry, and for an entry that parse_number refuses ("1/0").
+    Each distinct string is read once; a symmetric matrix repeats all of
+    its entries."""
+    ratio = _RATIO.fullmatch
+    read: dict[str, tuple[int, int]] = {}  # text -> reduced (num, den)
+    try:
+        for v in chain.from_iterable(raw):
+            if type(v) is str:
+                if v not in read:
+                    match = ratio(v.strip())
+                    if match is None:
+                        return None
+                    num, den = int(match[1]), int(match[2])
+                    if not den:
+                        return None
+                    g = math.gcd(num, den)
+                    read[v] = (num // g, den // g)
+            elif type(v) is not int:
+                return None
+    except ValueError:  # a numeral past int's digit limit
+        return None
+    unit = math.lcm(*{den for _, den in read.values()})
+    scaled = {v: num * (unit // den) for v, (num, den) in read.items()}
+    return _IntMatrix(unit, [[v * unit if type(v) is int else scaled[v] for v in row] for row in raw])
 
 
 def _array(obj: Mapping, key: str) -> list:
@@ -235,11 +283,19 @@ def space_to_dict(space: FiniteMetricSpace, provenance: Mapping | None = None) -
 def space_digest(space: FiniteMetricSpace) -> str:
     """SHA-256 of the canonicalized matrix; label-order independent."""
     order = sorted(range(space.n), key=lambda i: space.labels[i])
+    if space.mode == EXACT:
+        # the reduced n/d of each distinct entry, printed from the integers
+        unit, m = space._int_matrix
+        text = {
+            v: f"{v // g}/{unit // g}"
+            for v in set(chain.from_iterable(m)) for g in (math.gcd(v, unit),)
+        }
+        matrix = [[text[row[j]] for j in order] for row in (m[i] for i in order)]
+    else:
+        matrix = [[_canon_entry(space.dist[i][j]) for j in order] for i in order]
     canon = {
         "labels": [space.labels[i] for i in order],
-        "matrix": [
-            [_canon_entry(space.dist[i][j]) for j in order] for i in order
-        ],
+        "matrix": matrix,
         "mode": space.mode,
     }
     blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))

@@ -1,19 +1,23 @@
 """Finite pointed metric spaces: validation and elementary geometry.
 
-Distances live in one of two number modes. Exact mode keeps entries as
-fractions.Fraction, so betweenness and alignment are literal equality
-tests. Float mode keeps binary floats and compares through a relative
-tolerance (default 1e-9 of the largest distance). Euclidean point clouds
-with rational coordinates additionally carry their coordinates, and
-alignment questions on them are decided exactly, independent of the
-tolerance. A certified float filter settles the clear cases: a third
-point whose float excess, on distances recomputed from the integer
-coordinates, lies above the rounding bound :data:`_ROUNDING_BOUND` times
-the sum of the three distances is not between the pair. The rest go to
-an exact collinearity test on the integers. The same bound lets
-:func:`from_points` skip the cubic triangle check of an l2 cloud, whose
-triangle inequality is a theorem. Coordinates have one reader, and the
-filter reads the squared distances that :func:`from_points` computed.
+Distances live in one of two number modes. An exact space holds its
+distances as integers over one common denominator, so betweenness and
+alignment are literal equality tests on integers. Its public ``dist``, a
+matrix of fractions.Fraction, is built by :func:`validate` from the
+caller's entries, or, for a space that :mod:`freelip.formats` read as
+integers, from those integers when it is first read. Float mode keeps
+binary floats and compares through a relative tolerance (default 1e-9 of
+the largest distance). Euclidean point clouds with rational coordinates
+additionally carry their coordinates, and alignment questions on them
+are decided exactly, independent of the tolerance. A certified float
+filter settles the clear cases: a third point whose float excess, on
+distances recomputed from the integer coordinates, lies above the
+rounding bound :data:`_ROUNDING_BOUND` times the sum of the three
+distances is not between the pair. The rest go to an exact collinearity
+test on the integers. The same bound lets :func:`from_points` skip the
+cubic triangle check of an l2 cloud, whose triangle inequality is a
+theorem. Coordinates have one reader, and the filter reads the squared
+distances that :func:`from_points` computed.
 
 The quantities computed here are the raw material for the classification
 layer: the excess d(r,p) + d(r,q) - d(p,q) of a point over a pair, metric
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
@@ -108,6 +112,15 @@ class FiniteMetricSpace:
     pure function over it, safe for concurrent use. Build instances via
     :func:`validate` (or the loaders in :mod:`freelip.formats`), never
     directly, so the invariants are guaranteed to hold.
+
+    An exact space holds its distances as integers over one common
+    denominator (``_int_matrix``), which the kernel, the digest and the
+    LP layers read. A space that :mod:`freelip.formats` read from ratio
+    strings keeps only those integers in the instance ``__dict__`` and
+    builds the ``dist`` field, a tuple of tuples of Fraction, the first
+    time it is read. Equality, repr, ``asdict``, ``replace``, copies and
+    pickles read the field as any other, so a lazy space behaves as one
+    built eagerly.
     """
 
     labels: tuple[str, ...]
@@ -118,6 +131,17 @@ class FiniteMetricSpace:
     coords: tuple[tuple[Fraction, ...], ...] | None = None
     coord_norm: str | None = None  # "l2" | "linf" | "l1"
     meta: Mapping = field(default_factory=dict)
+
+    def __getattr__(self, name):
+        # reached only for a name missing from the instance dict
+        state = self.__dict__
+        ints = state.get("_int_matrix") if name == "dist" else None
+        if ints is None:
+            if name in state:  # built meanwhile by another thread
+                return state[name]
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        unit, m = ints
+        return state.setdefault(name, tuple(tuple(Fraction(v, unit) for v in row) for row in m))
 
     @property
     def n(self) -> int:
@@ -134,7 +158,8 @@ class FiniteMetricSpace:
     @cached_property
     def _int_matrix(self) -> tuple[int, list[list[int]]]:
         """The common denominator and the distances times it; float mode
-        reads each float as the rational it is exactly."""
+        reads each float as the rational it is exactly. :func:`validate`
+        seeds it on every exact space."""
         if self.mode == EXACT:
             return _scaled_ints(self.dist)
         return _scaled_ints([[Fraction(v) for v in row] for row in self.dist])
@@ -186,8 +211,13 @@ class FiniteMetricSpace:
         return self.dist[r][p] + self.dist[r][q] - self.dist[p][q]
 
     def with_base(self, base: Union[int, str]) -> "FiniteMetricSpace":
-        """Same space re-pointed at another base point."""
-        return replace(self, base_index=self.index(base))
+        """Same space re-pointed at another base point. Nothing cached on
+        the space depends on the base, so the copy keeps every cache, and
+        a ``dist`` that is not built yet stays unbuilt."""
+        base_index = self.index(base)
+        space = object.__new__(type(self))
+        space.__dict__.update(self.__dict__, base_index=base_index)
+        return space
 
     # -- betweenness ---------------------------------------------------
 
@@ -215,6 +245,18 @@ class FiniteMetricSpace:
 
 
 # -- construction ------------------------------------------------------
+
+
+class _IntMatrix(NamedTuple):
+    """An exact matrix as integers over one denominator, ``unit`` the
+    least common multiple of its entries' reduced denominators: the
+    ``_int_matrix`` of the space. :mod:`freelip.formats` reads ratio
+    strings into one and passes it to :func:`validate` as the matrix, in
+    exact mode only; the checks then run on the integers as they are,
+    and the space builds ``dist`` from them when it is first read."""
+
+    unit: int
+    rows: list[list[int]]
 
 
 def validate(
@@ -265,13 +307,17 @@ def _validated(matrix, labels, base, mode, rel_tol, points, coord_norm, meta, *,
     n = len(labels)
     if len(set(labels)) != n or n == 0:
         violations.append(Violation("bad_labels"))
-    rows = list(matrix)
+    ints = type(matrix) is _IntMatrix
+    rows = matrix.rows if ints else list(matrix)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValidationError([Violation("not_square"), *violations])
 
     coerce = Fraction if mode == EXACT else float
     try:
-        d = tuple(tuple(v if type(v) is coerce else coerce(v) for v in row) for row in rows)
+        # integers need no conversion, and dist is built from them when read
+        d = None if ints else tuple(
+            tuple(v if type(v) is coerce else coerce(v) for v in row) for row in rows
+        )
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError([Violation("bad_entry"), *violations]) from exc
     if mode == FLOAT and not all(map(math.isfinite, chain.from_iterable(d))):
@@ -294,7 +340,7 @@ def _validated(matrix, labels, base, mode, rel_tol, points, coord_norm, meta, *,
 
     # Exact matrices are checked as integers over their common denominator.
     if mode == EXACT:
-        unit, m = _scaled_ints(d)
+        unit, m = (matrix.unit, rows) if ints else _scaled_ints(d)
         tol = 0
     else:
         unit, m = None, d
@@ -317,6 +363,8 @@ def _validated(matrix, labels, base, mode, rel_tol, points, coord_norm, meta, *,
             row = m[i]
             for j in range(i + 1, n):
                 dij, col = row[j], cols[j]
+                if unit is not None and dij <= min(map(operator.add, row, col)):
+                    continue  # integers: no k breaks it, k = i and k = j included
                 for k in range(n):
                     if k == i or k == j:
                         continue
@@ -328,7 +376,7 @@ def _validated(matrix, labels, base, mode, rel_tol, points, coord_norm, meta, *,
     if violations:
         raise ValidationError(violations)
 
-    space = FiniteMetricSpace(
+    state = dict(
         labels=labels,
         base_index=base_index,
         dist=d,
@@ -338,10 +386,14 @@ def _validated(matrix, labels, base, mode, rel_tol, points, coord_norm, meta, *,
         coord_norm=coord_norm,
         meta=dict(meta) if meta else {},
     )
+    if d is None:  # built from the integer matrix when first read
+        del state["dist"]
     if unit is not None:  # the checked integer matrix becomes the cached one
-        space.__dict__["_int_matrix"] = (unit, m)
+        state["_int_matrix"] = (unit, m)
     if squares is not None:
-        space.__dict__["_l2_squares"] = squares
+        state["_l2_squares"] = squares
+    space = object.__new__(FiniteMetricSpace)
+    space.__dict__.update(state)
     return space
 
 

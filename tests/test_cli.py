@@ -184,6 +184,22 @@ def test_classify_single_pair(tmp_path, capsys):
     assert "concave" not in payload
 
 
+def test_classify_json_leaves_the_dist_of_an_exact_file_unbuilt(tmp_path, capsys, monkeypatch):
+    # the reader, validate, the kernel, the digest and the writer all read
+    # the integer matrix; the Fraction matrix is built only when read
+    doc = dict(CHAIN_SPACE, matrix=[[0, "2/1", "1/1"], ["4/2", 0, "1/1"], [1, "1/1", "0/1"]])
+    path = write(tmp_path, "sp.json", doc)
+    loaded = []
+    load = cli.formats.load_space
+    monkeypatch.setattr(cli.formats, "load_space", lambda *a, **k: loaded.append(load(*a, **k)) or loaded[-1])
+    code, out, _ = run(capsys, "classify", path, "--json")
+    (sp,) = loaded
+    assert code == 0 and "dist" not in vars(sp)
+    payload = json.loads(out)["payload"]
+    assert payload["aligned_triples"] == [["c", "a", "b"]]
+    assert payload["space_digest"] == freelip.space_digest(freelip.space_from_dict(CHAIN_SPACE))
+
+
 def test_classify_oracle_unavailable_on_float(tmp_path, capsys):
     sp = dict(VALID_SPACE, mode="float", matrix=[[0, 1.0, 1.0], [1.0, 0, 1.0], [1.0, 1.0, 0]])
     path = write(tmp_path, "sp.json", sp)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freelip as fl
-from freelip import formats
+from freelip import cli, formats
 from freelip.formats import FormatError, dumps_pretty, load_space, parse_number, space_from_csv
 from freelip.space import from_points
 from support import reference_cloud_matrix
@@ -411,3 +411,52 @@ def _number_outcome(fn, v):
 )
 def test_testing_fraction_last_keeps_every_outcome(fn, reference, v):
     assert _number_outcome(fn, v) == _number_outcome(reference, v)
+
+
+# 3-point matrices whose entries a file may write in many ways; the
+# integer reader takes those made only of ints and "n/d" strings
+_READER_CASES = {
+    "reduced": (True, [[0, "1/2", "3/4"], ["1/2", 0, "1/4"], ["3/4", "1/4", 0]]),
+    "unreduced": (True, [["0/7", "2/4", "9/12"], ["3/6", "0/1", "5/20"], ["6/8", "2/8", "0/3"]]),
+    "signs": (True, [["-0/3", "+1/2", "+3/4"], ["1/2", "+0/1", "1/4"], ["3/4", "1/4", "-0/1"]]),
+    "whitespace": (True, [[0, " 1/2", "3/4\t"], ["\n1/2 ", 0, " 1/3 "], ["3/4", "1/3", 0]]),
+    "bare_ints": (True, [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+    "ints_and_ratios": (True, [[0, 1, "3/2"], ["2/2", 0, "1/2"], ["3/2", "1/2", 0]]),
+    "big_ints": (True, [[0, 10**40, 10**40], [10**40, 0, "1/3"], [10**40, "1/3", 0]]),
+    "negative": (True, [[0, "-1/2", 1], ["-1/2", 0, 1], [1, 1, 0]]),
+    "triangle": (True, [[0, "7/2", 1], ["7/2", 0, "4/3"], [1, "4/3", 0]]),
+    "asymmetric": (True, [[0, "1/2", 1], ["1/3", 0, 1], [1, 1, 0]]),
+    "zero_distance": (True, [[0, "0/5", 1], ["0/5", 0, 1], [1, 1, 0]]),
+    "one_zero": (False, [[0, "1/0", 1], ["1/0", 0, 1], [1, 1, 0]]),
+    "bools": (False, [[0, True, 1], [True, 0, 1], [1, 1, 0]]),
+    "digit_strings": (False, [[0, "1", "2"], ["1", 0, "1"], ["2", "1", 0]]),
+    "decimals": (False, [[0, "0.5", 0.75], ["0.5", 0, "0.25"], [0.75, "0.25", 0]]),
+    "ratios_and_decimals": (False, [[0, "1/2", "0.75"], ["1/2", 0, "1/4"], ["0.75", "1/4", 0]]),
+    "ratio_then_bad_entry": (False, [[0, "1/2", "1/0"], ["1/2", 0, "x"], ["1/0", "x", 0]]),
+    "spaced_slash": (False, [[0, "1 / 2", 1], ["1 / 2", 0, 1], [1, 1, 0]]),
+    "past_int_digits": (False, [[0, "9" * 5000 + "/1", 1], ["1/2", 0, 1], [1, 1, 0]]),
+}
+
+
+@pytest.mark.parametrize("mode", [None, "exact", "float"])
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_integer_reader_prints_what_parse_number_prints(case, mode, tmp_path, monkeypatch, capsys):
+    takes_ints, matrix = _READER_CASES[case]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"labels": ["a", "b", "c"], "base": "b", "matrix": matrix}))
+    argv = ["classify", str(path), "--json"] + ([] if mode is None else ["--mode", mode])
+    read = formats._ratio_ints
+    results = []
+    monkeypatch.setattr(formats, "_ratio_ints", lambda raw: results.append(read(raw)) or results[-1])
+
+    def outcome():
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        lines = [line for line in out.splitlines() if '"timestamp"' not in line]
+        return code, lines, err
+
+    got = outcome()
+    assert [r is not None for r in results] == ([] if mode == "float" else [takes_ints])
+    # the reference: every entry read by parse_number
+    monkeypatch.setattr(formats, "_ratio_ints", lambda raw: None)
+    assert got == outcome()

@@ -1,7 +1,10 @@
 """Validation, excess, segments, alignment, modulus, and the snowflake."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -165,22 +168,87 @@ def test_validate_keeps_entries_of_the_mode_type():
 
 
 def test_one_integer_matrix_per_exact_space(tmp_path, monkeypatch):
-    # validate's checked integer matrix is the one the kernel, the vertex
-    # oracle and the attainment pass read
+    # the reader's integer matrix, which validate checks, is the one the
+    # kernel, the vertex oracle and the attainment pass read
     doc = {"labels": ["a", "b", "c", "d"],
            "matrix": [[0, "1/2", "3/4", "5/4"], ["1/2", 0, "1/4", "3/4"],
                       ["3/4", "1/4", 0, "1/2"], ["5/4", "3/4", "1/2", 0]]}
     path = tmp_path / "space.json"
     path.write_text(json.dumps(doc))
-    calls = []
-    scaled_ints = fl.space._scaled_ints
-    monkeypatch.setattr(fl.space, "_scaled_ints", lambda rows: calls.append(1) or scaled_ints(rows))
+    reads = count_calls(monkeypatch, fl.formats, "_ratio_ints")
+    scales = count_calls(monkeypatch, fl.space, "_scaled_ints")
     sp = fl.load_space(str(path))
     fl.classify_all(sp)
     for p, q in [("a", "d"), ("b", "c"), ("d", "b")]:
         fl.is_vertex(sp, p, q)
         fl.attainment_set(sp, p, q, intervals="full")
-    assert len(calls) == 1
+    assert (reads[0], scales[0]) == (1, 0)
+
+
+def test_with_base_keeps_the_squared_distances_of_a_cloud(monkeypatch):
+    calls = count_calls(monkeypatch, fl.space, "_squared_distances")
+    sp = fl.gen_planar_spiral(F(1, 2), 4, seed=0)
+    fl.classify_all(sp)
+    assert calls == [1]
+    moved = sp.with_base("q")
+    assert moved.base_label == "q" and sp.base_label != "q"
+    assert fl.classify_all(moved).violating_triples == fl.classify_all(sp).violating_triples
+    assert calls == [1]
+
+
+def test_with_base_leaves_the_dist_of_a_loaded_space_unbuilt(tmp_path):
+    path = tmp_path / "space.json"
+    matrix = [[0, "1/2", 1], ["1/2", 0, "1/2"], [1, "1/2", 0]]
+    path.write_text(json.dumps({"labels": ["a", "b", "c"], "matrix": matrix}))
+    sp = fl.load_space(str(path))
+    moved = sp.with_base("c")
+    assert "dist" not in vars(sp) and "dist" not in vars(moved)
+    assert moved._int_matrix is sp._int_matrix
+    assert (moved.base_label, sp.base_label) == ("c", "a")
+    assert moved.dist == sp.dist == ((0, F(1, 2), 1), (F(1, 2), 0, F(1, 2)), (1, F(1, 2), 0))
+
+
+# how a file may write an exact entry: as space_to_dict does, unreduced,
+# and as a bare int where it is one
+_ENTRY_WRITERS = {
+    "canonical": lambda v, k: f"{v.numerator}/{v.denominator}",
+    "unreduced": lambda v, k: f"{v.numerator * k}/{v.denominator * k}",
+    "bare_ints": lambda v, k: v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}",
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 7), st.integers(0, 2**32), st.integers(1, 6),
+    st.sampled_from(sorted(_ENTRY_WRITERS)),
+)
+def test_a_lazily_built_exact_space_behaves_as_one_built_eagerly(n, seed, k, writer):
+    eager = random_exact_space(random.Random(seed), n, base=seed % n)
+    doc = fl.space_to_dict(eager)
+    doc["matrix"] = [[_ENTRY_WRITERS[writer](v, k) for v in row] for row in eager.dist]
+
+    def lazy():
+        sp = fl.space_from_dict(doc)
+        assert "dist" not in vars(sp)
+        return sp
+
+    assert lazy()._int_matrix == eager._int_matrix
+    dist = lazy().dist
+    assert dist == eager.dist
+    assert type(dist) is tuple and all(type(row) is tuple for row in dist)
+    assert all(type(v) is F for row in dist for v in row)
+    assert repr(lazy()) == repr(eager)
+    assert dataclasses.asdict(lazy()) == dataclasses.asdict(eager)
+    other = (seed + 1) % n
+    assert repr(dataclasses.replace(lazy(), base_index=other)) == repr(
+        dataclasses.replace(eager, base_index=other))
+    for copied in (copy.copy, copy.deepcopy, lambda sp: pickle.loads(pickle.dumps(sp))):
+        assert repr(copied(lazy())) == repr(eager)
+    scale = lazy().scale
+    assert (scale, type(scale)) == (eager.scale, type(eager.scale))
+    assert repr(lazy().with_base(other)) == repr(eager.with_base(other))
+    assert fl.space_digest(lazy()) == fl.space_digest(eager)
+    assert fl.space_to_dict(lazy()) == fl.space_to_dict(eager)
 
 
 FLOAT_TRIANGLE = [[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]]
