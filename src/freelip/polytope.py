@@ -213,33 +213,31 @@ def is_vertex(
     column (x, y) is (u_xy; 1) scaled by d(x,y) > 0, the incidence vector
     e_x - e_y over a distance row, so its value is mu_xy = lambda_xy /
     d(x,y) for the weight lambda_xy. A positive column scaling keeps every
-    pivot, weight and Farkas multiplier of the unscaled LP. The separating
-    functional is checked on integers, over the common distance denominator.
+    pivot, weight and Farkas multiplier of the unscaled LP. Phase one of
+    the revised simplex (``simplex._network_phase_one``) solves it on the
+    integer distances of ``space._int_matrix``, pricing each column from
+    the duals, so no dense row is built and ``dist`` is not read. The
+    combination is checked in Fractions, and the separating functional on
+    integers, over the common distance denominator.
     """
     oracle_guard(space, max_points)
     pi, qi = space.pair(p, q)
-    n, e, dist = space.n, space.base_index, space.dist
-    # one column per other molecule u_xy, lexicographic by index pair; one
-    # row per point, the base row dropped, then the row of distances
+    n, e = space.n, space.base_index
+    unit, dm = space._int_matrix
+    # one column per other molecule u_xy, lexicographic by index pair
     others = [(x, y) for x in range(n) for y in range(n) if x != y and (x, y) != (pi, qi)]
-    a_eq = [[0] * len(others) for _ in range(n)]
-    for k, (x, y) in enumerate(others):
-        a_eq[x][k] = 1
-        a_eq[y][k] = -1
-    del a_eq[e]
-    a_eq.append([dist[x][y] for x, y in others])
-    target = [0] * n
-    target[pi] = Fraction(1) / dist[pi][qi]
-    target[qi] = -target[pi]
-    res = simplex.feasible_combination(a_eq, target[:e] + target[e + 1:] + [1])
+    res = simplex._network_phase_one(unit, dm, e, others, pi, qi)
     if res.status == simplex.OPTIMAL:
+        target = [0] * n
+        target[pi] = Fraction(unit, dm[pi][qi])
+        target[qi] = -target[pi]
         flow = [0] * n
         lam = {}
         for (x, y), mu in zip(others, res.x):
             if mu:
                 flow[x] += mu
                 flow[y] -= mu
-                lam[x, y] = mu * dist[x][y]
+                lam[x, y] = mu * Fraction(dm[x][y], unit)
         flow[e] = target[e]  # the base carries no coordinate
         if flow != target or sum(lam.values()) != 1 or any(w < 0 for w in lam.values()):
             raise simplex.LPFailure("combination certificate failed verification")
@@ -258,7 +256,6 @@ def is_vertex(
     phi = list(res.farkas[:-1])
     f = phi[:e] + [0] + phi[e:]
     f_den, (g,) = _scaled_ints([f])
-    unit, dm = space._int_matrix
     top, bot = g[pi] - g[qi], dm[pi][qi]
     hi, hi_d = -top, bot  # u_qp is always among the others
     for x, y in others:

@@ -1,18 +1,28 @@
 """Exact linear programming over the rationals.
 
-A dense-tableau primal simplex with Bland's rule (anti-cycling), used as
-the engine for the polytope oracle and the norm-attainment computations.
-The tableau is fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22,
-1968): each row is a list of Python ints over one positive row
-denominator, kept in lowest terms. Pivot choices, and therefore every
-result, equal those of the textbook Fraction tableau; Fraction appears
-only where values enter and leave the solver, so feasibility and
-optimality verdicts are exact. A tableau is built once per constraint
-system (rows scaled to ints, slacks and artificials laid out, phase one
-run) and copied per objective for phase two. A pivot touches only what
-it changes: the pivot row's nonzero entries are listed once, and every
-other row is scaled by the pivot entry and updated on those columns
-alone; the free tableaus of the Lipschitz ball are mostly zeros.
+Two primal simplex engines with Bland's rule (anti-cycling), each
+fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22, 1968): a row is a
+list of Python ints over one positive row denominator, kept in lowest
+terms. Pivot choices, and therefore every result, equal those of the
+textbook Fraction tableau; Fraction appears only where values enter and
+leave the solver, so feasibility and optimality verdicts are exact.
+
+The dense tableau (:class:`Tableau`, :func:`solve_nonneg`,
+:func:`solve_free`) serves the norm and attainment LPs over the
+Lipschitz ball. It is built once per constraint system (rows scaled to
+ints, slacks and artificials laid out, phase one run) and copied per
+objective for phase two. A pivot touches only what it changes: the
+pivot row's nonzero entries are listed once, and every other row is
+scaled by the pivot entry and updated on those columns alone; the free
+tableaus of the Lipschitz ball are mostly zeros.
+
+The vertex oracle's feasibility LP is a network LP (Ahuja, Magnanti and
+Orlin, Network Flows, 1993): each column is the incidence vector of an
+arc x -> y over a last row holding d(x,y). :func:`_network_phase_one`
+runs phase one of it as a revised simplex. It keeps only the basis
+inverse and the right-hand side, prices a column in O(1) from the
+duals, builds the entering column from its three nonzeros, and takes
+the dense tableau's pivots.
 """
 
 from __future__ import annotations
@@ -253,7 +263,111 @@ def solve_free(c: Sequence, a_ub: Sequence[Sequence] = (), b_ub: Sequence = (),
     return Tableau(len(c), a_ub, b_ub, a_eq, b_eq, free=True).solve(c, maximize)
 
 
-def feasible_combination(a_eq: Sequence[Sequence], b_eq: Sequence) -> LPResult:
-    """Feasibility of a_eq x = b_eq, x >= 0 (phase one only)."""
-    n = len(a_eq[0]) if a_eq else 0
-    return solve_nonneg([ZERO] * n, a_eq=a_eq, b_eq=b_eq)
+def _network_pivot(rows: list[list[int]], den: list[int], basis: list[int],
+                   pr: int, pc: int, col: list[int], unit: int) -> None:
+    # The entering column is col[r] / (den[r] * unit) in row r, col[pr] > 0.
+    # The pivot row becomes prow * unit / col[pr], every other row
+    # (row * a - f * prow) / (den * a), each reduced by its gcd.
+    prow, a = rows[pr], col[pr]
+    for r, f in enumerate(col):
+        if f and r != pr:
+            trow = [v * a - f * pv for v, pv in zip(rows[r], prow)]
+            d = den[r] * a
+            g = gcd(d, *trow)
+            if g > 1:
+                trow = [v // g for v in trow]
+                d //= g
+            rows[r] = trow
+            den[r] = d
+    trow = [v * unit for v in prow]
+    g = gcd(a, *trow)
+    rows[pr] = [v // g for v in trow] if g > 1 else trow
+    den[pr] = a // g
+    basis[pr] = pc
+
+
+def _network_phase_one(unit: int, dm: Sequence[Sequence[int]], e: int,
+                       arcs: Sequence[tuple[int, int]], p: int, q: int) -> LPResult:
+    """Feasibility of sum_k mu_k (e_x - e_y; d(x,y)) = ((e_p - e_q) / d(p,q); 1),
+    mu >= 0, over the arcs k = (x, y) and d = dm / unit, by phase one alone.
+
+    The rows are the points but the base e in index order, then the
+    distance row. Each row holds [B^-1 | rhs] over its denominator: the
+    artificial columns of the dense tableau, on the system with the row
+    of q negated, since its right-hand side is negative. The phase-one
+    duals are computed once per pivot; column (x, y) then prices from two
+    of them and the distance row's dual times d(x,y), and a basic column
+    prices to exactly 0. Bland's rule picks the lowest-index column with
+    a negative reduced cost, the arcs before the nonbasic artificials,
+    and the least ratio, ties to the lowest basic column, as
+    :class:`Tableau` does. Phase one fixes x and the Farkas vector, so
+    the dense engine's drive-out pivots, which move neither, are not
+    taken.
+    """
+    m, na = len(dm), len(arcs)
+    weighted = [(x, y, dm[x][y]) for x, y in arcs]
+    row_of = [z - (z > e) if z != e else -1 for z in range(m)]  # -1: e has no row
+    rows = [[int(i == r) for i in range(m + 1)] for r in range(m)]
+    rows[-1][m] = 1
+    den = [1] * m
+    g = gcd(unit, dm[p][q])
+    t, t_den = unit // g, dm[p][q] // g  # 1 / d(p,q) in lowest terms
+    flipped = row_of[q]
+    for r in (row_of[p], flipped):
+        if r >= 0:
+            rows[r][r], rows[r][m], den[r] = t_den, t, t_den
+    # the +1 of each point in the negated system, times unit: its row and
+    # weight, zero at e
+    lead = [(r, -unit if r == flipped else unit) if r >= 0 else (0, 0) for r in row_of]
+    basis = list(range(na, na + m))
+    while True:
+        art = [r for r, bi in enumerate(basis) if bi >= na]
+        common = lcm(*(den[r] for r in art))
+        # y: the duals of the negated system, then its phase-one objective,
+        # all times common; yhat those of the system as stated
+        y = [sum(c) for c in zip(*(
+            rows[r] if den[r] == common else [v * (common // den[r]) for v in rows[r]]
+            for r in art))] if art else [0] * (m + 1)
+        yhat = y[:m]
+        if flipped >= 0:
+            yhat[flipped] = -yhat[flipped]
+        point = [unit * v for v in yhat[:-1]]
+        point.insert(e, 0)
+        yd = yhat[-1]
+        enter = -1
+        for k, (x, z, d) in enumerate(weighted):
+            if point[x] - point[z] + yd * d > 0:
+                enter = k
+                break
+        else:
+            for i in range(m):
+                if y[i] > common:  # artificial i prices to 1 - y[i] / common
+                    enter = na + i
+                    break
+            else:
+                break
+        if enter < na:
+            x, z, d = weighted[enter]
+            (rx, wx), (rz, wz) = lead[x], lead[z]
+            col = [row[rx] * wx - row[rz] * wz + row[m - 1] * d for row in rows]
+        else:
+            col = [row[enter - na] * unit for row in rows]
+        # ratio rhs / col: den and unit cancel, so compare by cross-multiplication
+        leave = -1
+        best_b = best_a = 0
+        for r, a in enumerate(col):
+            if a > 0:
+                b = rows[r][m]
+                lhs, rhs_ = b * best_a, best_b * a
+                if leave < 0 or lhs < rhs_ or (lhs == rhs_ and basis[r] < basis[leave]):
+                    best_b, best_a, leave = b, a, r
+        if leave < 0:
+            raise LPFailure("phase one cannot be unbounded")
+        _network_pivot(rows, den, basis, leave, enter, col, unit)
+    if y[m] > 0:  # an artificial is basic at a positive value
+        return LPResult(INFEASIBLE, farkas=tuple(Fraction(v, common) for v in yhat))
+    mu = [ZERO] * na
+    for r, bi in enumerate(basis):
+        if bi < na:
+            mu[bi] = Fraction(rows[r][m], den[r])
+    return LPResult(OPTIMAL, objective=ZERO, x=tuple(mu))

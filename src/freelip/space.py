@@ -143,6 +143,13 @@ class FiniteMetricSpace:
         unit, m = ints
         return state.setdefault(name, tuple(tuple(Fraction(v, unit) for v in row) for row in m))
 
+    def __getstate__(self):
+        # the l2 filter is a nested function, which does not pickle; a copy
+        # builds it again on first use
+        state = self.__dict__.copy()
+        state.pop("_l2_between_for", None)
+        return state
+
     @property
     def n(self) -> int:
         return len(self.labels)

@@ -19,6 +19,9 @@ Fraction tableau that the integer simplex must match pivot for pivot,
 by an ``isinstance`` test per value and its fraction-free pivot as a
 dense update, which the simplex must match,
 ``reference_is_vertex`` the vertex oracle on dense molecule vectors,
+``reference_vertex_lp`` the oracle's network-form LP on the dense
+tableau, which the revised phase one (``freelip.simplex._network_phase_one``)
+must match,
 ``reference_full_attainment`` the full attainment intervals by one pair
 of LPs per candidate on ``_AttainmentLP``, the tableau that lazy mode
 (``freelip.lipfun._lazy_intervals``) builds inside one closure,
@@ -556,15 +559,60 @@ def count_pivots(monkeypatch) -> list[int]:
     return count_calls(monkeypatch, simplex, "_pivot")
 
 
+def count_run_pivots(monkeypatch) -> list[int]:
+    """Count the dense tableau's pivots inside ``freelip.simplex._run``, as
+    :func:`count_calls`: those of phase one and phase two, without the
+    drive-out pivots that ``Tableau`` takes after phase one."""
+    calls, inside = [0], [False]
+    pivot, run = simplex._pivot, simplex._run
+
+    def counting_pivot(*args):
+        if inside[0]:
+            calls[0] += 1
+        return pivot(*args)
+
+    def counting_run(*args):
+        inside[0] = True
+        try:
+            return run(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+    monkeypatch.setattr(simplex, "_run", counting_run)
+    return calls
+
+
+def reference_vertex_lp(unit, dm, e, arcs, p, q) -> simplex.LPResult:
+    """``freelip.simplex._network_phase_one`` on the dense tableau: one
+    incidence column e_x - e_y per arc (x, y) over the rows of the points
+    but e, a last row of distances dm / unit, and the target
+    ((e_p - e_q) / d(p,q); 1), solved by ``simplex.solve_nonneg`` with a
+    zero objective. The revised phase one must return an equal result."""
+    n = len(dm)
+    a_eq = [[0] * len(arcs) for _ in range(n)]
+    for k, (x, y) in enumerate(arcs):
+        a_eq[x][k] = 1
+        a_eq[y][k] = -1
+    del a_eq[e]
+    a_eq.append([Fraction(dm[x][y], unit) for x, y in arcs])
+    target = [_ZERO] * n
+    target[p] = Fraction(unit, dm[p][q])
+    target[q] = -target[p]
+    return simplex.solve_nonneg([_ZERO] * len(arcs), a_eq=a_eq, b_eq=target[:e] + target[e + 1:] + [_ONE])
+
+
 def reference_is_vertex(space, p, q):
     """Reference vertex oracle on dense molecule vectors: the constraint
     columns are the coordinates of every other molecule u_xy (ordered
     pairs x != y, lexicographic by index) with a 1 appended. Convex
     weights and the separating functional are re-checked with Fraction
     dot products. ``freelip.polytope.is_vertex`` scales column (x, y) by
-    d(x,y), which leaves incidence columns over a row of distances, checks
-    its certificates on integers, and must return an equal certificate
-    after the same pivots."""
+    d(x,y), which leaves incidence columns over a row of distances, solves
+    that network LP by the revised phase one, checks its certificates on
+    integers, and must return an equal certificate after the same
+    phase-one pivots; the drive-out pivots that this tableau takes after
+    phase one move neither the weights nor the multipliers."""
     from freelip.polytope import VertexCertificate, molecule_vector
 
     pi, qi = space.index(p), space.index(q)
@@ -577,7 +625,7 @@ def reference_is_vertex(space, p, q):
     target = molecule_vector(space, pi, qi).vector
     a_eq = [[m.vector[k] for m in others] for k in range(len(target))]
     a_eq.append([_ONE] * len(others))
-    res = simplex.feasible_combination(a_eq, list(target) + [_ONE])
+    res = simplex.solve_nonneg([_ZERO] * len(others), a_eq=a_eq, b_eq=list(target) + [_ONE])
 
     def dot(a, b):
         return sum((x * y for x, y in zip(a, b)), _ZERO)

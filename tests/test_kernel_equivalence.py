@@ -481,6 +481,20 @@ def test_collinearity_ledger(monkeypatch):
     assert counts == COLLINEAR_LEDGER
 
 
+def test_a_classified_l2_cloud_pickles():
+    # classify_all caches the l2 filter, a nested function, on the space;
+    # pickling dropped nothing and failed. A space compares by identity,
+    # so the copy is compared by repr and by what it classifies.
+    space = fl.gen_planar_spiral(F(1, 2), 4, seed=0)
+    report = fl.classify_all(space)
+    assert space._l2_between_for is not None
+    copied = pickle.loads(pickle.dumps(space))
+    assert "_l2_between_for" not in vars(copied)
+    assert repr(copied) == repr(space)
+    assert fl.classify_all(copied) == report == fl.classify_all(space)
+    assert copied._l2_between_for is not None
+
+
 def test_c0_family():
     space = fl.gen_c0_counterexample(8)
     assert_kernel_matches(space)

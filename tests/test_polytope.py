@@ -18,7 +18,9 @@ from support import (
     CHAIN,
     EQUILATERAL,
     VEE,
+    count_calls,
     count_pivots,
+    count_run_pivots,
     inject_midpoint,
     labels_for,
     random_exact_matrix,
@@ -26,6 +28,7 @@ from support import (
     random_float_space,
     random_space_with_midpoint,
     reference_is_vertex,
+    reference_vertex_lp,
 )
 
 
@@ -245,8 +248,11 @@ def test_is_vertex_matches_reference_oracle(seed, n, midpoints, denominators):
 )
 def test_is_vertex_takes_the_pivots_of_the_reference_oracle(monkeypatch, seed, n, midpoint, denominators):
     # equal certificates could come from different pivot paths; equal
-    # pivot counts, pair by pair, show the scaled columns take the same path
-    pivots = count_pivots(monkeypatch)
+    # pivot counts, pair by pair, show that the revised phase one on the
+    # scaled columns takes the dense tableau's phase-one path. The
+    # reference's drive-out pivots come after phase one and are not counted.
+    taken = count_calls(monkeypatch, fl.simplex, "_network_pivot")
+    dense = count_run_pivots(monkeypatch)
     rng = random.Random(seed)
     matrix = random_exact_matrix(rng, n - midpoint, denominators)
     if midpoint:
@@ -255,21 +261,69 @@ def test_is_vertex_takes_the_pivots_of_the_reference_oracle(monkeypatch, seed, n
     for p in range(n):
         for q in range(n):
             if p != q:
-                pivots[0] = 0
+                taken[0] = dense[0] = 0
                 fl.is_vertex(sp, p, q)
-                taken = pivots[0]
-                pivots[0] = 0
                 reference_is_vertex(sp, p, q)
-                assert taken == pivots[0] > 0, (p, q)
+                assert taken[0] == dense[0] > 0, (p, q)
+
+
+def _vertex_lp_corpus():
+    # the LP of is_vertex on every ordered pair of two random exact spaces
+    # per n, one on each denominator set, one of them with a midpoint, each
+    # with a random base
+    rng = random.Random(4096)
+    for i, n in enumerate((4, 5, 6, 7, 9, 12)):
+        for denominators, midpoint in ((NARROW, i % 2), (PRIMES, 1 - i % 2)):
+            matrix = random_exact_matrix(rng, n - midpoint, denominators)
+            if midpoint:
+                matrix, _ = inject_midpoint(matrix, rng)
+            sp = fl.validate(matrix, labels_for(n), base=rng.randrange(n), mode="exact")
+            unit, dm = sp._int_matrix
+            for p in range(n):
+                for q in range(n):
+                    if p != q:
+                        arcs = [(x, y) for x in range(n) for y in range(n) if x != y and (x, y) != (p, q)]
+                        yield unit, dm, sp.base_index, arcs, p, q
+
+
+def test_network_phase_one_equals_the_dense_tableau_and_pins_its_pivots(monkeypatch):
+    # x and the Farkas vector equal those of the dense tableau on the same
+    # network LP, and Bland's rule fixes the pivot path, so the phase-one
+    # pivot total over the corpus is pinned with the results
+    taken = count_calls(monkeypatch, fl.simplex, "_network_pivot")
+    dense = count_run_pivots(monkeypatch)
+    statuses = []
+    for lp in _vertex_lp_corpus():
+        got = fl.simplex._network_phase_one(*lp)
+        assert got == reference_vertex_lp(*lp), (len(lp[1]), lp[4:])
+        statuses.append(got.status)
+    assert len(statuses) == 616
+    assert 0 < statuses.count(fl.simplex.INFEASIBLE) < len(statuses)
+    # the dense tableau takes 16,922 pivots on this corpus, drive-out included
+    assert taken[0] == dense[0] == 16050
+
+
+def test_is_vertex_reads_the_integer_matrix_and_leaves_dist_unbuilt():
+    # a space read from ratio strings builds dist on first read; the
+    # oracle's columns, target and checks take d(x,y) from the integers
+    eager = random_space_with_midpoint(random.Random(21), 6, base=2)[0]
+    doc = fl.space_to_dict(eager)
+    lazy = fl.space_from_dict(doc)
+    assert "dist" not in vars(lazy)
+    for p in range(6):
+        for q in range(6):
+            if p != q:
+                assert fl.is_vertex(lazy, p, q) == fl.is_vertex(eager, p, q)
+    assert "dist" not in vars(lazy)
 
 
 def test_is_vertex_rejects_bad_farkas_certificate(monkeypatch):
     # an infeasible verdict whose multipliers separate nothing must fail
     # loudly, not fall back to another LP
-    def bogus(a_eq, b_eq):
-        return fl.simplex.LPResult(fl.simplex.INFEASIBLE, farkas=(F(0),) * len(a_eq))
+    def bogus(unit, dm, e, arcs, p, q):
+        return fl.simplex.LPResult(fl.simplex.INFEASIBLE, farkas=(F(0),) * len(dm))
 
-    monkeypatch.setattr(fl.simplex, "feasible_combination", bogus)
+    monkeypatch.setattr(fl.simplex, "_network_phase_one", bogus)
     with pytest.raises(fl.simplex.LPFailure):
         fl.is_vertex(EQUILATERAL, "a", "b")
 
@@ -283,11 +337,11 @@ def _fake_combination(monkeypatch, mu_by_pair, n, pq):
     cols = [(x, y) for x in range(n) for y in range(n) if x != y and (x, y) != pq]
     x = tuple(F(mu_by_pair.get(c, 0)) for c in cols)
 
-    def fake(a_eq, b_eq):
-        assert len(a_eq[0]) == len(cols)
+    def fake(unit, dm, e, arcs, p, q):
+        assert list(arcs) == cols
         return fl.simplex.LPResult(fl.simplex.OPTIMAL, objective=F(0), x=x)
 
-    monkeypatch.setattr(fl.simplex, "feasible_combination", fake)
+    monkeypatch.setattr(fl.simplex, "_network_phase_one", fake)
 
 
 def test_is_vertex_rejects_weights_that_miss_the_molecule(monkeypatch):
@@ -333,10 +387,10 @@ def test_is_vertex_reports_mu_times_distance_as_the_weights(monkeypatch):
 def test_is_vertex_rejects_a_farkas_functional_with_zero_gap(monkeypatch):
     # EQUILATERAL is a, b, c with base a; phi(b) = -1, phi(c) = 0 gives u_ab
     # and u_cb the same slope 1, above every other, so the least gap is 0
-    def tie(a_eq, b_eq):
+    def tie(unit, dm, e, arcs, p, q):
         return fl.simplex.LPResult(fl.simplex.INFEASIBLE, farkas=(F(-1), F(0), F(1)))
 
-    monkeypatch.setattr(fl.simplex, "feasible_combination", tie)
+    monkeypatch.setattr(fl.simplex, "_network_phase_one", tie)
     with pytest.raises(fl.simplex.LPFailure, match="Farkas certificate failed verification"):
         fl.is_vertex(EQUILATERAL, "a", "b")
 
