@@ -31,9 +31,9 @@ from .space import (
     _PairScan,
     _aligned,
     _scan_pairs,
-    aligned_triples,  # noqa: F401  re-exported; callers reach it through this module
-    concavity_modulus,  # noqa: F401  re-exported, as above
-    strict_middles,  # noqa: F401  re-exported, as above
+    aligned_triples,  # noqa: F401  perfbench/tracing.py wraps it here
+    concavity_modulus,  # noqa: F401  perfbench/tracing.py wraps it here
+    strict_middles,  # noqa: F401  perfbench/tracing.py wraps it here
 )
 
 DEFAULT_DEPTHS = (4, 8, 16, 32)

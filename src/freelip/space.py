@@ -9,15 +9,14 @@ integers, from those integers when it is first read. Float mode keeps
 binary floats and compares through a relative tolerance (default 1e-9 of
 the largest distance). Euclidean point clouds with rational coordinates
 additionally carry their coordinates, and alignment questions on them
-are decided exactly, independent of the tolerance. A certified float
-filter settles the clear cases: a third point whose float excess, on
-distances recomputed from the integer coordinates, lies above the
-rounding bound :data:`_ROUNDING_BOUND` times the sum of the three
-distances is not between the pair. The rest go to an exact collinearity
-test on the integers. The same bound lets :func:`from_points` skip the
-cubic triangle check of an l2 cloud, whose triangle inequality is a
-theorem. Coordinates have one reader, and the filter reads the squared
-distances that :func:`from_points` computed.
+are decided exactly, independent of the tolerance: a certified float
+filter settles the clear cases and an exact collinearity test on the
+integers the rest. One kernel, :func:`_scan_pairs`, decides in every
+mode whether a point lies between two others, and its docstring states
+the rule. The filter's rounding bound :data:`_ROUNDING_BOUND` also lets
+:func:`from_points` skip the cubic triangle check of an l2 cloud, whose
+triangle inequality is a theorem. Coordinates have one reader, and the
+filter reads the squared distances that :func:`from_points` computed.
 
 The quantities computed here are the raw material for the classification
 layer: the excess d(r,p) + d(r,q) - d(p,q) of a point over a pair, metric
@@ -120,7 +119,8 @@ class FiniteMetricSpace:
     builds the ``dist`` field, a tuple of tuples of Fraction, the first
     time it is read. Equality, repr, ``asdict``, ``replace``, copies and
     pickles read the field as any other, so a lazy space behaves as one
-    built eagerly.
+    built eagerly. Every cache on a space is plain data, so copies and
+    pickles need no hook.
     """
 
     labels: tuple[str, ...]
@@ -142,13 +142,6 @@ class FiniteMetricSpace:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         unit, m = ints
         return state.setdefault(name, tuple(tuple(Fraction(v, unit) for v in row) for row in m))
-
-    def __getstate__(self):
-        # the l2 filter is a nested function, which does not pickle; a copy
-        # builds it again on first use
-        state = self.__dict__.copy()
-        state.pop("_l2_between_for", None)
-        return state
 
     @property
     def n(self) -> int:
@@ -178,8 +171,8 @@ class FiniteMetricSpace:
         return pts, _squared_distances(pts)
 
     @cached_property
-    def _l2_between_for(self):
-        """The filtered test of :func:`_l2_betweenness`, or None."""
+    def _l2_filter(self):
+        """The tables of :func:`_l2_betweenness`, or None."""
         return _l2_betweenness(self)
 
     def num(self, v) -> Num:
@@ -231,24 +224,14 @@ class FiniteMetricSpace:
     def is_between(self, r: Union[int, str], p: Union[int, str], q: Union[int, str]) -> bool:
         """Does r lie (weakly) between p and q, i.e. excess(r;p,q) = 0?
 
-        Exact spaces test the excess for zero. Float spaces test it
-        against :attr:`abs_tol`, except l2 point clouds, which take the
-        rule of :func:`_l2_betweenness`: a float excess above the rounding
-        bound :data:`_ROUNDING_BOUND` on the cloud's own distances means
-        no, and every other triple is decided by exact collinearity. It is
-        the rule the classifier kernel applies.
+        p and q do; a third point does when :func:`_scan_pairs`, the one
+        decider of betweenness, finds it a strict middle of the pair. Each
+        call scans the pair once, in O(n).
         """
         ri = self.index(r)
         pi, qi = self.pair(p, q)
-        if ri == pi or ri == qi:
-            return True
-        e = self.excess_raw(ri, pi, qi)
-        if self.mode == EXACT:
-            return e == 0
-        between_for = self._l2_between_for
-        if between_for is None:
-            return e <= self.abs_tol
-        return between_for(pi, qi)(ri)
+        (scan,) = _scan_pairs(self, pairs=[(pi, qi)])
+        return ri in (pi, qi) or ri in scan.middles
 
 
 # -- construction ------------------------------------------------------
@@ -661,8 +644,8 @@ def _scan_pairs(
     (p, q), by default every p < q in lexicographic order, and every
     third point r.
 
-    This is the one implementation of strict middles, the min excess
-    ratio with its witness and the concavity modulus:
+    This is the one implementation of betweenness, strict middles, the
+    min excess ratio with its witness and the concavity modulus:
     :func:`classify_all <freelip.classify.classify_all>` scans every
     pair, and the per-pair functions scan their one pair. The scan is
     symmetric in p and q, labels come out in the order given, and
@@ -673,13 +656,23 @@ def _scan_pairs(
     distance) is nondecreasing, so its three least excesses are running
     minima behind nested tests: a point too near p or q for d/4 is
     tested against nothing more. An eps grid that is given is read once,
-    and :func:`_least_excess` finds its minima. A third point is between
-    p and q when its excess is at most :attr:`FiniteMetricSpace.abs_tol`,
-    except on an l2 point cloud, where :func:`_l2_betweenness` decides,
-    as in :meth:`FiniteMetricSpace.is_between`: its certified float
-    filter answers no for a point whose excess is above the rounding
-    bound, and its exact collinearity test answers for the rest, and
-    wherever the filter's floats leave the float range.
+    and :func:`_least_excess` finds its minima.
+
+    The betweenness rule: a third point r is between p and q when its
+    excess is at most :attr:`FiniteMetricSpace.abs_tol`, 0 on an exact
+    space, except on a float l2 point cloud, which carries the tables of
+    :func:`_l2_betweenness`. There a certified float filter stands in
+    front of an exact test. With a, b and c the float roots of the
+    integer squared distances from r to p, r to q and p to q, and
+    s = a + b, a point with s - c > :data:`_ROUNDING_BOUND` * (s + c) is
+    not between p and q: if it were, its true excess would be 0 and the
+    float one at most 2.54 * 2**-53 times s + c. Every other point goes
+    to :func:`_l2_collinear`, which decides (l2 is strictly convex, so
+    metric and linear betweenness coincide). So does every point with
+    an infinite root, whose squared distance is 0 or past the float
+    range: the comparison is false there, also where s and c are both
+    inf and s - c is NaN, which is why the filter asks "not above" and
+    not "at most".
 
     Exact spaces are scanned as integers over the common denominator of
     their distances, where the tolerance is 0: ratios compare by
@@ -696,8 +689,9 @@ def _scan_pairs(
         (unit, m), tol = space._int_matrix, 0
     else:
         unit, m, tol = None, space.dist, space.abs_tol
-    l2_between_for = space._l2_between_for
-    between = None
+    l2 = space._l2_filter
+    if l2 is not None:
+        roots, pts, minors = l2
     fixed = None if eps_grid is None else _eps_values(space, eps_grid)
     if fixed is not None:
         grid = tuple((eps, None) for eps in fixed)
@@ -720,8 +714,9 @@ def _scan_pairs(
             else:
                 t1, t2, t3 = _default_eps_grid(space, p, q)
                 grid = ((t1, None), (t2, None), (t3, None))
-        if l2_between_for is not None:
-            between = l2_between_for(p, q)
+        if l2 is not None:
+            root_p, root_q, pt_p, pt_q = roots[p], roots[q], pts[p], pts[q]
+            c = root_p[q]
         middles = []
         # exact: the least ratio is ratio / ratio_den, and 1/0 stands for inf
         ratio, ratio_den = (1, 0) if exact else (math.inf, None)
@@ -732,7 +727,10 @@ def _scan_pairs(
                 continue
             e = a + b - d_pq
             near = b if b < a else a
-            mid = e <= tol if between is None else between(r)
+            mid = e <= tol if l2 is None else (
+                not ((s := root_p[r] + root_q[r]) - c > _ROUNDING_BOUND * (s + c))
+                and _l2_collinear(minors, pt_p, pt_q, pts[r])
+            )
             if mid:
                 middles.append(r)
             if exact:
@@ -790,25 +788,17 @@ def _aligned(
 
 
 def _l2_betweenness(space: FiniteMetricSpace):
-    """The betweenness rule of a float l2 point cloud with exact
-    coordinates: ``between_for(p, q)`` returns a test ``between(r)`` of
-    whether a third point r lies between p and q. None for every other
-    space, where r is between p and q when its excess is at most the
-    absolute tolerance.
+    """The tables with which :func:`_scan_pairs` applies its betweenness
+    rule on a float l2 point cloud with exact coordinates, as
+    ``(roots, pts, minors)``; None for every other space.
 
-    The rule is a certified float filter in front of an exact test. Its
-    floats a, b and c are math.sqrt(S) of the integer squared distances
-    S from r to p, r to q and p to q on the integer-scaled coordinates,
-    which the space keeps (:attr:`FiniteMetricSpace._l2_squares`), never
-    from ``space.dist``, which :func:`validate` takes from its caller. A
-    point r whose float excess a + b - c is above :data:`_ROUNDING_BOUND`
-    times a + b + c is not between p and q: if it were, its true excess
-    would be 0 and the float one at most 2.54 * 2**-53 times that sum.
-    Every other point goes to :func:`_l2_collinear`, which decides (l2 is
-    strictly convex, so metric and linear betweenness coincide). A root
-    is math.inf where S is 0 (coinciding points) or past the float range;
-    every comparison with it is false, so those triples get the exact
-    test. A root is never subnormal, since S is a positive integer.
+    ``pts`` are the integer-scaled points and ``roots[i][j]`` is
+    math.sqrt(S) of their integer squared distance S, which the space
+    keeps (:attr:`FiniteMetricSpace._l2_squares`), never read from
+    ``space.dist``, which :func:`validate` takes from its caller. A root
+    is math.inf where S is 0 (coinciding points) or past the float range,
+    and never subnormal, since S is a positive integer. ``minors`` are
+    the coordinate pairs (a, b), a < b, that :func:`_l2_collinear` tests.
     """
     if space.mode != FLOAT or space.coords is None or space.coord_norm != "l2":
         return None
@@ -823,20 +813,7 @@ def _l2_betweenness(space: FiniteMetricSpace):
             except OverflowError:
                 root = math.inf
             roots[i][j] = roots[j][i] = root
-
-    def between_for(p, q):
-        root_p, root_q = roots[p], roots[q]
-        c = root_p[q]
-
-        def between(r):
-            s = root_p[r] + root_q[r]
-            if s - c > _ROUNDING_BOUND * (s + c):
-                return False
-            return _l2_collinear(minors, pts[p], pts[q], pts[r])
-
-        return between
-
-    return between_for
+    return roots, pts, minors
 
 
 def _l2_collinear(minors, p, q, r) -> bool:

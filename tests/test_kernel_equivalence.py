@@ -2,11 +2,12 @@
 
 `classify_all`, `aligned_triples` and the per-pair functions
 (`strict_middles`, `metric_segment`, `min_excess_ratio`,
-`concavity_modulus`, `classify_pair` and float `is_between`) all run on
-the kernel `freelip.space._scan_pairs` or its betweenness rule. Each must
-give what the point-by-point reference of the same name in `support`
-gives, for both orientations of every pair: the same values, number types
-and witnesses, and the same error for the same bad arguments.
+`concavity_modulus`, `classify_pair` and `is_between`) all run on the
+kernel `freelip.space._scan_pairs`, the one place that decides
+betweenness. Each must give what the point-by-point reference of the
+same name in `support` gives, for both orientations of every pair: the
+same values, number types and witnesses, and the same error for the same
+bad arguments.
 """
 
 import copy
@@ -373,20 +374,19 @@ def test_spiral_and_l2_family():
 
 
 def assert_filter_is_exact(space):
-    """The filtered test equals the exact reference on every (r, p, q),
-    both on the space and on a copy without the squared distances that
-    from_points may have seeded, which computes its own."""
+    """The filtered betweenness equals the exact reference on every
+    (r, p, q), both on the space and on a copy without the squared
+    distances that from_points may have seeded, which computes its own."""
     copy = dataclasses.replace(space)
     assert "_l2_squares" not in copy.__dict__
     assert copy._l2_squares == space._l2_squares
     for sp in (space, copy):
-        between_for = sp._l2_between_for
+        assert sp._l2_filter is not None
         for p, q in permutations(range(sp.n), 2):
-            between = between_for(p, q)
             for r in range(sp.n):
                 if r != p and r != q:
                     want = _linearly_between(sp.coords, r, p, q)
-                    assert between(r) == want, (sp.labels[r], sp.labels[p], sp.labels[q])
+                    assert sp.is_between(r, p, q) == want, (sp.labels[r], sp.labels[p], sp.labels[q])
 
 
 _coordinate = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
@@ -443,6 +443,25 @@ def test_l2_filter_leaves_coinciding_points_to_the_exact_test():
     assert not space.is_between("p", "r", "t")
 
 
+def test_l2_filter_sends_infinite_roots_to_the_exact_test():
+    # Every integer squared distance is past the float range, so every
+    # root is inf, while the distances, quotients of two such integers,
+    # are finite. With s and c both inf, s - c is NaN, which must fall
+    # through to the exact test: b lies on the segment from a to c ...
+    t = F(10**200 + 1, 10**200)
+    line = fl.space.from_points({"a": [0], "b": [t], "c": [2 * t]})
+    assert all(math.isinf(root) for row in line._l2_filter[0] for root in row)
+    assert line.is_between("b", "a", "c")
+    assert fl.strict_middles(line, "a", "c") == ("b",)
+    assert fl.aligned_triples(line) == (("b", "a", "c"),)
+    # ... and 10**-200 off it, b is not, though its float excess is 0
+    bent = fl.space.from_points({"a": [0, 0], "b": [t, F(1, 10**200)], "c": [2 * t, 0]})
+    assert bent.excess_raw(1, 0, 2) == 0.0
+    assert not bent.is_between("b", "a", "c")
+    assert fl.strict_middles(bent, "a", "c") == ()
+    assert fl.classify_all(bent).is_concave
+
+
 def grid_cloud():
     """The 3 x 3 integer grid under l2: eight aligned triples."""
     return fl.space_from_dict({"points": {f"g{i}{j}": [i, j] for i in range(3) for j in range(3)}})
@@ -482,17 +501,26 @@ def test_collinearity_ledger(monkeypatch):
 
 
 def test_a_classified_l2_cloud_pickles():
-    # classify_all caches the l2 filter, a nested function, on the space;
-    # pickling dropped nothing and failed. A space compares by identity,
-    # so the copy is compared by repr and by what it classifies.
+    # classify_all caches the l2 filter's tables on the space. They are
+    # plain data, so a pickle, a deep copy and with_base keep them, and
+    # dataclasses.replace, which builds a new space from the fields,
+    # computes them again. A space compares by identity, so a copy is
+    # compared by repr and by what it classifies.
     space = fl.gen_planar_spiral(F(1, 2), 4, seed=0)
     report = fl.classify_all(space)
-    assert space._l2_between_for is not None
-    copied = pickle.loads(pickle.dumps(space))
-    assert "_l2_between_for" not in vars(copied)
-    assert repr(copied) == repr(space)
-    assert fl.classify_all(copied) == report == fl.classify_all(space)
-    assert copied._l2_between_for is not None
+    tables = vars(space)["_l2_filter"]
+    assert tables is not None
+    kept = [pickle.loads(pickle.dumps(space)), copy.deepcopy(space), space.with_base(1)]
+    for copied in kept:
+        assert vars(copied)["_l2_filter"] == tables
+    rebuilt = dataclasses.replace(space)
+    assert "_l2_filter" not in vars(rebuilt)
+    for copied in (*kept[:2], rebuilt):
+        assert repr(copied) == repr(space)
+    for copied in (*kept, rebuilt):
+        assert fl.classify_all(copied) == report
+    assert vars(rebuilt)["_l2_filter"] == tables
+    assert fl.classify_all(space) == report
 
 
 def test_c0_family():
