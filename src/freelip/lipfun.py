@@ -16,9 +16,10 @@ interval is the single point +1 or -1. Full mode reads each interval in
 closed form off the metric segments from p to q, so on an exact space
 {x,y} is a member exactly when p, x, y and q lie in that order on a
 geodesic: d(p,x) + d(x,y) + d(y,q) = d(p,q). A float space takes the
-closed form in both modes. Lazy mode on an exact space bounds, on one LP
-tableau, only the candidates that no feasible function seen so far rules
-out, by an exact min and max LP, and keeps both optima to rule more out.
+closed form in both modes. Lazy mode on an exact space bounds only the
+candidates that no feasible function seen so far rules out, by an exact
+min and max LP over one set of integer rows, keeps both optima to rule
+more out, and checks each bound against the closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import combinations
 from typing import Mapping, Sequence, Union
 
 from . import simplex
-from .polytope import _coefficients, _lip_ball_rows
+from .polytope import _ball_rows, _coefficients
 from .space import EXACT, FiniteMetricSpace, Num, SpaceError, _scan_pairs
 
 
@@ -271,10 +272,12 @@ def attainment_set(
     interval in closed form (:func:`_path_intervals`) and runs no LP; on
     an exact space, {x,y} is a member iff d(p,x) + d(x,y) + d(y,q) =
     d(p,q). A float space takes the closed form in both modes. On an
-    exact space intervals="lazy" bounds a candidate by two exact LPs and
-    skips them for candidates already disqualified by a feasible function
-    produced along the way. Both modes return identical members, and the
-    intervals lazy mode reports equal those of full mode.
+    exact space intervals="lazy" bounds a candidate by two exact LPs
+    (:func:`_lazy_intervals`, on the integer matrix) and skips them for
+    candidates already disqualified by a feasible function produced along
+    the way. Both modes return identical members, and the intervals lazy
+    mode reports equal those of full mode; lazy mode checks that each one
+    does, and raises LPFailure if not.
     """
     if intervals not in ("lazy", "full"):
         raise ValueError("intervals must be 'lazy' or 'full'")
@@ -352,12 +355,18 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int):
 
     The LPs run in g = f - h, with h(x) = d(x,q) - d(e,q) feasible:
     phi(f,p,q) = 1 merges g(p) and g(q) into one variable and every
-    right-hand side is nonnegative, so each bound is one phase-two run on
-    one tableau. The seen functions start as h and its p-side twin
-    d(e,p) - d(x,p); every LP optimum joins them.
+    right-hand side is nonnegative, so each bound is one phase-two run
+    of ``simplex._ball_phase_two`` on one set of rows. Distances, h, the
+    LP optima and the witnesses are ints over the unit of
+    ``space._int_matrix``, so ``dist`` is not read. The seen functions
+    start as h and its p-side twin d(e,p) - d(x,p); every LP optimum
+    joins them. Each LP interval is checked against the closed form of
+    :func:`_path_intervals` before it is returned; a mismatch raises
+    LPFailure.
     """
-    n, e, dist = space.n, space.base_index, space.dist
-    h = [dist[x][qi] - dist[e][qi] for x in range(n)]
+    n, e = space.n, space.base_index
+    dm = space._int_matrix[1]
+    h = [dm[x][qi] - dm[e][qi] for x in range(n)]
     # Variables: the shared p/q one first, then the other non-base points
     # in index order (None = fixed 0). Bland's rule makes the optima depend
     # on this order.
@@ -370,12 +379,13 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int):
         if x not in (e, pi, qi):
             var_of[x] = nv
             nv += 1
-    lp = simplex.Tableau(nv, *_lip_ball_rows(space, var_of, nv, h), free=True)
+    rows, b = _ball_rows(dm, var_of, h)
+    closed = _path_intervals(space, pi, qi)
 
-    witnesses = [h, [dist[e][pi] - dist[x][pi] for x in range(n)]]
+    witnesses = [h, [dm[e][pi] - dm[x][pi] for x in range(n)]]
 
     def interval(i: int, j: int):
-        d = dist[i][j]
+        d = dm[i][j]
         # d > 0, so a slope is inside (-1, 1) when |w_i - w_j| < d
         if any(abs(w[i] - w[j]) < d for w in witnesses):
             return None
@@ -386,13 +396,12 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int):
             c[var_of[j]] -= 1
         bounds = []
         for maximize in (False, True):
-            res = lp.solve(c, maximize)
-            if res.status != simplex.OPTIMAL:
-                raise simplex.LPFailure(
-                    f"attainment LP ended {res.status}; the polytope is never empty"
-                )
-            bounds.append((res.objective + h[i] - h[j]) / d)
-            witnesses.append([h[x] if v is None else res.x[v] + h[x] for x, v in enumerate(var_of)])
+            g, _ = simplex._ball_phase_two(nv, rows, b, c, maximize)
+            w = [h[x] if v is None else g[v] + h[x] for x, v in enumerate(var_of)]
+            bounds.append(Fraction(w[i] - w[j], d))
+            witnesses.append(w)
+        if tuple(bounds) != closed(i, j):
+            raise simplex.LPFailure("attainment LP bound differs from the closed form")
         return tuple(bounds)
 
     return interval

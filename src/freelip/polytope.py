@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from . import simplex
@@ -137,34 +138,25 @@ def molecule_vector(
     return Molecule(p=space.labels[pi], q=space.labels[qi], vector=tuple(vec))
 
 
-def _lip_ball_rows(
-    space: FiniteMetricSpace,
-    var_of: Sequence[int | None],
-    nv: int,
-    h: Sequence[Fraction] | None = None,
-):
-    """Rows of |f(x) - f(y)| <= d(x,y) over nv variables g = f - h.
+def _ball_rows(dm: Sequence[Sequence[int]], var_of: Sequence[int | None], h: Sequence[int] | None = None):
+    """Rows of |f(x) - f(y)| <= d(x,y) over the variables g = f - h, on
+    the integer distances dm and h over one unit: each row as its
+    nonzeros, (variable, +-1) pairs, for ``simplex._ball_phase_two``.
 
     Point x reads variable var_of[x] (None: fixed at 0); h defaults to
     zero. Pairs whose row vanishes are left out.
     """
-    a_ub: list[list[int]] = []
-    b_ub: list[Fraction] = []
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            row = [0] * nv
-            if var_of[i] is not None:
-                row[var_of[i]] += 1
-            if var_of[j] is not None:
-                row[var_of[j]] -= 1
-            if any(row):
-                d = Fraction(space.dist[i][j])
+    rows: list[list[tuple[int, int]]] = []
+    b: list[int] = []
+    for i, vi in enumerate(var_of):
+        for j in range(i + 1, len(var_of)):
+            vj = var_of[j]
+            if vi != vj:  # else both are fixed, or p and q share a variable
+                row = [(v, a) for v, a in ((vi, 1), (vj, -1)) if v is not None]
                 dh = 0 if h is None else h[i] - h[j]
-                a_ub.append(row)
-                b_ub.append(d - dh)
-                a_ub.append([-v for v in row])
-                b_ub.append(d + dh)
-    return a_ub, b_ub
+                rows += [row, [(v, -a) for v, a in row]]
+                b += [dm[i][j] - dh, dm[i][j] + dh]
+    return rows, b
 
 
 def free_norm(
@@ -178,6 +170,14 @@ def free_norm(
     Maximizes sum a_x f(x) over the Lipschitz unit ball with f(e) = 0;
     exact in exact mode. With with_witness=True also returns the optimal
     f as a label -> value dict for independent re-checking.
+
+    The LP runs on the integer distances of ``space._int_matrix`` and the
+    coefficients over their common denominator, by the revised phase two
+    of ``simplex._ball_phase_two``, so ``dist`` is not read. Before it
+    returns, the optimum is re-verified in exact integers: the witness
+    (0 at e) is 1-Lipschitz, and the engine's row multipliers u are a
+    transport plan of equal cost, u >= 0, A^T u = a and b.u = a.f, which
+    proves f optimal. A failed check raises LPFailure.
     """
     _guard(space, max_points)
     nonbase, coefficients = _coefficients(space, coefficients)
@@ -185,14 +185,25 @@ def free_norm(
     if not any(coeffs):
         value = space.num(0)
         return (value, {space.labels[x]: Fraction(0) for x in nonbase}) if with_witness else value
+    c_den = lcm(*(c.denominator for c in coeffs))
+    cost = [c.numerator * (c_den // c.denominator) for c in coeffs]
+    unit, dm = space._int_matrix
     pos = {x: k for k, x in enumerate(nonbase)}
-    a_ub, b_ub = _lip_ball_rows(space, [pos.get(x) for x in range(space.n)], len(nonbase))
-    res = simplex.solve_free(coeffs, a_ub, b_ub, maximize=True)
-    if res.status != simplex.OPTIMAL:
-        raise simplex.LPFailure(f"free norm LP ended {res.status}")
-    value = space.num(res.objective)
+    rows, b = _ball_rows(dm, [pos.get(x) for x in range(space.n)])
+    g, u = simplex._ball_phase_two(len(nonbase), rows, b, cost, True)  # maximize
+    # the rows hold f(e) = 0 and every pair's |f(x) - f(y)| <= d(x,y)
+    if any(sum(a * g[v] for v, a in row) > br for row, br in zip(rows, b)):
+        raise simplex.LPFailure("free norm witness is not 1-Lipschitz")
+    flow = [0] * len(cost)
+    for row, ur in zip(rows, u):
+        for v, a in row:
+            flow[v] += a * ur
+    top = sum(c * x for c, x in zip(cost, g))
+    if any(ur < 0 for ur in u) or flow != cost or sum(br * ur for br, ur in zip(b, u)) != top:
+        raise simplex.LPFailure("free norm dual certificate failed verification")
+    value = space.num(Fraction(top, c_den * unit))
     if with_witness:
-        witness = {space.labels[x]: res.x[k] for k, x in enumerate(nonbase)}
+        witness = {space.labels[x]: Fraction(g[k], unit) for k, x in enumerate(nonbase)}
         return value, witness
     return value
 

@@ -1,20 +1,21 @@
 """Exact linear programming over the rationals.
 
-Two primal simplex engines with Bland's rule (anti-cycling), each
-fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22, 1968): a row is a
-list of Python ints over one positive row denominator, kept in lowest
-terms. Pivot choices, and therefore every result, equal those of the
-textbook Fraction tableau; Fraction appears only where values enter and
-leave the solver, so feasibility and optimality verdicts are exact.
+Three primal simplex engines with Bland's rule (anti-cycling), each
+exact on Python ints. Pivot choices, and therefore every result, equal
+those of the textbook Fraction tableau; Fraction appears only where
+values enter and leave the solver, so feasibility and optimality
+verdicts are exact.
 
 The dense tableau (:class:`Tableau`, :func:`solve_nonneg`,
-:func:`solve_free`) serves the norm and attainment LPs over the
-Lipschitz ball. It is built once per constraint system (rows scaled to
-ints, slacks and artificials laid out, phase one run) and copied per
-objective for phase two. A pivot touches only what it changes: the
-pivot row's nonzero entries are listed once, and every other row is
-scaled by the pivot entry and updated on those columns alone; the free
-tableaus of the Lipschitz ball are mostly zeros.
+:func:`solve_free`) is the general engine, fraction-free (Edmonds 1967;
+Bareiss, Math. Comp. 22, 1968): a row is a list of ints over one
+positive row denominator, kept in lowest terms. It is built once per
+constraint system (rows scaled to ints, slacks and artificials laid
+out, phase one run) and copied per objective for phase two. A pivot
+touches only what it changes: the pivot row's nonzero entries are
+listed once, and every other row is scaled by the pivot entry and
+updated on those columns alone. No library LP runs on it; the tests
+use it as the reference of the other two.
 
 The vertex oracle's feasibility LP is a network LP (Ahuja, Magnanti and
 Orlin, Network Flows, 1993): each column is the incidence vector of an
@@ -23,6 +24,15 @@ runs phase one of it as a revised simplex. It keeps only the basis
 inverse and the right-hand side, prices a column in O(1) from the
 duals, builds the entering column from its three nonzeros, and takes
 the dense tableau's pivots.
+
+The LPs over the Lipschitz ball, ``polytope.free_norm`` and lazy
+``lipfun.attainment_set``, have rows +-(e_x - e_y) and +-e_x, a network
+matrix, so every basis inverse is an integer matrix and every pivot
+element is 1. :func:`_ball_phase_two` runs their phase two as a revised
+simplex on ints alone, with no row denominator and no gcd: it keeps the
+basic columns, the tight rows and the inverse of the square block
+between them (at most n - 1 wide), and takes the dense free tableau's
+pivots.
 """
 
 from __future__ import annotations
@@ -371,3 +381,127 @@ def _network_phase_one(unit: int, dm: Sequence[Sequence[int]], e: int,
         if bi < na:
             mu[bi] = Fraction(rows[r][m], den[r])
     return LPResult(OPTIMAL, objective=ZERO, x=tuple(mu))
+
+
+def _ball_pivot(rows: Sequence[Sequence[tuple[int, int]]], basic: list[tuple[int, int]],
+                tight: list[int], inv: list[list[int]], dg: list[int],
+                enter: tuple[int, int], leave: tuple[int, int]) -> None:
+    # enter and leave are (variable, sign) for a column x+ (sign 1) or x-
+    # (sign -1); a slack is (its position in tight, 0) when it enters and
+    # (its row, 0) when it leaves. lead is the leaving variable's row of
+    # the basis inverse, over the tight rows and a leaving slack's row:
+    # s * inv[i] for x = s * g, and e_r - a_r.inv for the slack
+    # b_r - a_r.g. The pivot element is 1, so the entering column's row
+    # is lead times its sign, and each other basic g moves by dg times
+    # lead. An entering slack's row drops out of the inverse.
+    out, s = leave
+    if s:
+        i = [k for k, _ in basic].index(out)
+        lead = [s * v for v in inv[i]]
+        del basic[i], inv[i]
+    else:
+        at = {k: row for (k, _), row in zip(basic, inv)}
+        lead = [0] * len(tight)
+        for v, a in rows[out]:
+            if v in at:
+                lead = [x - a * y for x, y in zip(lead, at[v])]
+        lead.append(1)
+        tight.append(out)
+        for row in inv:
+            row.append(0)
+    for i, (k, _) in enumerate(basic):
+        if dg[k]:
+            inv[i] = [x + dg[k] * y for x, y in zip(inv[i], lead)]
+    k, sigma = enter
+    if sigma:
+        basic.append(enter)
+        inv.append([sigma * y for y in lead])
+    else:
+        del tight[k]
+        for row in inv:
+            del row[k]
+
+
+def _ball_phase_two(nv: int, rows: Sequence[Sequence[tuple[int, int]]], b: Sequence[int],
+                    cost: Sequence[int], maximize: bool = False) -> tuple[list[int], list[int]]:
+    """Optimize cost.g subject to a_r.g <= b_r for every row r, g free in
+    nv variables, by phase two from the all-slack basis; every b_r >= 0.
+
+    Row r is its nonzeros, (variable, +-1) pairs: the rows of
+    |f(x) - f(y)| <= d(x,y), a network matrix, which is totally
+    unimodular, so every basis inverse is an integer matrix and every
+    pivot element is 1; an entering column with an entry above 1 raises
+    LPFailure. b is ints, say over a unit; g then is too. The state is the
+    basic x+/x- columns, the tight rows (nonbasic slacks), the integer
+    inverse of the square A[tight, basic], one row per basic column and
+    updated in place by :func:`_ball_pivot`, and the values g and b - Ag.
+    Pivots are those of :class:`Tableau` with free=True on the same rows:
+    Bland's lowest-index entering column in its layout (x+, then x-, then
+    the slacks by row), where a basic column prices to exactly 0, and the
+    least ratio, ties to the lowest basic column.
+
+    Returns g and the row multipliers u >= 0, zero off the tight rows,
+    with u.A = cost and u.b = cost.g when maximizing (-cost and -cost.g
+    when minimizing): the dual optimum that proves g optimal.
+    """
+    if maximize:
+        cost = [-v for v in cost]
+    occ: list[list[tuple[int, int]]] = [[] for _ in range(nv)]  # the rows of each variable
+    for r, row in enumerate(rows):
+        for v, a in row:
+            occ[v].append((r, a))
+    basic: list[tuple[int, int]] = []
+    tight: list[int] = []
+    inv: list[list[int]] = []
+    g, slack = [0] * nv, list(b)
+    while True:
+        # w: the duals of the tight rows, cost_basic . inv; z = w.A
+        w = [sum(cost[k] * row[j] for (k, _), row in zip(basic, inv)) for j in range(len(tight))]
+        z = [0] * nv
+        for r, y in zip(tight, w):
+            if y:
+                for v, a in rows[r]:
+                    z[v] += a * y
+        # reduced costs: cost - z at x+, z - cost at x-, -w at a slack;
+        # dg: the change of g per unit of the entering column
+        dg = [0] * nv
+        enter = next(((k, 1) for k in range(nv) if cost[k] < z[k]), None) \
+            or next(((k, -1) for k in range(nv) if cost[k] > z[k]), None)
+        if enter:
+            k, sigma = enter
+            dg[k] = sigma
+            at = dict(occ[k])
+            a_k = [at.get(t, 0) for t in tight]
+            for (kb, _), row in zip(basic, inv):
+                dg[kb] = -sigma * sum(x * y for x, y in zip(row, a_k))
+        else:
+            free = [(r, j) for j, (r, y) in enumerate(zip(tight, w)) if y > 0]
+            if not free:
+                u = [0] * len(rows)
+                for r, y in zip(tight, w):
+                    u[r] = -y
+                return g, u
+            j = min(free)[1]
+            enter = (j, 0)
+            for (kb, _), row in zip(basic, inv):
+                dg[kb] = -row[j]
+        # the entering column: -dg at a basic x+, dg at a basic x-, A.dg at
+        # a slack, which is 0 or -1 on the tight rows. Ratio test by value
+        # and then the dense layout's column: x+ k, x- nv + k, slack 2 nv + r
+        cands = [(s * g[kb], kb if s > 0 else nv + kb, (kb, s), -s * dg[kb])
+                 for kb, s in basic if s * dg[kb] < 0]
+        col = [0] * len(rows)
+        for v, d in enumerate(dg):
+            if d:
+                for r, a in occ[v]:
+                    col[r] += a * d
+        cands += [(slack[r], 2 * nv + r, (r, 0), a) for r, a in enumerate(col) if a > 0]
+        if not cands:
+            raise LPFailure("the Lipschitz ball LP cannot be unbounded")
+        if any(cand[3] != 1 for cand in cands):
+            raise LPFailure("an entry of the entering column is above 1")
+        theta, _, leave, _ = min(cands)
+        if theta:
+            g = [x + theta * d for x, d in zip(g, dg)]
+            slack = [x - theta * a for x, a in zip(slack, col)]
+        _ball_pivot(rows, basic, tight, inv, dg, enter, leave)

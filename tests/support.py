@@ -22,9 +22,12 @@ dense update, which the simplex must match,
 ``reference_vertex_lp`` the oracle's network-form LP on the dense
 tableau, which the revised phase one (``freelip.simplex._network_phase_one``)
 must match,
-``reference_full_attainment`` the full attainment intervals by one pair
-of LPs per candidate on ``_AttainmentLP``, the tableau that lazy mode
-(``freelip.lipfun._lazy_intervals``) builds inside one closure,
+``reference_ball_lp`` the dense free tableau on the Lipschitz-ball rows
+over ``dist`` (``_lip_ball_rows``), which the revised phase two of
+``free_norm`` and lazy attainment (``freelip.simplex._ball_phase_two``)
+must match, ``reference_full_attainment`` the full attainment intervals
+by one pair of LPs per candidate on ``_AttainmentLP``, the lazy LP of
+``freelip.lipfun._lazy_intervals`` on that dense tableau,
 ``reference_spiral_points`` the spiral generator's pairwise alignment
 test, ``reference_admissible_b`` the l2 generator's blind bisection for
 b_n, and ``reference_cloud_matrix`` the Fraction distance matrix of a
@@ -43,7 +46,6 @@ from mpmath import mp
 from freelip import simplex, validate
 from freelip.classify import PairVerdict, _notes
 from freelip.lipfun import Num, _closure
-from freelip.polytope import _lip_ball_rows
 from freelip.space import (
     EXACT,
     FiniteMetricSpace,
@@ -644,6 +646,46 @@ def reference_is_vertex(space, p, q):
     return VertexCertificate(vertex=True, separating=dict(zip(labels, phi)), margin=margin, weights=None)
 
 
+def _lip_ball_rows(
+    space: FiniteMetricSpace,
+    var_of: Sequence[int | None],
+    nv: int,
+    h: Sequence[Fraction] | None = None,
+):
+    """Rows of |f(x) - f(y)| <= d(x,y) over nv variables g = f - h, as
+    dense rows over ``dist`` for the reference tableau.
+
+    Point x reads variable var_of[x] (None: fixed at 0); h defaults to
+    zero. Pairs whose row vanishes are left out. The library builds the
+    same rows as integer nonzeros (``freelip.polytope._ball_rows``).
+    """
+    a_ub: list[list[int]] = []
+    b_ub: list[Fraction] = []
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            row = [0] * nv
+            if var_of[i] is not None:
+                row[var_of[i]] += 1
+            if var_of[j] is not None:
+                row[var_of[j]] -= 1
+            if any(row):
+                d = Fraction(space.dist[i][j])
+                dh = 0 if h is None else h[i] - h[j]
+                a_ub.append(row)
+                b_ub.append(d - dh)
+                a_ub.append([-v for v in row])
+                b_ub.append(d + dh)
+    return a_ub, b_ub
+
+
+def reference_ball_lp(space, var_of, nv: int, h=None) -> simplex.Tableau:
+    """The dense free tableau on :func:`_lip_ball_rows`, which the revised
+    phase two (``freelip.simplex._ball_phase_two``) on the integer rows of
+    ``freelip.polytope._ball_rows`` must match result for result and pivot
+    for pivot."""
+    return simplex.Tableau(nv, *_lip_ball_rows(space, var_of, nv, h), free=True)
+
+
 class _AttainmentLP:
     """Shared LP scaffolding for one attainment-set computation.
 
@@ -680,8 +722,7 @@ class _AttainmentLP:
                 nv += 1
         self.var_of = var_of
         self.nv = nv
-        a_ub, b_ub = _lip_ball_rows(space, var_of, nv, self.h)
-        self.lp = simplex.Tableau(nv, a_ub, b_ub, free=True)
+        self.lp = reference_ball_lp(space, var_of, nv, self.h)
 
     def interval(self, i: int, j: int) -> tuple[Num, Num]:
         c = [Fraction(0)] * self.nv

@@ -19,6 +19,7 @@ from support import (
     EQUILATERAL,
     VEE,
     closure,
+    count_calls,
     count_pivots,
     random_exact_space,
     random_float_space,
@@ -366,8 +367,9 @@ def _attainment_text(space, p, q, intervals):
 def test_lazy_attainment_corpus_digest(monkeypatch):
     # On exact spaces lazy mode's printed intervals and members depend on
     # the LP optima (Bland's rule), so the whole output is pinned, and so
-    # is the pivot total of the path that reached them.
-    pivots = count_pivots(monkeypatch)
+    # is the pivot total of the path that reached them: the revised phase
+    # two takes the pivots that the dense free tableau took.
+    pivots = count_calls(monkeypatch, simplex, "_ball_pivot")
     digest = hashlib.sha256()
     for sp in _lazy_corpus():
         if sp.mode == "exact":
@@ -380,7 +382,8 @@ def test_lazy_attainment_corpus_digest(monkeypatch):
 def test_lazy_attainment_corpus_floats_equal_full(monkeypatch):
     # Float spaces take the closed form in both modes and solve no LP; the
     # pair distance comes off the closure, so no polytope is empty.
-    pivots = count_pivots(monkeypatch)
+    pivots = count_calls(monkeypatch, simplex, "_ball_pivot")
+    dense = count_pivots(monkeypatch)
     failures = 0
     for sp in _lazy_corpus():
         if sp.mode != "exact":
@@ -389,7 +392,11 @@ def test_lazy_attainment_corpus_floats_equal_full(monkeypatch):
                 assert lazy == _attainment_text(sp, p, q, "full")
                 failures += lazy.startswith("LPFailure")
     assert failures == 0
-    assert pivots[0] == 0
+    assert pivots[0] == dense[0] == 0
+    # the counter counts: the exact spaces of the corpus do pivot
+    sp = next(sp for sp in _lazy_corpus() if sp.mode == "exact" and sp.n > 2)
+    fl.attainment_set(sp, 0, 1, intervals="lazy")
+    assert pivots[0] > 0
 
 
 def test_closure_of_the_rational_reading():
@@ -432,22 +439,36 @@ def _count_tableaux(monkeypatch):
 
 def test_full_attainment_runs_no_lp(monkeypatch):
     built, solved, _ = _count_tableaux(monkeypatch)
+    solves = count_calls(monkeypatch, simplex, "_ball_phase_two")
     fl.attainment_set(random_exact_space(random.Random(7), 7), 1, 2, intervals="full")
-    assert built == [] and solved == []
+    assert built == [] and solved == [] and solves[0] == 0
 
 
-def test_lazy_attainment_builds_one_tableau(monkeypatch):
-    # Machine-independent: one Lipschitz-ball tableau, at most
-    # 2 * (C(n,2) - 1) objectives solved on it, and every row scaled to
-    # ints only once.
+def test_lazy_attainment_builds_its_rows_once(monkeypatch):
+    # Machine-independent: one build of the Lipschitz-ball rows, at most
+    # 2 * (C(n,2) - 1) objectives solved on them by the revised phase two,
+    # and no dense tableau and no row scaled to ints.
     n = 7
     built, solved, scaled = _count_tableaux(monkeypatch)
+    builds = count_calls(monkeypatch, fl.lipfun, "_ball_rows")
+    solves = count_calls(monkeypatch, simplex, "_ball_phase_two")
     fl.attainment_set(random_exact_space(random.Random(7), n), 1, 2, intervals="lazy")
-    assert len(built) == 1
-    assert 0 < len(solved) <= 2 * (comb(n, 2) - 1) and all(t is built[0] for t in solved)
-    # p and q share a variable, so only the row pair of (p, q) vanishes:
-    # 2 * (C(n,2) - 1) rows, then one objective per solve.
-    assert scaled[0] == 2 * (comb(n, 2) - 1) + len(solved)
+    assert builds[0] == 1
+    assert 0 < solves[0] <= 2 * (comb(n, 2) - 1)
+    assert built == [] and solved == [] and scaled[0] == 0
+
+
+def test_lazy_attainment_rejects_a_bound_off_the_closed_form(monkeypatch):
+    # the engine's two optima swapped: each LP interval comes out reversed,
+    # which the closed form of full mode catches
+    sp = random_exact_space(random.Random(7), 7)
+    assert fl.attainment_set(sp, 1, 2) is not None
+    solve = simplex._ball_phase_two
+    monkeypatch.setattr(
+        simplex, "_ball_phase_two", lambda nv, rows, b, c, maximize: solve(nv, rows, b, c, not maximize)
+    )
+    with pytest.raises(simplex.LPFailure, match="differs from the closed form"):
+        fl.attainment_set(sp, 1, 2)
 
 
 def test_float_attainment_with_one_ulp_triangle_deficit():

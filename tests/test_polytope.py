@@ -3,6 +3,8 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from itertools import combinations, permutations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +17,7 @@ from freelip.polytope import (
     TooManyPoints,
 )
 from support import (
+    _AttainmentLP,
     CHAIN,
     EQUILATERAL,
     VEE,
@@ -27,6 +30,7 @@ from support import (
     random_exact_space,
     random_float_space,
     random_space_with_midpoint,
+    reference_ball_lp,
     reference_is_vertex,
     reference_vertex_lp,
 )
@@ -146,12 +150,63 @@ def _free_norm_corpus():
 def test_free_norm_pivot_ledger(monkeypatch):
     # Bland's rule fixes the pivot path, so the pivot total over the corpus
     # is pinned with the outputs: a cheaper pivot must not take other steps.
-    pivots = count_pivots(monkeypatch)
+    # The revised phase two takes the pivots that the dense free tableau took.
+    pivots = count_calls(monkeypatch, fl.simplex, "_ball_pivot")
     digest = hashlib.sha256()
     for sp, coeffs in _free_norm_corpus():
         digest.update(repr(fl.free_norm(sp, coeffs, with_witness=True)).encode())
     assert pivots[0] == 102
     assert digest.hexdigest() == "88980b0af8b780edef8a196be48b2ed1901b5379446b5442505e30b7937bd80b"
+
+
+def _patched_ball_lp(monkeypatch, change):
+    # the engine's answer passed through change(g, u) before free_norm reads it
+    solve = fl.simplex._ball_phase_two
+
+    def patched(*args):
+        return change(*solve(*args))
+
+    monkeypatch.setattr(fl.simplex, "_ball_phase_two", patched)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # a witness that leaves the Lipschitz ball: f(x) above d(x, e)
+        (lambda g, u: ([g[0] + 100, *g[1:]], u), "not 1-Lipschitz"),
+        # a feasible witness that is not optimal, with the true multipliers
+        (lambda g, u: ([0] * len(g), u), "dual certificate"),
+        # the optimal witness with multipliers that do not sum to the
+        # coefficients, or are negative
+        (lambda g, u: (g, [2 * v for v in u]), "dual certificate"),
+        (lambda g, u: (g, [v - (v == 0) for v in u]), "dual certificate"),
+    ],
+    ids=["infeasible-witness", "suboptimal-witness", "scaled-dual", "negative-dual"],
+)
+def test_free_norm_rejects_a_wrong_witness_or_dual(monkeypatch, change, message):
+    sp = random_exact_space(random.Random(8), 5, base=1)
+    coeffs = [3, -1, F(1, 2), 2]
+    assert fl.free_norm(sp, coeffs) > 0
+    _patched_ball_lp(monkeypatch, change)
+    with pytest.raises(fl.simplex.LPFailure, match=message):
+        fl.free_norm(sp, coeffs, with_witness=True)
+
+
+def test_lp_layers_read_the_integer_matrix_and_leave_dist_unbuilt():
+    # free_norm and lazy attainment on a space read from ratio strings
+    # take d(x,y) from the integers, as the vertex oracle does
+    eager = random_space_with_midpoint(random.Random(22), 6, base=4)[0]
+    lazy = fl.space_from_dict(fl.space_to_dict(eager))
+    assert "dist" not in vars(lazy)
+    rng = random.Random(3)
+    for p in range(6):
+        coeffs = [F(rng.randint(-9, 9), rng.choice((1, 2, 7))) for _ in range(5)]
+        want = fl.free_norm(eager, coeffs, with_witness=True)
+        assert fl.free_norm(lazy, coeffs, with_witness=True) == want
+        for q in range(6):
+            if p != q:
+                assert fl.attainment_set(lazy, p, q) == fl.attainment_set(eager, p, q)
+    assert "dist" not in vars(lazy)
 
 
 def test_free_norm_float_mode():
@@ -301,6 +356,108 @@ def test_network_phase_one_equals_the_dense_tableau_and_pins_its_pivots(monkeypa
     assert 0 < statuses.count(fl.simplex.INFEASIBLE) < len(statuses)
     # the dense tableau takes 16,922 pivots on this corpus, drive-out included
     assert taken[0] == dense[0] == 16050
+
+
+def _ball_lp_corpus():
+    # The Lipschitz-ball LPs of lazy attainment and free_norm on one space
+    # per n = 2-12, each with a random base; wide denominators at odd n, a
+    # midpoint at n = 3, 4, 6, 7, 9, 10, 12. Lazy: every candidate
+    # objective in both senses, on every ordered pair for n <= 6, on
+    # (x, e) and (x, y) with neither the base e for n = 7, 8, and on one of
+    # them for n >= 9; the rows of pairs on a
+    # geodesic to q have zero right-hand sides. Then free_norm on an
+    # integer vector, a molecule and a vector over wide denominators.
+    rng = random.Random(30)
+    for n in range(2, 13):
+        midpoint = n > 2 and n % 3 != 2
+        matrix = random_exact_matrix(rng, n - midpoint, PRIMES if n % 2 else NARROW)
+        if midpoint:
+            matrix, _ = inject_midpoint(matrix, rng)
+        sp = fl.validate(matrix, labels_for(n), base=rng.randrange(n), mode="exact")
+        unit, dm, e = *sp._int_matrix, sp.base_index
+        pairs = list(permutations(range(n), 2))
+        if n > 6:
+            x, y = rng.sample([x for x in range(n) if x != e], 2)
+            pairs = [(x, e), (x, y)] if n <= 8 else [(x, (e, y)[n % 2])]
+        for p, q in pairs:
+            prob = _AttainmentLP(sp, p, q)
+            rows, b = fl.polytope._ball_rows(dm, prob.var_of, [int(v * unit) for v in prob.h])
+            for i, j in combinations(range(n), 2):
+                if {i, j} != {p, q}:
+                    c = [0] * prob.nv
+                    for x, a in ((i, 1), (j, -1)):
+                        if prob.var_of[x] is not None:
+                            c[prob.var_of[x]] += a
+                    for maximize in (False, True):
+                        yield prob.lp, rows, b, unit, c, maximize
+        var_of = [None if x == e else x - (x > e) for x in range(n)]
+        lp = reference_ball_lp(sp, var_of, n - 1)
+        rows, b = fl.polytope._ball_rows(dm, var_of)
+        p, q = rng.sample(range(n), 2)
+        for c in (
+            [rng.randint(-9, 9) for _ in range(n - 1)],
+            fl.molecule_vector(sp, p, q).vector,
+            [F(rng.randint(-9, 9), rng.choice(PRIMES)) for _ in range(n - 1)],
+        ):
+            yield lp, rows, b, unit, c, True
+
+
+def _check_ball_lp(lp, rows, b, unit, c, maximize, taken, dense):
+    # one LP on both engines: equal x, objective and pivot count, and the
+    # multipliers are a dual optimum (u >= 0, u.A = c, u.b = c.g; -c when
+    # minimizing)
+    before = taken[0], dense[0]
+    ref = lp.solve(c, maximize)
+    c_den = lcm(*(F(v).denominator for v in c))
+    cost = [int(v * c_den) for v in c]
+    g, u = fl.simplex._ball_phase_two(len(c), rows, b, cost, maximize)
+    assert ref.x == tuple(F(v, unit) for v in g)
+    top = sum(v * x for v, x in zip(cost, g))
+    assert ref.objective == F(top, c_den * unit)
+    assert taken[0] - before[0] == dense[0] - before[1]
+    flow = [0] * len(c)
+    for row, ur in zip(rows, u):
+        for v, a in row:
+            flow[v] += a * ur
+    sign = 1 if maximize else -1
+    assert min(u, default=0) >= 0 and flow == [sign * v for v in cost]
+    assert sum(x * y for x, y in zip(b, u)) == sign * top
+
+
+def test_ball_phase_two_equals_the_dense_tableau_and_pins_its_pivots(monkeypatch):
+    # The revised phase two against the dense free tableau, LP by LP; its
+    # pivot total over the corpus is pinned, as Bland's rule fixes the path
+    taken = count_calls(monkeypatch, fl.simplex, "_ball_pivot")
+    dense = count_pivots(monkeypatch)
+    solved = zero_rhs = 0
+    for lp in _ball_lp_corpus():
+        _check_ball_lp(*lp, taken, dense)
+        solved += 1
+        zero_rhs += 0 in lp[2]
+    assert solved == 1961 and 0 < zero_rhs < solved
+    assert taken[0] == dense[0] == 5365
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 8), st.booleans(), st.sampled_from([NARROW, PRIMES]), st.booleans())
+@example(0, 2, False, NARROW, True)
+@example(1, 8, True, PRIMES, False)
+def test_ball_phase_two_matches_the_dense_tableau_on_any_objective(seed, n, midpoint, denominators, maximize):
+    rng = random.Random(seed)
+    matrix = random_exact_matrix(rng, n, denominators)
+    if midpoint:
+        matrix, _ = inject_midpoint(matrix, rng)
+    m = len(matrix)
+    sp = fl.validate(matrix, labels_for(m), base=rng.randrange(m), mode="exact")
+    p, q = rng.sample(range(m), 2)
+    prob = _AttainmentLP(sp, p, q)
+    unit, dm = sp._int_matrix
+    rows, b = fl.polytope._ball_rows(dm, prob.var_of, [int(v * unit) for v in prob.h])
+    c = [F(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(prob.nv)]
+    with pytest.MonkeyPatch.context() as mp:
+        taken = count_calls(mp, fl.simplex, "_ball_pivot")
+        dense = count_pivots(mp)
+        _check_ball_lp(prob.lp, rows, b, unit, c, maximize, taken, dense)
 
 
 def test_is_vertex_reads_the_integer_matrix_and_leaves_dist_unbuilt():
