@@ -265,12 +265,22 @@ def cmd_modulus(args, space) -> Report:
     return EXIT_OK, formats.space_digest(space), payload, "\n".join(lines)
 
 
+def _rational(text: str) -> Fraction:
+    """The value of a rational flag, --lambda or --alpha. A zero
+    denominator raises ValueError, as any other bad literal does, so
+    main reports it on one error line."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 # family argument -> its generator spec, built from the family flags
 _FAMILY_SPECS = {
     "c0": lambda args: generators.FamilySpec("c0_counterexample"),
     "spiral": lambda args: generators.FamilySpec(
         "planar_spiral_one_sided" if args.one_sided else "planar_spiral",
-        {"lam": Fraction(args.lam), "seed": args.seed},
+        {"lam": _rational(args.lam), "seed": args.seed},
     ),
     "l2": lambda args: generators.FamilySpec("l2_nonholder"),
 }
@@ -281,10 +291,11 @@ def cmd_generate(args) -> Report:
         if args.input is None:
             raise formats.FormatError("generate holder needs --input")
         space = formats.load_space(args.input)
-        out_space = holder_transform(space, Fraction(args.alpha))
+        alpha = _rational(args.alpha)
+        out_space = holder_transform(space, alpha)
         provenance = {
             "family": "holder",
-            "alpha": str(Fraction(args.alpha)),
+            "alpha": str(alpha),
             "input_digest": formats.space_digest(space),
         }
     else:

@@ -275,6 +275,22 @@ def test_generate_holder_without_input_exits_1(capsys):
     assert run(capsys, "generate", "holder") == (1, "", "error: generate holder needs --input\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "spiral", "--lambda", "1/0"],
+        ["diagnose", "spiral", "--pair", "p", "q", "--lambda", "1/0"],
+        ["generate", "holder", "--alpha", "1/0", "--input", "SPACE"],
+    ],
+    ids=["generate-lambda", "diagnose-lambda", "holder-alpha"],
+)
+def test_rational_flag_with_zero_denominator_exits_1(tmp_path, capsys, argv):
+    path = write(tmp_path, "sp.json", VALID_SPACE)
+    code, out, err = run(capsys, *[path if a == "SPACE" else a for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 TWO_POINTS = {"labels": ["a", "b"], "matrix": [[0, 1], [1, 0]]}
 
 

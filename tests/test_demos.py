@@ -1,4 +1,5 @@
-"""Each demo script runs to completion and prints something."""
+"""Each demo script runs to completion, with every warning an error, and
+prints something."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ def test_four_demos_found():
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

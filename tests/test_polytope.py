@@ -160,28 +160,62 @@ def test_free_norm_pivot_ledger(monkeypatch):
 
 
 def _patched_ball_lp(monkeypatch, change):
-    # the engine's answer passed through change(g, u) before free_norm reads it
+    # the engine's answer passed through change(g, u, b) before free_norm
+    # reads it
     solve = fl.simplex._ball_phase_two
 
-    def patched(*args):
-        return change(*solve(*args))
+    def patched(nv, rows, b, cost, maximize):
+        return change(*solve(nv, rows, b, cost, maximize), b)
 
     monkeypatch.setattr(fl.simplex, "_ball_phase_two", patched)
+
+
+def _balanced_negative_dual(g, u, b):
+    # free_norm's rows come in pairs, the two orientations of one pair of
+    # points, each with bound d: adding t to both keeps A^T u and adds
+    # 2 t d to b.u. So +d' on a pair at distance d and -d on a pair at
+    # distance d' whose multipliers are 0 keep A^T u = a and b.u = a.f,
+    # and leave two entries negative
+    zero = next(r for r in range(0, len(u), 2) if u[r] == u[r + 1] == 0)
+    other = next(r for r in range(0, len(u), 2) if r != zero)
+    u = list(u)
+    for r in (other, other + 1):
+        u[r] += b[zero]
+    for r in (zero, zero + 1):
+        u[r] -= b[other]
+    return g, u
+
+
+def _flipped_dual(g, u, b):
+    # one positive multiplier moved to the opposite orientation of its
+    # pair, which has the same bound: u >= 0 and b.u = a.f hold, but
+    # A^T u misses the coefficients
+    r = next(r for r, v in enumerate(u) if v > 0)
+    u = list(u)
+    u[r ^ 1] += u[r]
+    u[r] = 0
+    return g, u
 
 
 @pytest.mark.parametrize(
     "change, message",
     [
         # a witness that leaves the Lipschitz ball: f(x) above d(x, e)
-        (lambda g, u: ([g[0] + 100, *g[1:]], u), "not 1-Lipschitz"),
+        (lambda g, u, b: ([g[0] + 100, *g[1:]], u), "not 1-Lipschitz"),
         # a feasible witness that is not optimal, with the true multipliers
-        (lambda g, u: ([0] * len(g), u), "dual certificate"),
+        (lambda g, u, b: ([0] * len(g), u), "dual certificate"),
         # the optimal witness with multipliers that do not sum to the
         # coefficients, or are negative
-        (lambda g, u: (g, [2 * v for v in u]), "dual certificate"),
-        (lambda g, u: (g, [v - (v == 0) for v in u]), "dual certificate"),
+        (lambda g, u, b: (g, [2 * v for v in u]), "dual certificate"),
+        (lambda g, u, b: (g, [v - (v == 0) for v in u]), "dual certificate"),
+        # each fails one clause of the dual check alone
+        (_balanced_negative_dual, "dual certificate"),
+        (_flipped_dual, "dual certificate"),
     ],
-    ids=["infeasible-witness", "suboptimal-witness", "scaled-dual", "negative-dual"],
+    ids=[
+        "infeasible-witness", "suboptimal-witness", "scaled-dual", "negative-dual",
+        "balanced-negative-dual", "flipped-dual",
+    ],
 )
 def test_free_norm_rejects_a_wrong_witness_or_dual(monkeypatch, change, message):
     sp = random_exact_space(random.Random(8), 5, base=1)
@@ -526,6 +560,14 @@ def test_is_vertex_rejects_weights_read_as_lambda_not_mu(monkeypatch):
     # the convex weights themselves, fed as mu: 1/4 (e_a - e_c) +
     # 3/4 (e_c - e_b) is not u_ab = (e_a - e_b) / 4
     _fake_combination(monkeypatch, {(0, 2): F(1, 4), (2, 1): F(3, 4)}, 3, (0, 1))
+    with pytest.raises(fl.simplex.LPFailure, match="combination certificate failed verification"):
+        fl.is_vertex(LOPSIDED, "a", "b")
+
+
+def test_is_vertex_rejects_a_conic_combination(monkeypatch):
+    # the same mu on (a, c) and (c, a) cancels in the flow and adds to the
+    # weights: u_ab is met, with positive weights that sum to 3/2
+    _fake_combination(monkeypatch, {(0, 2): F(1, 2), (2, 0): F(1, 4), (2, 1): F(1, 4)}, 3, (0, 1))
     with pytest.raises(fl.simplex.LPFailure, match="combination certificate failed verification"):
         fl.is_vertex(LOPSIDED, "a", "b")
 
