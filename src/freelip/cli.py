@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -53,9 +54,16 @@ def _emit(args, digest: str | None, payload: dict, text: str) -> None:
             "payload": payload,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        print(formats.dumps_pretty(envelope))
-    else:
+        text = formats.dumps_pretty(envelope)
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (``freelip generate c0 | head -3``): what is
+        # left of the output, and the flush at exit, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:

@@ -226,8 +226,10 @@ def is_vertex(
     d(x,y) for the weight lambda_xy. A positive column scaling keeps every
     pivot, weight and Farkas multiplier of the unscaled LP. Phase one of
     the revised simplex (``simplex._network_phase_one``) solves it on the
-    integer distances of ``space._int_matrix``, pricing each column from
-    the duals, so no dense row is built and ``dist`` is not read. The
+    integer distances of ``space._int_matrix``: the basis inverse is one
+    integer adjugate over the basis determinant, updated by exact
+    Bareiss row operations, and each column prices from the integer dual
+    row, so no dense row is built and ``dist`` is not read. The
     combination is checked in Fractions, and the separating functional on
     integers, over the common distance denominator.
     """

@@ -20,10 +20,16 @@ use it as the reference of the other two.
 The vertex oracle's feasibility LP is a network LP (Ahuja, Magnanti and
 Orlin, Network Flows, 1993): each column is the incidence vector of an
 arc x -> y over a last row holding d(x,y). :func:`_network_phase_one`
-runs phase one of it as a revised simplex. It keeps only the basis
-inverse and the right-hand side, prices a column in O(1) from the
-duals, builds the entering column from its three nonzeros, and takes
-the dense tableau's pivots.
+runs phase one of it as a revised simplex on integers. With the
+distance row scaled by the common distance denominator, every column
+is integer, and the basis inverse is kept as one integer adjugate over
+one determinant D = det B > 0, together with the right-hand side and
+the dual row. Each pivot is one Bareiss step on all of them: row r
+becomes (row * a - f * pivot row) / D, an exact division, with no gcd
+and no per-row denominator. The point rows are totally unimodular, so
+D is at most the sum of the basis's distance entries. A column prices
+in O(1) from the dual row, the entering column is built from its three
+nonzeros, and the pivots are the dense tableau's.
 
 The LPs over the Lipschitz ball, ``polytope.free_norm`` and lazy
 ``lipfun.attainment_set``, have rows +-(e_x - e_y) and +-e_x, a network
@@ -273,27 +279,17 @@ def solve_free(c: Sequence, a_ub: Sequence[Sequence] = (), b_ub: Sequence = (),
     return Tableau(len(c), a_ub, b_ub, a_eq, b_eq, free=True).solve(c, maximize)
 
 
-def _network_pivot(rows: list[list[int]], den: list[int], basis: list[int],
-                   pr: int, pc: int, col: list[int], unit: int) -> None:
-    # The entering column is col[r] / (den[r] * unit) in row r, col[pr] > 0.
-    # The pivot row becomes prow * unit / col[pr], every other row
-    # (row * a - f * prow) / (den * a), each reduced by its gcd.
+def _network_pivot(rows: list[list[int]], basis: list[int], pr: int, pc: int,
+                   col: list[int], det: int) -> int:
+    # Bareiss: the entering column is col / det, and col[pr] > 0 is the new
+    # determinant. Row pr stays; every other row, the objective row too,
+    # becomes (row * a - col[r] * prow) / det, an exact division.
     prow, a = rows[pr], col[pr]
     for r, f in enumerate(col):
-        if f and r != pr:
-            trow = [v * a - f * pv for v, pv in zip(rows[r], prow)]
-            d = den[r] * a
-            g = gcd(d, *trow)
-            if g > 1:
-                trow = [v // g for v in trow]
-                d //= g
-            rows[r] = trow
-            den[r] = d
-    trow = [v * unit for v in prow]
-    g = gcd(a, *trow)
-    rows[pr] = [v // g for v in trow] if g > 1 else trow
-    den[pr] = a // g
+        if r != pr and (f or a != det):
+            rows[r] = [(v * a - f * pv) // det for v, pv in zip(rows[r], prow)]
     basis[pr] = pc
+    return a
 
 
 def _network_phase_one(unit: int, dm: Sequence[Sequence[int]], e: int,
@@ -302,70 +298,67 @@ def _network_phase_one(unit: int, dm: Sequence[Sequence[int]], e: int,
     mu >= 0, over the arcs k = (x, y) and d = dm / unit, by phase one alone.
 
     The rows are the points but the base e in index order, then the
-    distance row. Each row holds [B^-1 | rhs] over its denominator: the
-    artificial columns of the dense tableau, on the system with the row
-    of q negated, since its right-hand side is negative. The phase-one
-    duals are computed once per pivot; column (x, y) then prices from two
-    of them and the distance row's dual times d(x,y), and a basic column
-    prices to exactly 0. Bland's rule picks the lowest-index column with
-    a negative reduced cost, the arcs before the nonbasic artificials,
-    and the least ratio, ties to the lowest basic column, as
-    :class:`Tableau` does. Phase one fixes x and the Farkas vector, so
-    the dense engine's drive-out pivots, which move neither, are not
-    taken.
+    distance row; the row of q is negated, since its right-hand side is
+    negative. The distance row is scaled by unit and the right-hand side
+    by t_den, the denominator of 1/d(p,q) in lowest terms, so column
+    (x, y) is (+-1 incidence; dm[x][y]) and the system is integer. The
+    artificials cost unit on a point row and 1 on the distance row: the
+    phase-one objective times unit, which keeps every reduced-cost sign
+    and ratio. The basis inverse is adj(B) / det B with det B > 0, kept
+    as one integer row per constraint, [adj(B) | adj(B) b], plus the
+    objective row c_B [adj(B) | adj(B) b], whose first entries are the
+    phase-one duals times det B. :func:`_network_pivot` updates all of
+    them by one Bareiss step. Column (x, y) prices from two duals and
+    the distance row's dual times dm[x][y], and a basic column prices to
+    exactly 0. The point rows are totally unimodular, so det B is at
+    most the sum of the distance entries of the basis. Bland's rule
+    picks the lowest-index column with a negative reduced cost, the arcs
+    before the nonbasic artificials, and the least ratio, ties to the
+    lowest basic column, as :class:`Tableau` does. Phase one fixes x and
+    the Farkas vector, so the dense engine's drive-out pivots, which
+    move neither, are not taken.
     """
     m, na = len(dm), len(arcs)
     weighted = [(x, y, dm[x][y]) for x, y in arcs]
     row_of = [z - (z > e) if z != e else -1 for z in range(m)]  # -1: e has no row
-    rows = [[int(i == r) for i in range(m + 1)] for r in range(m)]
-    rows[-1][m] = 1
-    den = [1] * m
     g = gcd(unit, dm[p][q])
     t, t_den = unit // g, dm[p][q] // g  # 1 / d(p,q) in lowest terms
     flipped = row_of[q]
+    # each point's row and its sign in the negated system, zero at e
+    lead = [(r, -1 if r == flipped else 1) if r >= 0 else (0, 0) for r in row_of]
+    rows = [[int(i == r) for i in range(m)] + [0] for r in range(m)]
+    rows[-1][m] = unit * t_den
     for r in (row_of[p], flipped):
         if r >= 0:
-            rows[r][r], rows[r][m], den[r] = t_den, t, t_den
-    # the +1 of each point in the negated system, times unit: its row and
-    # weight, zero at e
-    lead = [(r, -unit if r == flipped else unit) if r >= 0 else (0, 0) for r in row_of]
+            rows[r][m] = t
+    cost = [unit] * (m - 1) + [1]
+    rows.append(cost + [sum(c * row[m] for c, row in zip(cost, rows))])
     basis = list(range(na, na + m))
+    det = 1
     while True:
-        art = [r for r, bi in enumerate(basis) if bi >= na]
-        common = lcm(*(den[r] for r in art))
-        # y: the duals of the negated system, then its phase-one objective,
-        # all times common; yhat those of the system as stated
-        y = [sum(c) for c in zip(*(
-            rows[r] if den[r] == common else [v * (common // den[r]) for v in rows[r]]
-            for r in art))] if art else [0] * (m + 1)
-        yhat = y[:m]
-        if flipped >= 0:
-            yhat[flipped] = -yhat[flipped]
-        point = [unit * v for v in yhat[:-1]]
-        point.insert(e, 0)
-        yd = yhat[-1]
-        enter = -1
+        y = rows[m]
+        point = [y[r] * s for r, s in lead]
+        yd = y[m - 1]
         for k, (x, z, d) in enumerate(weighted):
             if point[x] - point[z] + yd * d > 0:
                 enter = k
+                (rx, sx), (rz, sz) = lead[x], lead[z]
+                col = [row[rx] * sx - row[rz] * sz + row[m - 1] * d for row in rows]
                 break
         else:
-            for i in range(m):
-                if y[i] > common:  # artificial i prices to 1 - y[i] / common
-                    enter = na + i
-                    break
-            else:
+            # artificial i prices to cost[i] - y[i] / det; the entry of a
+            # column in the objective row is minus its reduced cost times det
+            enter = next((i for i in range(m) if y[i] > cost[i] * det), -1)
+            if enter < 0:
                 break
-        if enter < na:
-            x, z, d = weighted[enter]
-            (rx, wx), (rz, wz) = lead[x], lead[z]
-            col = [row[rx] * wx - row[rz] * wz + row[m - 1] * d for row in rows]
-        else:
-            col = [row[enter - na] * unit for row in rows]
-        # ratio rhs / col: den and unit cancel, so compare by cross-multiplication
+            col = [row[enter] for row in rows]
+            col[m] -= cost[enter] * det
+            enter += na
+        # ratio rhs / col: det cancels, so compare by cross-multiplication
         leave = -1
         best_b = best_a = 0
-        for r, a in enumerate(col):
+        for r in range(m):
+            a = col[r]
             if a > 0:
                 b = rows[r][m]
                 lhs, rhs_ = b * best_a, best_b * a
@@ -373,13 +366,14 @@ def _network_phase_one(unit: int, dm: Sequence[Sequence[int]], e: int,
                     best_b, best_a, leave = b, a, r
         if leave < 0:
             raise LPFailure("phase one cannot be unbounded")
-        _network_pivot(rows, den, basis, leave, enter, col, unit)
+        det = _network_pivot(rows, basis, leave, enter, col, det)
     if y[m] > 0:  # an artificial is basic at a positive value
-        return LPResult(INFEASIBLE, farkas=tuple(Fraction(v, common) for v in yhat))
+        farkas = [Fraction(s * y[r], det * unit) for r, s in lead if s]
+        return LPResult(INFEASIBLE, farkas=(*farkas, Fraction(yd, det)))
     mu = [ZERO] * na
     for r, bi in enumerate(basis):
         if bi < na:
-            mu[bi] = Fraction(rows[r][m], den[r])
+            mu[bi] = Fraction(rows[r][m], det * t_den)
     return LPResult(OPTIMAL, objective=ZERO, x=tuple(mu))
 
 

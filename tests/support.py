@@ -590,7 +590,18 @@ def reference_vertex_lp(unit, dm, e, arcs, p, q) -> simplex.LPResult:
     incidence column e_x - e_y per arc (x, y) over the rows of the points
     but e, a last row of distances dm / unit, and the target
     ((e_p - e_q) / d(p,q); 1), solved by ``simplex.solve_nonneg`` with a
-    zero objective. The revised phase one must return an equal result."""
+    zero objective, each row over its own denominator. The revised phase
+    one scales the distance row by unit and the target by the
+    denominator of 1 / d(p,q), prices its artificials at unit on a point
+    row and 1 on the distance row (the phase-one objective times unit),
+    and keeps the basis inverse as one integer adjugate over det B,
+    updated, with the right-hand side and the dual row, by one exact
+    Bareiss division per entry; det B stays at most the sum of the
+    basis's distance entries. None of that moves a reduced-cost sign or
+    a ratio, so it must take this tableau's phase-one pivots and return
+    an equal result: x as the right-hand side over det B times that
+    denominator, the Farkas vector as the dual row over det B, and over
+    det B times unit on the point rows."""
     n = len(dm)
     a_eq = [[0] * len(arcs) for _ in range(n)]
     for k, (x, y) in enumerate(arcs):

@@ -660,6 +660,24 @@ def test_shared_parser_matches_fresh_process(tmp_path, capsys):
         assert (fresh.returncode, _without_timestamp(fresh.stdout)) == (code, out), argv
 
 
+def test_generate_into_a_pipe_closed_after_one_line_prints_no_error():
+    # `freelip generate c0 | head -1`: the reader leaves after one line.
+    # At depth 128 the output (250 KB) is more than a pipe holds, so a
+    # write after the reader has gone always meets a broken pipe; the
+    # command still exits with its own code and prints nothing on stderr
+    src = str(Path(freelip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freelip.cli", "generate", "c0", "--depth", "128"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
 def test_cli_import_pulls_in_no_third_party_package():
     # freelip runs on the standard library; mpmath is a test-only reference
     src = str(Path(freelip.__file__).resolve().parents[1])

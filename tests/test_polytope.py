@@ -301,6 +301,7 @@ def test_is_vertex_agrees_with_classifier_eight_points():
 # entry denominators: the default narrow set, or primes up to 97, which
 # make the common denominators of the distances and of phi large
 NARROW = (1, 1, 2, 3)
+WIDE = tuple(range(1, 13))
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
@@ -390,6 +391,97 @@ def test_network_phase_one_equals_the_dense_tableau_and_pins_its_pivots(monkeypa
     assert 0 < statuses.count(fl.simplex.INFEASIBLE) < len(statuses)
     # the dense tableau takes 16,922 pivots on this corpus, drive-out included
     assert taken[0] == dense[0] == 16050
+
+
+def _wide_lp_corpus():
+    # built like the benchmark's exact spaces: entry denominators 1-12, so
+    # the common unit reaches 27720, n = 5-7, every other space with a
+    # midpoint, a random base, and the LP of every unordered pair, as
+    # classify --oracle asks for them
+    rng = random.Random(27720)
+    for i in range(12):
+        n, midpoint = 5 + i % 3, i % 2
+        matrix = random_exact_matrix(rng, n - midpoint, WIDE)
+        if midpoint:
+            matrix, _ = inject_midpoint(matrix, rng)
+        sp = fl.validate(matrix, labels_for(n), base=rng.randrange(n), mode="exact")
+        unit, dm = sp._int_matrix
+        for p, q in combinations(range(n), 2):
+            arcs = [(x, y) for x in range(n) for y in range(n) if x != y and (x, y) != (p, q)]
+            yield unit, dm, sp.base_index, arcs, p, q
+
+
+def test_network_phase_one_at_the_benchmark_denominators_pins_its_pivots(monkeypatch):
+    taken = count_calls(monkeypatch, fl.simplex, "_network_pivot")
+    dense = count_run_pivots(monkeypatch)
+    statuses, units = [], set()
+    for lp in _wide_lp_corpus():
+        got = fl.simplex._network_phase_one(*lp)
+        assert got == reference_vertex_lp(*lp), (len(lp[1]), lp[4:])
+        statuses.append(got.status)
+        units.add(lp[0])
+    assert len(statuses) == 184
+    assert 0 < statuses.count(fl.simplex.INFEASIBLE) < len(statuses)
+    assert max(units) == 27720
+    assert taken[0] == dense[0] == 2341
+
+
+def _basis_det(dm, e, arcs, q, basis):
+    # det B of the integer system of _network_phase_one, by Fraction
+    # elimination: the rows of the points but e, the row of q negated, then
+    # the distance row; arc (x, y) is (e_x - e_y; dm[x][y]), column
+    # len(arcs) + i the unit vector e_i
+    m, na = len(dm), len(arcs)
+    rows = [z for z in range(m) if z != e]
+    cols = []
+    for b in basis:
+        if b >= na:
+            cols.append([F(int(i == b - na)) for i in range(m)])
+            continue
+        x, y = arcs[b]
+        col = [F(int(z == x) - int(z == y)) * (-1 if z == q else 1) for z in rows]
+        cols.append(col + [F(dm[x][y])])
+    a = [list(r) for r in zip(*cols)]
+    det = F(1)
+    for c in range(m):
+        pr = next((r for r in range(c, m) if a[r][c]), None)
+        if pr is None:
+            return F(0)
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, m):
+            f = a[r][c] / a[c][c]
+            a[r] = [v - f * w for v, w in zip(a[r], a[c])]
+    return det
+
+
+def test_network_pivot_keeps_the_basis_determinant_positive_and_bounded(monkeypatch):
+    # the engine divides exactly by D = det B after each pivot; D is the
+    # basis determinant, positive, and, the point rows being totally
+    # unimodular, at most the sum of the distance-row entries of the
+    # basis (1 for the distance row's artificial), so the integers stay
+    # as small as the distances
+    seen = []
+    pivot = fl.simplex._network_pivot
+
+    def recording(rows, basis, pr, pc, col, det):
+        new = pivot(rows, basis, pr, pc, col, det)
+        seen.append((new, list(basis)))
+        return new
+
+    monkeypatch.setattr(fl.simplex, "_network_pivot", recording)
+    for unit, dm, e, arcs, p, q in _wide_lp_corpus():
+        na, m = len(arcs), len(dm)
+        seen.clear()
+        fl.simplex._network_phase_one(unit, dm, e, arcs, p, q)
+        assert seen
+        for det, basis in seen:
+            bound = sum(dm[x][y] for x, y in (arcs[b] for b in basis if b < na))
+            bound += na + m - 1 in basis
+            assert 0 < det <= bound, (p, q, basis)
+            assert det == _basis_det(dm, e, arcs, q, basis), (p, q, basis)
 
 
 def _ball_lp_corpus():
