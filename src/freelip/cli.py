@@ -320,15 +320,36 @@ def cmd_generate(args) -> Report:
     return EXIT_OK, None, {}, text
 
 
+def _put_intervals(intervals, out: list, nl: str) -> None:
+    """Append the JSON text of the ``intervals`` object, keys "x,y" and
+    values [lo, hi], as :func:`_put_pairs` appends the pairs: one format
+    string per entry, each bound as number_to_json and the writer print
+    it. Labels holding a comma can join two pairs into one key; the pair
+    later in sorted order keeps it, as a dict of the keys does."""
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    keyed = sorted({f"{x},{y}": bounds for (x, y), bounds in sorted(intervals.items())}.items())
+    key = encode_basestring_ascii
+    if type(keyed[0][1][0]) is float:
+        # a float space's bounds are finite: every slope lies in [-1, 1]
+        entry = f"{i1}%s: [{i2}%s,{i2}%s{i1}]"
+        text = _float_repr
+        parts = [entry % (key(k), text(lo), text(hi)) for k, (lo, hi) in keyed]
+    else:
+        entry = f'{i1}%s: [{i2}"%d/%d",{i2}"%d/%d"{i1}]'
+        parts = [
+            entry % (key(k), lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+            for k, (lo, hi) in keyed
+        ]
+    out.append("{" + ",".join(parts) + nl + "}")
+
+
 def cmd_attainment(args, space) -> Report:
     result = lipfun.attainment_set(space, args.p, args.q, intervals=args.intervals)
     payload = {
         "pair": list(result.pair),
         "members": [list(m) for m in result.members],
-        "intervals": {
-            f"{x},{y}": [number_to_json(lo), number_to_json(hi)]
-            for (x, y), (lo, hi) in sorted(result.intervals.items())
-        },
+        "intervals": formats._Rendered(functools.partial(_put_intervals, result.intervals)),
     }
     lines = [f"attainment set of ({result.pair[0]},{result.pair[1]}):"] + [
         f"  ({x},{y})" for x, y in result.members

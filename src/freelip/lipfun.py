@@ -19,7 +19,10 @@ geodesic: d(p,x) + d(x,y) + d(y,q) = d(p,q). A float space takes the
 closed form in both modes. Lazy mode on an exact space bounds only the
 candidates that no feasible function seen so far rules out, by an exact
 min and max LP over one set of integer rows, keeps both optima to rule
-more out, and checks each bound against the closed form.
+more out, and checks each bound against the closed form. Both modes
+carry each bound as an integer numerator over the raw integer distance
+d(x,y) of ``space._int_matrix``, decide membership on it, and build
+the reported value once, at the end.
 """
 
 from __future__ import annotations
@@ -278,17 +281,25 @@ def attainment_set(
     the way. Both modes return identical members, and the intervals lazy
     mode reports equal those of full mode; lazy mode checks that each one
     does, and raises LPFailure if not.
+
+    Each route gives a bound as an integer numerator over the raw integer
+    d(x,y). On an exact space (x,y) is a member when hi <= lo and
+    |hi| >= d(x,y), and each value is built once, as Fraction(num, d);
+    on a float space it is num / d, which int division rounds correctly,
+    and membership is decided on the floats within the tolerance. A
+    reversed entry is the negated interval, so a float -0.0 survives.
     """
     if intervals not in ("lazy", "full"):
         raise ValueError("intervals must be 'lazy' or 'full'")
     pi, qi = space.pair(p, q)
 
-    tol = 0.0 if space.mode == EXACT else space.rel_tol
-    if intervals == "full" or space.mode != EXACT:
+    exact = space.mode == EXACT
+    if intervals == "full" or not exact:
         interval = _path_intervals(space, pi, qi)
     else:
         interval = _lazy_intervals(space, pi, qi)
-    lab, one = space.labels, space.num(1)
+    lab, one, m = space.labels, space.num(1), space._int_matrix[1]
+    tol = space.rel_tol
     out_intervals = {(lab[pi], lab[qi]): (one, one), (lab[qi], lab[pi]): (-one, -one)}
     members = [(pi, qi), (qi, pi)]
     for i, j in combinations(range(space.n), 2):
@@ -298,9 +309,17 @@ def attainment_set(
         if bounds is None:
             continue
         lo, hi = bounds
+        d = m[i][j]
+        if exact:
+            member = hi <= lo and abs(hi) >= d
+            lo, hi = Fraction(lo, d), Fraction(hi, d)
+        else:
+            # int true division rounds correctly, as float(Fraction) does
+            lo, hi = lo / d, hi / d
+            member = hi - lo <= tol and abs(hi) >= 1 - tol
         out_intervals[(lab[i], lab[j])] = (lo, hi)
         out_intervals[(lab[j], lab[i])] = (-hi, -lo)
-        if hi - lo <= tol and abs(hi) >= 1 - tol:
+        if member:
             members.append((i, j))
             members.append((j, i))
     return AttainmentSet(
@@ -336,20 +355,22 @@ def _path_intervals(space: FiniteMetricSpace, pi: int, qi: int):
     of the plain shortest-path closure c (:func:`_closure`). So
     D(x,y) = min(c(x,y), c(x,p) - d(p,q) + c(q,y)), with d(p,q) read off
     c, so c(q,p) = d(p,q) and the polytope is never empty. The interval
-    of phi(f,x,y) is [-D(x,y), D(y,x)] over the raw d(x,y), in the
-    space's number mode; the values equal the LP's.
+    of phi(f,x,y) is [-D(x,y), D(y,x)] / d(x,y) over the raw integer
+    d(x,y); the map (x, y) -> (-D(x,y), D(y,x)) returns the two integer
+    numerators, which equal the LP's.
     """
-    m, c = space._int_matrix[1], _closure(space)
+    c = _closure(space)
     d = c[pi][qi]
-    num, to_p, from_q = space.num, [row[pi] - d for row in c], c[qi]
+    to_p, from_q = [row[pi] - d for row in c], c[qi]
     return lambda i, j: (
-        num(Fraction(-min(c[i][j], to_p[i] + from_q[j]), m[i][j])),
-        num(Fraction(min(c[j][i], to_p[j] + from_q[i]), m[i][j])),
+        -min(c[i][j], to_p[i] + from_q[j]),
+        min(c[j][i], to_p[j] + from_q[i]),
     )
 
 
 def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int):
-    """On an exact space, the map (x, y) -> LP interval, or None when a
+    """On an exact space, the map (x, y) -> LP interval, as the integer
+    numerators of its bounds over the integer d(x,y), or None when a
     feasible function seen so far has a slope strictly inside (-1, 1)
     there, which rules (x,y) out without an LP.
 
@@ -361,8 +382,9 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int):
     ``space._int_matrix``, so ``dist`` is not read. The seen functions
     start as h and its p-side twin d(e,p) - d(x,p); every LP optimum
     joins them. Each LP interval is checked against the closed form of
-    :func:`_path_intervals` before it is returned; a mismatch raises
-    LPFailure.
+    :func:`_path_intervals` by comparing numerators before it is
+    returned; a mismatch raises LPFailure. The rows and their index by
+    variable are built once and shared by every LP.
     """
     n, e = space.n, space.base_index
     dm = space._int_matrix[1]
@@ -398,7 +420,7 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int):
         for maximize in (False, True):
             g, _ = simplex._ball_phase_two(nv, rows, b, c, maximize)
             w = [h[x] if v is None else g[v] + h[x] for x, v in enumerate(var_of)]
-            bounds.append(Fraction(w[i] - w[j], d))
+            bounds.append(w[i] - w[j])
             witnesses.append(w)
         if tuple(bounds) != closed(i, j):
             raise simplex.LPFailure("attainment LP bound differs from the closed form")

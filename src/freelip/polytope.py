@@ -141,7 +141,9 @@ def molecule_vector(
 def _ball_rows(dm: Sequence[Sequence[int]], var_of: Sequence[int | None], h: Sequence[int] | None = None):
     """Rows of |f(x) - f(y)| <= d(x,y) over the variables g = f - h, on
     the integer distances dm and h over one unit: each row as its
-    nonzeros, (variable, +-1) pairs, for ``simplex._ball_phase_two``.
+    nonzeros, (variable, +-1) pairs, for ``simplex._ball_phase_two``, in
+    a ``simplex._BallRows`` that indexes the rows of each variable once
+    for every LP solved on them.
 
     Point x reads variable var_of[x] (None: fixed at 0); h defaults to
     zero. Pairs whose row vanishes are left out.
@@ -156,7 +158,8 @@ def _ball_rows(dm: Sequence[Sequence[int]], var_of: Sequence[int | None], h: Seq
                 dh = 0 if h is None else h[i] - h[j]
                 rows += [row, [(v, -a) for v, a in row]]
                 b += [dm[i][j] - dh, dm[i][j] + dh]
-    return rows, b
+    nv = 1 + max((v for v in var_of if v is not None), default=-1)
+    return simplex._BallRows(rows, nv), b
 
 
 def free_norm(

@@ -38,7 +38,9 @@ element is 1. :func:`_ball_phase_two` runs their phase two as a revised
 simplex on ints alone, with no row denominator and no gcd: it keeps the
 basic columns, the tight rows and the inverse of the square block
 between them (at most n - 1 wide), and takes the dense free tableau's
-pivots.
+pivots. The rows of each variable are indexed once per row set
+(:class:`_BallRows`), for every LP solved on it, and an entering column
+is built and applied on its nonzero rows alone.
 """
 
 from __future__ import annotations
@@ -377,6 +379,21 @@ def _network_phase_one(unit: int, dm: Sequence[Sequence[int]], e: int,
     return LPResult(OPTIMAL, objective=ZERO, x=tuple(mu))
 
 
+class _BallRows(list):
+    """The rows of a Lipschitz-ball LP, each as its nonzeros, (variable,
+    +-1) pairs, with occ: the rows of each of the nv variables, (row,
+    +-1) pairs. Built once per row set, for every LP solved on it."""
+
+    __slots__ = ("occ",)
+
+    def __init__(self, rows, nv: int):
+        super().__init__(rows)
+        self.occ: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+        for r, row in enumerate(self):
+            for v, a in row:
+                self.occ[v].append((r, a))
+
+
 def _ball_pivot(rows: Sequence[Sequence[tuple[int, int]]], basic: list[tuple[int, int]],
                 tight: list[int], inv: list[list[int]], dg: list[int],
                 enter: tuple[int, int], leave: tuple[int, int]) -> None:
@@ -416,7 +433,7 @@ def _ball_pivot(rows: Sequence[Sequence[tuple[int, int]]], basic: list[tuple[int
             del row[k]
 
 
-def _ball_phase_two(nv: int, rows: Sequence[Sequence[tuple[int, int]]], b: Sequence[int],
+def _ball_phase_two(nv: int, rows: _BallRows, b: Sequence[int],
                     cost: Sequence[int], maximize: bool = False) -> tuple[list[int], list[int]]:
     """Optimize cost.g subject to a_r.g <= b_r for every row r, g free in
     nv variables, by phase two from the all-slack basis; every b_r >= 0.
@@ -432,7 +449,11 @@ def _ball_phase_two(nv: int, rows: Sequence[Sequence[tuple[int, int]]], b: Seque
     Pivots are those of :class:`Tableau` with free=True on the same rows:
     Bland's lowest-index entering column in its layout (x+, then x-, then
     the slacks by row), where a basic column prices to exactly 0, and the
-    least ratio, ties to the lowest basic column.
+    least ratio, ties to the lowest basic column. The rows, as
+    ``polytope._ball_rows`` builds them, carry the index of each
+    variable's rows, made once for all the LPs on them. The entering
+    column's slack entries, A.dg, come from that index on the rows of
+    dg's support alone, and only those slacks move.
 
     Returns g and the row multipliers u >= 0, zero off the tight rows,
     with u.A = cost and u.b = cost.g when maximizing (-cost and -cost.g
@@ -440,10 +461,7 @@ def _ball_phase_two(nv: int, rows: Sequence[Sequence[tuple[int, int]]], b: Seque
     """
     if maximize:
         cost = [-v for v in cost]
-    occ: list[list[tuple[int, int]]] = [[] for _ in range(nv)]  # the rows of each variable
-    for r, row in enumerate(rows):
-        for v, a in row:
-            occ[v].append((r, a))
+    occ = rows.occ
     basic: list[tuple[int, int]] = []
     tight: list[int] = []
     inv: list[list[int]] = []
@@ -484,12 +502,12 @@ def _ball_phase_two(nv: int, rows: Sequence[Sequence[tuple[int, int]]], b: Seque
         # and then the dense layout's column: x+ k, x- nv + k, slack 2 nv + r
         cands = [(s * g[kb], kb if s > 0 else nv + kb, (kb, s), -s * dg[kb])
                  for kb, s in basic if s * dg[kb] < 0]
-        col = [0] * len(rows)
+        col: dict[int, int] = {}  # the slack rows' entries, on the rows of dg's support
         for v, d in enumerate(dg):
             if d:
                 for r, a in occ[v]:
-                    col[r] += a * d
-        cands += [(slack[r], 2 * nv + r, (r, 0), a) for r, a in enumerate(col) if a > 0]
+                    col[r] = col.get(r, 0) + a * d
+        cands += [(slack[r], 2 * nv + r, (r, 0), a) for r, a in col.items() if a > 0]
         if not cands:
             raise LPFailure("the Lipschitz ball LP cannot be unbounded")
         if any(cand[3] != 1 for cand in cands):
@@ -497,5 +515,6 @@ def _ball_phase_two(nv: int, rows: Sequence[Sequence[tuple[int, int]]], b: Seque
         theta, _, leave, _ = min(cands)
         if theta:
             g = [x + theta * d for x, d in zip(g, dg)]
-            slack = [x - theta * a for x, a in zip(slack, col)]
+            for r, a in col.items():
+                slack[r] -= theta * a
         _ball_pivot(rows, basic, tight, inv, dg, enter, leave)

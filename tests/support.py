@@ -28,6 +28,8 @@ over ``dist`` (``_lip_ball_rows``), which the revised phase two of
 must match, ``reference_full_attainment`` the full attainment intervals
 by one pair of LPs per candidate on ``_AttainmentLP``, the lazy LP of
 ``freelip.lipfun._lazy_intervals`` on that dense tableau,
+``reference_intervals_text`` the ``intervals`` text that the
+attainment command printed through the generic writer,
 ``reference_spiral_points`` the spiral generator's pairwise alignment
 test, ``reference_admissible_b`` the l2 generator's blind bisection for
 b_n, and ``reference_cloud_matrix`` the Fraction distance matrix of a
@@ -36,6 +38,7 @@ point cloud.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -45,6 +48,7 @@ from mpmath import mp
 
 from freelip import simplex, validate
 from freelip.classify import PairVerdict, _notes
+from freelip.formats import number_to_json
 from freelip.lipfun import Num, _closure
 from freelip.space import (
     EXACT,
@@ -542,14 +546,18 @@ def reference_pivot(tab: list[list[int]], den: list[int], basis: list[int], pr: 
     basis[pr] = pc
 
 
-def count_calls(monkeypatch, module, name: str) -> list[int]:
+def count_calls(monkeypatch, module, name: str, limit: int | None = None) -> list[int]:
     """Count the calls of ``module.name`` for the rest of the test; the
-    count is the one item of the returned list."""
+    count is the one item of the returned list. Past ``limit`` calls the
+    next one raises AssertionError, so an engine that loops fails its
+    ledger at the pinned total plus one instead of running forever."""
     calls = [0]
     fn = getattr(module, name)
 
     def counting(*args):
         calls[0] += 1
+        if limit is not None and calls[0] > limit:
+            raise AssertionError(f"{name} called more than {limit} times")
         return fn(*args)
 
     monkeypatch.setattr(module, name, counting)
@@ -785,6 +793,21 @@ def reference_full_attainment(space, p, q):
         pair=(lab[pi], lab[qi]),
         members=tuple((lab[a], lab[b]) for a, b in sorted(members)),
         intervals=intervals,
+    )
+
+
+def reference_intervals_text(result) -> str:
+    """The ``intervals`` object of ``freelip attainment --json`` for an
+    AttainmentSet, as the CLI printed it through a dict and the generic
+    writer: keys "x,y", bounds by ``number_to_json``. Labels holding a
+    comma can join two pairs into one key; the dict keeps one of them."""
+    return json.dumps(
+        {
+            f"{x},{y}": [number_to_json(lo), number_to_json(hi)]
+            for (x, y), (lo, hi) in sorted(result.intervals.items())
+        },
+        sort_keys=True,
+        indent=2,
     )
 
 

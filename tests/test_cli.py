@@ -14,7 +14,12 @@ import freelip
 from freelip import cli, lipfun, simplex
 from freelip.cli import main
 from cli_corpus import run_corpus
-from support import random_float_space
+from support import (
+    random_exact_space,
+    random_float_space,
+    random_space_with_midpoint,
+    reference_intervals_text,
+)
 
 
 def run(capsys, *argv):
@@ -487,6 +492,81 @@ def test_float_attainment_reads_the_closure(tmp_path, capsys):
         payloads.append(json.loads(out)["payload"])
     assert payloads[0] == payloads[1]
     assert ["x0", "x3"] in payloads[0]["members"] and ["x3", "x0"] in payloads[0]["members"]
+
+
+def _attainment_payload(capsys, path, p, q, intervals):
+    # the payload of one attainment run, after checking that its intervals
+    # text is, byte for byte, what the dict and the generic writer printed
+    code, out, err = run(capsys, "attainment", path, p, q, "--intervals", intervals, "--json")
+    assert code == 0 and err == ""
+    result = lipfun.attainment_set(freelip.load_space(path), p, q, intervals=intervals)
+    expected = reference_intervals_text(result).replace("\n", "\n    ")
+    assert f'"intervals": {expected},\n    "members": ' in out
+    return json.loads(out)["payload"]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        random_exact_space(random.Random(5), 5, base=1),
+        random_space_with_midpoint(random.Random(6), 5, base=3)[0],
+        random_float_space(random.Random(3), 5),
+    ],
+    ids=["exact", "exact-midpoint", "float"],
+)
+def test_attainment_intervals_print_as_the_generic_writer_did(tmp_path, capsys, space):
+    path = write(tmp_path, "sp.json", freelip.space_to_dict(space))
+    for p in space.labels:
+        for q in space.labels:
+            if p != q:
+                for intervals in ("lazy", "full"):
+                    _attainment_payload(capsys, path, p, q, intervals)
+
+
+def test_float_attainment_prints_negative_zero(tmp_path, capsys):
+    # a reversed interval is (-hi, -lo): on the equilateral triangle the
+    # bound 0.0 of (a,c) and (b,c) prints as -0.0 on (c,a) and (c,b)
+    path = write(tmp_path, "sp.json", {**VALID_SPACE, "mode": "float"})
+    for intervals in ("lazy", "full"):
+        payload = _attainment_payload(capsys, path, "a", "b", intervals)
+        assert [repr(v) for v in payload["intervals"]["c,a"] + payload["intervals"]["c,b"]] == [
+            "-1.0", "-0.0", "-0.0", "1.0"
+        ]
+
+
+def test_attainment_keys_that_collide_print_once(tmp_path, capsys):
+    # ("a,b", "c") and ("a", "b,c") both print as "a,b,c": the later pair in
+    # sorted order keeps the key, so full mode prints 11 keys for 12 pairs
+    space = {
+        "labels": ["a,b", "c", "a", "b,c"],
+        "base": "c",
+        "matrix": [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]],
+        "mode": "exact",
+    }
+    path = write(tmp_path, "sp.json", space)
+    _attainment_payload(capsys, path, "a,b", "c", "lazy")
+    payload = _attainment_payload(capsys, path, "a,b", "c", "full")
+    assert len(payload["intervals"]) == 11
+    assert payload["intervals"]["a,b,c"] == ["1/1", "1/1"]
+
+
+def test_attainment_reads_the_integer_matrix_and_leaves_dist_unbuilt(tmp_path, capsys, monkeypatch):
+    # the command's space, read from ratio strings, never builds dist
+    space = random_space_with_midpoint(random.Random(21), 6, base=2)[0]
+    path = write(tmp_path, "sp.json", freelip.space_to_dict(space))
+    seen = []
+    attainment_set = lipfun.attainment_set
+
+    def recording(space, *args, **kwargs):
+        seen.append(space)
+        return attainment_set(space, *args, **kwargs)
+
+    monkeypatch.setattr(lipfun, "attainment_set", recording)
+    for intervals in ("lazy", "full"):
+        code, _, _ = run(capsys, "attainment", path, "x0", "x4", "--intervals", intervals, "--json")
+        assert code == 0
+    assert len(seen) == 2
+    assert all("dist" not in vars(sp) for sp in seen)
 
 
 def test_attainment_lp_failure_is_one_error_line(tmp_path, capsys, monkeypatch):

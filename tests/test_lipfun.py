@@ -369,7 +369,7 @@ def test_lazy_attainment_corpus_digest(monkeypatch):
     # the LP optima (Bland's rule), so the whole output is pinned, and so
     # is the pivot total of the path that reached them: the revised phase
     # two takes the pivots that the dense free tableau took.
-    pivots = count_calls(monkeypatch, simplex, "_ball_pivot")
+    pivots = count_calls(monkeypatch, simplex, "_ball_pivot", limit=2102)
     digest = hashlib.sha256()
     for sp in _lazy_corpus():
         if sp.mode == "exact":
@@ -469,6 +469,18 @@ def test_lazy_attainment_rejects_a_bound_off_the_closed_form(monkeypatch):
     )
     with pytest.raises(simplex.LPFailure, match="differs from the closed form"):
         fl.attainment_set(sp, 1, 2)
+
+
+def test_attainment_reads_the_integer_matrix_and_leaves_dist_unbuilt():
+    # a space read from ratio strings builds dist on first read; both modes
+    # take their bounds and memberships from the integers
+    eager = random_space_with_midpoint(random.Random(21), 6, base=2)[0]
+    lazy = fl.space_from_dict(fl.space_to_dict(eager))
+    assert "dist" not in vars(lazy)
+    for intervals in ("lazy", "full"):
+        for p, q in permutations(range(6), 2):
+            assert fl.attainment_set(lazy, p, q, intervals) == fl.attainment_set(eager, p, q, intervals)
+    assert "dist" not in vars(lazy)
 
 
 def test_float_attainment_with_one_ulp_triangle_deficit():

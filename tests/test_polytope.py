@@ -151,7 +151,7 @@ def test_free_norm_pivot_ledger(monkeypatch):
     # Bland's rule fixes the pivot path, so the pivot total over the corpus
     # is pinned with the outputs: a cheaper pivot must not take other steps.
     # The revised phase two takes the pivots that the dense free tableau took.
-    pivots = count_calls(monkeypatch, fl.simplex, "_ball_pivot")
+    pivots = count_calls(monkeypatch, fl.simplex, "_ball_pivot", limit=102)
     digest = hashlib.sha256()
     for sp, coeffs in _free_norm_corpus():
         digest.update(repr(fl.free_norm(sp, coeffs, with_witness=True)).encode())
@@ -380,7 +380,7 @@ def test_network_phase_one_equals_the_dense_tableau_and_pins_its_pivots(monkeypa
     # x and the Farkas vector equal those of the dense tableau on the same
     # network LP, and Bland's rule fixes the pivot path, so the phase-one
     # pivot total over the corpus is pinned with the results
-    taken = count_calls(monkeypatch, fl.simplex, "_network_pivot")
+    taken = count_calls(monkeypatch, fl.simplex, "_network_pivot", limit=16050)
     dense = count_run_pivots(monkeypatch)
     statuses = []
     for lp in _vertex_lp_corpus():
@@ -412,7 +412,7 @@ def _wide_lp_corpus():
 
 
 def test_network_phase_one_at_the_benchmark_denominators_pins_its_pivots(monkeypatch):
-    taken = count_calls(monkeypatch, fl.simplex, "_network_pivot")
+    taken = count_calls(monkeypatch, fl.simplex, "_network_pivot", limit=2341)
     dense = count_run_pivots(monkeypatch)
     statuses, units = [], set()
     for lp in _wide_lp_corpus():
@@ -553,7 +553,7 @@ def _check_ball_lp(lp, rows, b, unit, c, maximize, taken, dense):
 def test_ball_phase_two_equals_the_dense_tableau_and_pins_its_pivots(monkeypatch):
     # The revised phase two against the dense free tableau, LP by LP; its
     # pivot total over the corpus is pinned, as Bland's rule fixes the path
-    taken = count_calls(monkeypatch, fl.simplex, "_ball_pivot")
+    taken = count_calls(monkeypatch, fl.simplex, "_ball_pivot", limit=5365)
     dense = count_pivots(monkeypatch)
     solved = zero_rhs = 0
     for lp in _ball_lp_corpus():
