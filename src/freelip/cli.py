@@ -75,8 +75,9 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", default="1/2", help="rational, e.g. 1/2")
-    p.add_argument("--seed", type=int, default=0)
+    # no defaults: _family_spec tells a given flag from an absent one
+    p.add_argument("--lambda", dest="lam", help="rational, e.g. 1/2")
+    p.add_argument("--seed", type=int)
     p.add_argument("--one-sided", action="store_true")
 
 
@@ -283,19 +284,25 @@ def _rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-# family argument -> its generator spec, built from the family flags
-_FAMILY_SPECS = {
-    "c0": lambda args: generators.FamilySpec("c0_counterexample"),
-    "spiral": lambda args: generators.FamilySpec(
-        "planar_spiral_one_sided" if args.one_sided else "planar_spiral",
-        {"lam": _rational(args.lam), "seed": args.seed},
-    ),
-    "l2": lambda args: generators.FamilySpec("l2_nonholder"),
-}
+def _family_spec(args) -> generators.FamilySpec | None:
+    """The generator spec of the family argument, None for holder.
+    --lambda, --seed and --one-sided shape the spiral alone, at lambda
+    1/2 and seed 0 unless given; any other family refuses them."""
+    if args.family == "spiral":
+        lam = _rational("1/2" if args.lam is None else args.lam)
+        family = "planar_spiral_one_sided" if args.one_sided else "planar_spiral"
+        return generators.FamilySpec(family, {"lam": lam, "seed": args.seed or 0})
+    flags = (("--lambda", args.lam), ("--seed", args.seed), ("--one-sided", args.one_sided or None))
+    given = [flag for flag, v in flags if v is not None]
+    if given:
+        raise ValueError(f"the {args.family} family takes no {', '.join(given)}")
+    name = {"c0": "c0_counterexample", "l2": "l2_nonholder"}.get(args.family)
+    return generators.FamilySpec(name) if name else None
 
 
 def cmd_generate(args) -> Report:
-    if args.family == "holder":
+    spec = _family_spec(args)
+    if spec is None:
         if args.input is None:
             raise formats.FormatError("generate holder needs --input")
         space = formats.load_space(args.input)
@@ -307,7 +314,6 @@ def cmd_generate(args) -> Report:
             "input_digest": formats.space_digest(space),
         }
     else:
-        spec = _FAMILY_SPECS[args.family](args)
         out_space = spec.generate(args.depth)
         provenance = dict(out_space.meta)
         provenance["depth"] = args.depth
@@ -358,7 +364,7 @@ def cmd_attainment(args, space) -> Report:
 
 
 def cmd_diagnose(args) -> Report:
-    spec = _FAMILY_SPECS[args.family](args)
+    spec = _family_spec(args)
     p, q = args.pair
     diag = cls.sequence_diagnostics(spec, p, q, args.depths)
     trend = cls.strongly_exposed_verdict(spec, p, q, args.depths)

@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Mapping, Sequence, Union
 
 from . import simplex
-from .polytope import _ball_rows, _coefficients
+from .polytope import _coefficients
 from .space import EXACT, FiniteMetricSpace, Num, SpaceError, _scan_pairs
 
 
@@ -377,14 +377,14 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int):
     The LPs run in g = f - h, with h(x) = d(x,q) - d(e,q) feasible:
     phi(f,p,q) = 1 merges g(p) and g(q) into one variable and every
     right-hand side is nonnegative, so each bound is one phase-two run
-    of ``simplex._ball_phase_two`` on one set of rows. Distances, h, the
+    of ``simplex._ball_phase_two`` on one set of rows, built once by
+    ``simplex._BallRows`` and shared by every LP. Distances, h, the
     LP optima and the witnesses are ints over the unit of
     ``space._int_matrix``, so ``dist`` is not read. The seen functions
     start as h and its p-side twin d(e,p) - d(x,p); every LP optimum
     joins them. Each LP interval is checked against the closed form of
     :func:`_path_intervals` by comparing numerators before it is
-    returned; a mismatch raises LPFailure. The rows and their index by
-    variable are built once and shared by every LP.
+    returned; a mismatch raises LPFailure.
     """
     n, e = space.n, space.base_index
     dm = space._int_matrix[1]
@@ -393,15 +393,12 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int):
     # in index order (None = fixed 0). Bland's rule makes the optima depend
     # on this order.
     var_of: list[int | None] = [None] * n
-    nv = 0
-    if e not in (pi, qi):
+    shared = e not in (pi, qi)
+    if shared:
         var_of[pi] = var_of[qi] = 0
-        nv = 1
-    for x in range(n):
-        if x not in (e, pi, qi):
-            var_of[x] = nv
-            nv += 1
-    rows, b = _ball_rows(dm, var_of, h)
+    for v, x in enumerate((x for x in range(n) if x not in (e, pi, qi)), shared):
+        var_of[x] = v
+    rows = simplex._BallRows(dm, var_of, h)
     closed = _path_intervals(space, pi, qi)
 
     witnesses = [h, [dm[e][pi] - dm[x][pi] for x in range(n)]]
@@ -411,14 +408,14 @@ def _lazy_intervals(space: FiniteMetricSpace, pi: int, qi: int):
         # d > 0, so a slope is inside (-1, 1) when |w_i - w_j| < d
         if any(abs(w[i] - w[j]) < d for w in witnesses):
             return None
-        c = [0] * nv
+        c = [0] * rows.nv
         if var_of[i] is not None:
             c[var_of[i]] += 1
         if var_of[j] is not None:
             c[var_of[j]] -= 1
         bounds = []
         for maximize in (False, True):
-            g, _ = simplex._ball_phase_two(nv, rows, b, c, maximize)
+            g, _ = simplex._ball_phase_two(rows, c, maximize)
             w = [h[x] if v is None else g[v] + h[x] for x, v in enumerate(var_of)]
             bounds.append(w[i] - w[j])
             witnesses.append(w)

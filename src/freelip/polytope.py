@@ -138,30 +138,6 @@ def molecule_vector(
     return Molecule(p=space.labels[pi], q=space.labels[qi], vector=tuple(vec))
 
 
-def _ball_rows(dm: Sequence[Sequence[int]], var_of: Sequence[int | None], h: Sequence[int] | None = None):
-    """Rows of |f(x) - f(y)| <= d(x,y) over the variables g = f - h, on
-    the integer distances dm and h over one unit: each row as its
-    nonzeros, (variable, +-1) pairs, for ``simplex._ball_phase_two``, in
-    a ``simplex._BallRows`` that indexes the rows of each variable once
-    for every LP solved on them.
-
-    Point x reads variable var_of[x] (None: fixed at 0); h defaults to
-    zero. Pairs whose row vanishes are left out.
-    """
-    rows: list[list[tuple[int, int]]] = []
-    b: list[int] = []
-    for i, vi in enumerate(var_of):
-        for j in range(i + 1, len(var_of)):
-            vj = var_of[j]
-            if vi != vj:  # else both are fixed, or p and q share a variable
-                row = [(v, a) for v, a in ((vi, 1), (vj, -1)) if v is not None]
-                dh = 0 if h is None else h[i] - h[j]
-                rows += [row, [(v, -a) for v, a in row]]
-                b += [dm[i][j] - dh, dm[i][j] + dh]
-    nv = 1 + max((v for v in var_of if v is not None), default=-1)
-    return simplex._BallRows(rows, nv), b
-
-
 def free_norm(
     space: FiniteMetricSpace,
     coefficients: Sequence,
@@ -176,11 +152,12 @@ def free_norm(
 
     The LP runs on the integer distances of ``space._int_matrix`` and the
     coefficients over their common denominator, by the revised phase two
-    of ``simplex._ball_phase_two``, so ``dist`` is not read. Before it
-    returns, the optimum is re-verified in exact integers: the witness
-    (0 at e) is 1-Lipschitz, and the engine's row multipliers u are a
-    transport plan of equal cost, u >= 0, A^T u = a and b.u = a.f, which
-    proves f optimal. A failed check raises LPFailure.
+    of ``simplex._ball_phase_two`` on the rows that ``simplex._BallRows``
+    builds, so ``dist`` is not read. Before it returns, the optimum is
+    re-verified in exact integers: the witness (0 at e) is 1-Lipschitz,
+    and the engine's row multipliers u are a transport plan of equal
+    cost, u >= 0, A^T u = a and b.u = a.f, which proves f optimal. A
+    failed check raises LPFailure.
     """
     _guard(space, max_points)
     nonbase, coefficients = _coefficients(space, coefficients)
@@ -192,17 +169,17 @@ def free_norm(
     cost = [c.numerator * (c_den // c.denominator) for c in coeffs]
     unit, dm = space._int_matrix
     pos = {x: k for k, x in enumerate(nonbase)}
-    rows, b = _ball_rows(dm, [pos.get(x) for x in range(space.n)])
-    g, u = simplex._ball_phase_two(len(nonbase), rows, b, cost, True)  # maximize
+    rows = simplex._BallRows(dm, [pos.get(x) for x in range(space.n)])
+    g, u = simplex._ball_phase_two(rows, cost, True)  # maximize
     # the rows hold f(e) = 0 and every pair's |f(x) - f(y)| <= d(x,y)
-    if any(sum(a * g[v] for v, a in row) > br for row, br in zip(rows, b)):
+    if any(sum(a * g[v] for v, a in row) > br for row, br in zip(rows, rows.b)):
         raise simplex.LPFailure("free norm witness is not 1-Lipschitz")
     flow = [0] * len(cost)
     for row, ur in zip(rows, u):
         for v, a in row:
             flow[v] += a * ur
     top = sum(c * x for c, x in zip(cost, g))
-    if any(ur < 0 for ur in u) or flow != cost or sum(br * ur for br, ur in zip(b, u)) != top:
+    if any(ur < 0 for ur in u) or flow != cost or sum(br * ur for br, ur in zip(rows.b, u)) != top:
         raise simplex.LPFailure("free norm dual certificate failed verification")
     value = space.num(Fraction(top, c_den * unit))
     if with_witness:

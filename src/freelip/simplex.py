@@ -7,15 +7,14 @@ values enter and leave the solver, so feasibility and optimality
 verdicts are exact.
 
 The dense tableau (:class:`Tableau`, :func:`solve_nonneg`,
-:func:`solve_free`) is the general engine, fraction-free (Edmonds 1967;
-Bareiss, Math. Comp. 22, 1968): a row is a list of ints over one
-positive row denominator, kept in lowest terms. It is built once per
-constraint system (rows scaled to ints, slacks and artificials laid
-out, phase one run) and copied per objective for phase two. A pivot
-touches only what it changes: the pivot row's nonzero entries are
-listed once, and every other row is scaled by the pivot entry and
-updated on those columns alone. No library LP runs on it; the tests
-use it as the reference of the other two.
+:func:`solve_free`) is the public general LP and the tests' reference
+for the other two engines; no library LP runs on it. It is
+fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22, 1968): a row is a
+list of ints over one positive row denominator, kept in lowest terms,
+and a pivot replaces every row with a nonzero in the pivot column by a
+dense update. It is built once per constraint system (rows scaled to ints,
+slacks and artificials laid out, phase one run) and copied per
+objective for phase two.
 
 The vertex oracle's feasibility LP is a network LP (Ahuja, Magnanti and
 Orlin, Network Flows, 1993): each column is the incidence vector of an
@@ -38,9 +37,10 @@ element is 1. :func:`_ball_phase_two` runs their phase two as a revised
 simplex on ints alone, with no row denominator and no gcd: it keeps the
 basic columns, the tight rows and the inverse of the square block
 between them (at most n - 1 wide), and takes the dense free tableau's
-pivots. The rows of each variable are indexed once per row set
-(:class:`_BallRows`), for every LP solved on it, and an entering column
-is built and applied on its nonzero rows alone.
+pivots. :class:`_BallRows` builds the rows, their right-hand sides and
+the index of each variable's rows once per row set, for every LP solved
+on it, and an entering column is built and applied on its nonzero rows
+alone.
 """
 
 from __future__ import annotations
@@ -79,20 +79,17 @@ def _exact(v) -> int | Fraction:
 
 def _int_row(values: Sequence) -> tuple[list[int], int]:
     """The values as integers over one positive denominator, the LCM of theirs."""
-    # _exact inlined on exact types: a bool or a subclass takes the Fraction
-    # path, which gives the same numerator and denominator
-    vals = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
+    vals = [_exact(v) for v in values]
     den = lcm(*{v.denominator for v in vals})
     return [v.numerator * (den // v.denominator) for v in vals], den
 
 
 def _pivot(tab: list[list[int]], den: list[int], basis: list[int], pr: int, pc: int) -> None:
-    # Fraction-free: the pivot row becomes prow / a, every other row
-    # (row * a - f * prow) / (den * a) reduced by its gcd. Each row holds
-    # its denominator at its basic column and is in lowest terms, so
-    # prow / a already is. f * prow is subtracted on prow's nonzero
-    # columns only. Rows are replaced, never written into, so a shallow
-    # copy of a prepared tableau leaves the prepared rows intact.
+    # Fraction-free: the pivot row becomes prow / a, every other row with
+    # f != 0 becomes (row * a - f * prow) / (den * a), reduced by its gcd.
+    # Each row holds its denominator at its basic column and is in lowest
+    # terms, so prow / a already is. Rows are replaced, never written
+    # into, so a shallow copy of a prepared tableau leaves it intact.
     prow = tab[pr]
     a = prow[pc]
     if a < 0:
@@ -100,13 +97,10 @@ def _pivot(tab: list[list[int]], den: list[int], basis: list[int], pr: int, pc: 
         a = -a
     tab[pr] = prow
     den[pr] = a
-    nonzero = [(j, pv) for j, pv in enumerate(prow) if pv]
     for r, row in enumerate(tab):
         f = row[pc]
         if f and r != pr:
-            trow = row.copy() if a == 1 else [v * a for v in row]
-            for j, pv in nonzero:
-                trow[j] -= f * pv
+            trow = [v * a - f * pv for v, pv in zip(row, prow)]
             d = den[r] * a
             g = gcd(d, *trow)
             if g > 1:
@@ -380,15 +374,33 @@ def _network_phase_one(unit: int, dm: Sequence[Sequence[int]], e: int,
 
 
 class _BallRows(list):
-    """The rows of a Lipschitz-ball LP, each as its nonzeros, (variable,
-    +-1) pairs, with occ: the rows of each of the nv variables, (row,
-    +-1) pairs. Built once per row set, for every LP solved on it."""
+    """The rows of |f(x) - f(y)| <= d(x,y) over the variables g = f - h,
+    on the integer distances dm and h over one unit, each row as its
+    nonzeros, (variable, +-1) pairs, with b, the right-hand sides, nv,
+    the number of variables, and occ, the rows of each variable as
+    (row, +-1) pairs. Built once per row set, for every LP solved on it.
 
-    __slots__ = ("occ",)
+    Point x reads variable var_of[x] (None: fixed at 0); h defaults to
+    zero. Each pair i < j gives its two orientations, in index order;
+    pairs whose row vanishes are left out.
+    """
 
-    def __init__(self, rows, nv: int):
-        super().__init__(rows)
-        self.occ: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    __slots__ = ("b", "nv", "occ")
+
+    def __init__(self, dm: Sequence[Sequence[int]], var_of: Sequence[int | None],
+                 h: Sequence[int] | None = None):
+        super().__init__()
+        self.b: list[int] = []
+        for i, vi in enumerate(var_of):
+            for j in range(i + 1, len(var_of)):
+                vj = var_of[j]
+                if vi != vj:  # else both are fixed, or p and q share a variable
+                    row = [(v, a) for v, a in ((vi, 1), (vj, -1)) if v is not None]
+                    dh = 0 if h is None else h[i] - h[j]
+                    self.extend((row, [(v, -a) for v, a in row]))
+                    self.b += [dm[i][j] - dh, dm[i][j] + dh]
+        self.nv = 1 + max((v for v in var_of if v is not None), default=-1)
+        self.occ: list[list[tuple[int, int]]] = [[] for _ in range(self.nv)]
         for r, row in enumerate(self):
             for v, a in row:
                 self.occ[v].append((r, a))
@@ -433,10 +445,11 @@ def _ball_pivot(rows: Sequence[Sequence[tuple[int, int]]], basic: list[tuple[int
             del row[k]
 
 
-def _ball_phase_two(nv: int, rows: _BallRows, b: Sequence[int],
-                    cost: Sequence[int], maximize: bool = False) -> tuple[list[int], list[int]]:
+def _ball_phase_two(rows: _BallRows, cost: Sequence[int],
+                    maximize: bool = False) -> tuple[list[int], list[int]]:
     """Optimize cost.g subject to a_r.g <= b_r for every row r, g free in
-    nv variables, by phase two from the all-slack basis; every b_r >= 0.
+    the rows' nv variables, by phase two from the all-slack basis; every
+    b_r >= 0.
 
     Row r is its nonzeros, (variable, +-1) pairs: the rows of
     |f(x) - f(y)| <= d(x,y), a network matrix, which is totally
@@ -449,9 +462,9 @@ def _ball_phase_two(nv: int, rows: _BallRows, b: Sequence[int],
     Pivots are those of :class:`Tableau` with free=True on the same rows:
     Bland's lowest-index entering column in its layout (x+, then x-, then
     the slacks by row), where a basic column prices to exactly 0, and the
-    least ratio, ties to the lowest basic column. The rows, as
-    ``polytope._ball_rows`` builds them, carry the index of each
-    variable's rows, made once for all the LPs on them. The entering
+    least ratio, ties to the lowest basic column. The row set
+    (:class:`_BallRows`) carries b and the index of each variable's rows,
+    made once for all the LPs on it. The entering
     column's slack entries, A.dg, come from that index on the rows of
     dg's support alone, and only those slacks move.
 
@@ -461,11 +474,11 @@ def _ball_phase_two(nv: int, rows: _BallRows, b: Sequence[int],
     """
     if maximize:
         cost = [-v for v in cost]
-    occ = rows.occ
+    nv, occ = rows.nv, rows.occ
     basic: list[tuple[int, int]] = []
     tight: list[int] = []
     inv: list[list[int]] = []
-    g, slack = [0] * nv, list(b)
+    g, slack = [0] * nv, list(rows.b)
     while True:
         # w: the duals of the tight rows, cost_basic . inv; z = w.A
         w = [sum(cost[k] * row[j] for (k, _), row in zip(basic, inv)) for j in range(len(tight))]

@@ -14,19 +14,17 @@ routes all of these through. Their float betweenness keeps the library's
 former rule, which rechecked a snowflake's excess inside a band above
 the tolerance at 34 digits; the library now decides by the tolerance
 alone and must agree. ``reference_solve_nonneg`` is the textbook
-Fraction tableau that the integer simplex must match pivot for pivot,
-``reference_int_row`` and ``reference_pivot`` the simplex's row scaling
-by an ``isinstance`` test per value and its fraction-free pivot as a
-dense update, which the simplex must match,
-``reference_is_vertex`` the vertex oracle on dense molecule vectors,
-``reference_vertex_lp`` the oracle's network-form LP on the dense
-tableau, which the revised phase one (``freelip.simplex._network_phase_one``)
-must match,
+Fraction tableau that the integer dense tableau must match pivot for
+pivot, ``reference_is_vertex`` the vertex oracle on dense molecule
+vectors, ``reference_vertex_lp`` the oracle's network-form LP on the
+dense tableau, which the revised phase one
+(``freelip.simplex._network_phase_one``) must match,
 ``reference_ball_lp`` the dense free tableau on the Lipschitz-ball rows
 over ``dist`` (``_lip_ball_rows``), which the revised phase two of
 ``free_norm`` and lazy attainment (``freelip.simplex._ball_phase_two``)
-must match, ``reference_full_attainment`` the full attainment intervals
-by one pair of LPs per candidate on ``_AttainmentLP``, the lazy LP of
+must match on the rows of ``freelip.simplex._BallRows``,
+``reference_full_attainment`` the full attainment intervals by one pair
+of LPs per candidate on ``_AttainmentLP``, the lazy LP of
 ``freelip.lipfun._lazy_intervals`` on that dense tableau,
 ``reference_intervals_text`` the ``intervals`` text that the
 attainment command printed through the generic writer,
@@ -510,42 +508,6 @@ def reference_solve_nonneg(
     return simplex.LPResult(simplex.OPTIMAL, objective=obj, x=tuple(x))
 
 
-def reference_int_row(values: Sequence) -> tuple[list[int], int]:
-    """``freelip.simplex._int_row`` with an ``isinstance`` test per value:
-    ints and Fractions, subclasses included, as they are, anything else
-    as ``Fraction(v)``."""
-    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = math.lcm(*{v.denominator for v in vals})
-    return [v.numerator * (den // v.denominator) for v in vals], den
-
-
-def reference_pivot(tab: list[list[int]], den: list[int], basis: list[int], pr: int, pc: int) -> None:
-    """``freelip.simplex._pivot`` as a dense update: every other row with
-    f != 0 becomes (row * a - f * prow) / (den * a), reduced by its gcd,
-    one product per column. Rows are replaced, never written into."""
-    prow = tab[pr]
-    a = prow[pc]
-    if a < 0:
-        prow = [-v for v in prow]
-        a = -a
-    tab[pr] = prow
-    den[pr] = a
-    for r in range(len(tab)):
-        if r == pr:
-            continue
-        f = tab[r][pc]
-        if f:
-            trow = [tv * a - f * pv for tv, pv in zip(tab[r], prow)]
-            d = den[r] * a
-            g = math.gcd(d, *trow)
-            if g > 1:
-                trow = [v // g for v in trow]
-                d //= g
-            tab[r] = trow
-            den[r] = d
-    basis[pr] = pc
-
-
 def count_calls(monkeypatch, module, name: str, limit: int | None = None) -> list[int]:
     """Count the calls of ``module.name`` for the rest of the test; the
     count is the one item of the returned list. Past ``limit`` calls the
@@ -562,11 +524,6 @@ def count_calls(monkeypatch, module, name: str, limit: int | None = None) -> lis
 
     monkeypatch.setattr(module, name, counting)
     return calls
-
-
-def count_pivots(monkeypatch) -> list[int]:
-    """Count the calls of ``freelip.simplex._pivot``, as :func:`count_calls`."""
-    return count_calls(monkeypatch, simplex, "_pivot")
 
 
 def count_run_pivots(monkeypatch) -> list[int]:
@@ -676,7 +633,7 @@ def _lip_ball_rows(
 
     Point x reads variable var_of[x] (None: fixed at 0); h defaults to
     zero. Pairs whose row vanishes are left out. The library builds the
-    same rows as integer nonzeros (``freelip.polytope._ball_rows``).
+    same rows as integer nonzeros (``freelip.simplex._BallRows``).
     """
     a_ub: list[list[int]] = []
     b_ub: list[Fraction] = []
@@ -700,7 +657,7 @@ def _lip_ball_rows(
 def reference_ball_lp(space, var_of, nv: int, h=None) -> simplex.Tableau:
     """The dense free tableau on :func:`_lip_ball_rows`, which the revised
     phase two (``freelip.simplex._ball_phase_two``) on the integer rows of
-    ``freelip.polytope._ball_rows`` must match result for result and pivot
+    ``freelip.simplex._BallRows`` must match result for result and pivot
     for pivot."""
     return simplex.Tableau(nv, *_lip_ball_rows(space, var_of, nv, h), free=True)
 
@@ -722,25 +679,17 @@ class _AttainmentLP:
         e = space.base_index
         unit, c = space._int_matrix[0], _closure(space)
         self.h = tuple(Fraction(c[x][qi] - c[e][qi], unit) for x in range(space.n))
-        # variable ids: one per non-base point, p and q shared; None = fixed 0
+        # variable ids: the shared one of p and q first (unless one is the
+        # base), then one per other non-base point; None = fixed 0
         var_of: list[int | None] = [None] * space.n
-        nv = 0
-        rep = {pi, qi}
-        if e in rep:
-            shared = None
-        else:
-            shared = nv
-            nv += 1
+        nv = int(e not in (pi, qi))
+        if nv:
+            var_of[pi] = var_of[qi] = 0
         for x in range(space.n):
-            if x == e:
-                var_of[x] = None
-            elif x in rep:
-                var_of[x] = shared
-            else:
+            if x not in (e, pi, qi):
                 var_of[x] = nv
                 nv += 1
-        self.var_of = var_of
-        self.nv = nv
+        self.var_of, self.nv = var_of, nv
         self.lp = reference_ball_lp(space, var_of, nv, self.h)
 
     def interval(self, i: int, j: int) -> tuple[Num, Num]:

@@ -15,6 +15,7 @@ from freelip import cli, lipfun, simplex
 from freelip.cli import main
 from cli_corpus import run_corpus
 from support import (
+    count_calls,
     random_exact_space,
     random_float_space,
     random_space_with_midpoint,
@@ -569,6 +570,27 @@ def test_attainment_reads_the_integer_matrix_and_leaves_dist_unbuilt(tmp_path, c
     assert all("dist" not in vars(sp) for sp in seen)
 
 
+def test_no_command_builds_the_dense_tableau(tmp_path, capsys, monkeypatch):
+    # the dense tableau is the tests' reference and the public general LP;
+    # the oracle, attainment, free_norm and diagnose run on other engines
+    def refusing(self, *args, **kwargs):
+        raise AssertionError("the dense tableau was built")
+
+    monkeypatch.setattr(simplex.Tableau, "__init__", refusing)
+    lps = [count_calls(monkeypatch, simplex, name) for name in ("_network_phase_one", "_ball_phase_two")]
+    for seed, n in ((5, 6), (6, 7)):
+        space, (x, y, _) = random_space_with_midpoint(random.Random(seed), n, base=seed % n)
+        path = write(tmp_path, f"sp{seed}.json", freelip.space_to_dict(space))
+        for argv in (["classify", path, "--oracle"], ["attainment", path, x, y, "--intervals", "lazy"],
+                     ["attainment", path, x, y, "--intervals", "full"]):
+            assert run(capsys, *argv, "--json")[0] == 0, argv
+        freelip.free_norm(space, [random.Random(seed).randint(-9, 9) for _ in range(n - 1)], with_witness=True)
+    assert run(capsys, "diagnose", "c0", "--pair", "p", "e", "--json")[0] == 0
+    assert all(calls[0] > 0 for calls in lps)
+    with pytest.raises(AssertionError, match="dense tableau"):
+        simplex.solve_free([1], a_ub=[[1]], b_ub=[1])
+
+
 def test_attainment_lp_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
     # an LP that fails is reported on one error line, with no traceback
     def failing(*args, **kwargs):
@@ -591,6 +613,31 @@ def test_diagnose_spiral_flags(capsys):
     assert payload["sequence"]["flag"] is True
     assert payload["exposure"]["limit_property_z_flag"] is True
     assert all(r["strongly_exposed"] for r in payload["exposure"]["records"])
+
+
+NOT_SPIRAL = {
+    "generate-c0": ["generate", "c0"],
+    "generate-l2": ["generate", "l2"],
+    "generate-holder": ["generate", "holder", "--input", "SPACE"],
+    "diagnose-c0": ["diagnose", "c0", "--pair", "p", "e", "--depths", "4", "8"],
+    "diagnose-l2": ["diagnose", "l2", "--pair", "0", "e1", "--depths", "4", "8"],
+}
+SPIRAL_FLAGS = {
+    "lambda": (["--lambda", "1/3"], "--lambda"),
+    "seed": (["--seed", "0"], "--seed"),
+    "one-sided": (["--one-sided"], "--one-sided"),
+    "lambda-seed": (["--lambda", "1/0", "--seed", "5"], "--lambda, --seed"),
+}
+
+
+@pytest.mark.parametrize("command", NOT_SPIRAL.values(), ids=list(NOT_SPIRAL))
+@pytest.mark.parametrize("flags, shown", SPIRAL_FLAGS.values(), ids=list(SPIRAL_FLAGS))
+def test_family_other_than_the_spiral_refuses_the_spiral_flags(tmp_path, capsys, command, flags, shown):
+    # the flags shape the spiral alone, a given default value too; the CLI
+    # corpus digest holds what every spiral call prints without them
+    argv = [write(tmp_path, "sp.json", VALID_SPACE) if a == "SPACE" else a for a in command]
+    assert run(capsys, *argv, *flags) == (1, "", f"error: the {argv[1]} family takes no {shown}\n")
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_diagnose_refuses_depths_that_do_not_increase(capsys):
@@ -772,9 +819,11 @@ def test_cli_import_pulls_in_no_third_party_package():
 # tests/cli_corpus.py; the commands digest was re-recorded when lazy
 # attainment began to take the closed form on float spaces, which changed
 # only the eight float `attainment --json` calls without `--intervals full`:
-# each now prints what its full twin prints. argparse wraps usage lines
-# differently from Python 3.13 on
-CLI_CORPUS_COMMANDS = (1175, "10666a006eb70c684e54a635ca820df0462308c749c0ca227b3fe2a0d8ddf36c")
+# each now prints what its full twin prints; and again when the families
+# other than the spiral began to refuse the spiral's flags, which changed
+# only `generate l2 --depth 4 --lambda 1/3`: it now exits 1 on one error
+# line. argparse wraps usage lines differently from Python 3.13 on
+CLI_CORPUS_COMMANDS = (1175, "511ea5a5f724287fc9b870216cd47b41d25839d126265ef5a2d2cad7e6140602")
 CLI_CORPUS_PARSER = {
     (3, 10): "60346ec71f81db57ff1956c4db311d66560b3d25c1e78f4e6a038e4aee83a6ce",
     (3, 11): "60346ec71f81db57ff1956c4db311d66560b3d25c1e78f4e6a038e4aee83a6ce",

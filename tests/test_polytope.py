@@ -22,7 +22,6 @@ from support import (
     EQUILATERAL,
     VEE,
     count_calls,
-    count_pivots,
     count_run_pivots,
     inject_midpoint,
     labels_for,
@@ -164,8 +163,8 @@ def _patched_ball_lp(monkeypatch, change):
     # reads it
     solve = fl.simplex._ball_phase_two
 
-    def patched(nv, rows, b, cost, maximize):
-        return change(*solve(nv, rows, b, cost, maximize), b)
+    def patched(rows, cost, maximize):
+        return change(*solve(rows, cost, maximize), rows.b)
 
     monkeypatch.setattr(fl.simplex, "_ball_phase_two", patched)
 
@@ -376,15 +375,45 @@ def _vertex_lp_corpus():
                         yield unit, dm, sp.base_index, arcs, p, q
 
 
+def _checked_network_pivots(monkeypatch, limit: int):
+    """Count the pivots of the vertex LP, as ``count_calls`` with limit,
+    and check each one as it happens: the new determinant is the pivot
+    element col[pr] > 0, and no entry of the engine's rows has more bits
+    than m^2 unit^2 M (M + 2), M the largest entry of dm and m its size
+    (|adj B| <= m M, as the point rows are totally unimodular; b <= unit
+    on point rows and unit M on the distance row; each cost <= unit). A
+    wrong update fails at its first pivot, not after a ledger's worth of
+    growing integers. Returns the count and a solve that sets the bound."""
+    calls, bits = [0], [0]
+    pivot = fl.simplex._network_pivot
+
+    def checking(rows, basis, pr, pc, col, det):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise AssertionError(f"_network_pivot called more than {limit} times")
+        new = pivot(rows, basis, pr, pc, col, det)
+        assert new == col[pr] > 0, (new, col[pr])
+        assert max(max(map(abs, row)) for row in rows).bit_length() <= bits[0]
+        return new
+
+    def solve(unit, dm, e, arcs, p, q):
+        m, top = len(dm), max(map(max, dm))
+        bits[0] = (m * m * unit * unit * top * (top + 2)).bit_length()
+        return fl.simplex._network_phase_one(unit, dm, e, arcs, p, q)
+
+    monkeypatch.setattr(fl.simplex, "_network_pivot", checking)
+    return calls, solve
+
+
 def test_network_phase_one_equals_the_dense_tableau_and_pins_its_pivots(monkeypatch):
     # x and the Farkas vector equal those of the dense tableau on the same
     # network LP, and Bland's rule fixes the pivot path, so the phase-one
     # pivot total over the corpus is pinned with the results
-    taken = count_calls(monkeypatch, fl.simplex, "_network_pivot", limit=16050)
+    taken, solve = _checked_network_pivots(monkeypatch, limit=16050)
     dense = count_run_pivots(monkeypatch)
     statuses = []
     for lp in _vertex_lp_corpus():
-        got = fl.simplex._network_phase_one(*lp)
+        got = solve(*lp)
         assert got == reference_vertex_lp(*lp), (len(lp[1]), lp[4:])
         statuses.append(got.status)
     assert len(statuses) == 616
@@ -412,11 +441,11 @@ def _wide_lp_corpus():
 
 
 def test_network_phase_one_at_the_benchmark_denominators_pins_its_pivots(monkeypatch):
-    taken = count_calls(monkeypatch, fl.simplex, "_network_pivot", limit=2341)
+    taken, solve = _checked_network_pivots(monkeypatch, limit=2341)
     dense = count_run_pivots(monkeypatch)
     statuses, units = [], set()
     for lp in _wide_lp_corpus():
-        got = fl.simplex._network_phase_one(*lp)
+        got = solve(*lp)
         assert got == reference_vertex_lp(*lp), (len(lp[1]), lp[4:])
         statuses.append(got.status)
         units.add(lp[0])
@@ -507,7 +536,7 @@ def _ball_lp_corpus():
             pairs = [(x, e), (x, y)] if n <= 8 else [(x, (e, y)[n % 2])]
         for p, q in pairs:
             prob = _AttainmentLP(sp, p, q)
-            rows, b = fl.polytope._ball_rows(dm, prob.var_of, [int(v * unit) for v in prob.h])
+            rows = fl.simplex._BallRows(dm, prob.var_of, [int(v * unit) for v in prob.h])
             for i, j in combinations(range(n), 2):
                 if {i, j} != {p, q}:
                     c = [0] * prob.nv
@@ -515,20 +544,20 @@ def _ball_lp_corpus():
                         if prob.var_of[x] is not None:
                             c[prob.var_of[x]] += a
                     for maximize in (False, True):
-                        yield prob.lp, rows, b, unit, c, maximize
+                        yield prob.lp, rows, unit, c, maximize
         var_of = [None if x == e else x - (x > e) for x in range(n)]
         lp = reference_ball_lp(sp, var_of, n - 1)
-        rows, b = fl.polytope._ball_rows(dm, var_of)
+        rows = fl.simplex._BallRows(dm, var_of)
         p, q = rng.sample(range(n), 2)
         for c in (
             [rng.randint(-9, 9) for _ in range(n - 1)],
             fl.molecule_vector(sp, p, q).vector,
             [F(rng.randint(-9, 9), rng.choice(PRIMES)) for _ in range(n - 1)],
         ):
-            yield lp, rows, b, unit, c, True
+            yield lp, rows, unit, c, True
 
 
-def _check_ball_lp(lp, rows, b, unit, c, maximize, taken, dense):
+def _check_ball_lp(lp, rows, unit, c, maximize, taken, dense):
     # one LP on both engines: equal x, objective and pivot count, and the
     # multipliers are a dual optimum (u >= 0, u.A = c, u.b = c.g; -c when
     # minimizing)
@@ -536,7 +565,7 @@ def _check_ball_lp(lp, rows, b, unit, c, maximize, taken, dense):
     ref = lp.solve(c, maximize)
     c_den = lcm(*(F(v).denominator for v in c))
     cost = [int(v * c_den) for v in c]
-    g, u = fl.simplex._ball_phase_two(len(c), rows, b, cost, maximize)
+    g, u = fl.simplex._ball_phase_two(rows, cost, maximize)
     assert ref.x == tuple(F(v, unit) for v in g)
     top = sum(v * x for v, x in zip(cost, g))
     assert ref.objective == F(top, c_den * unit)
@@ -547,19 +576,19 @@ def _check_ball_lp(lp, rows, b, unit, c, maximize, taken, dense):
             flow[v] += a * ur
     sign = 1 if maximize else -1
     assert min(u, default=0) >= 0 and flow == [sign * v for v in cost]
-    assert sum(x * y for x, y in zip(b, u)) == sign * top
+    assert sum(x * y for x, y in zip(rows.b, u)) == sign * top
 
 
 def test_ball_phase_two_equals_the_dense_tableau_and_pins_its_pivots(monkeypatch):
     # The revised phase two against the dense free tableau, LP by LP; its
     # pivot total over the corpus is pinned, as Bland's rule fixes the path
     taken = count_calls(monkeypatch, fl.simplex, "_ball_pivot", limit=5365)
-    dense = count_pivots(monkeypatch)
+    dense = count_run_pivots(monkeypatch)
     solved = zero_rhs = 0
     for lp in _ball_lp_corpus():
         _check_ball_lp(*lp, taken, dense)
         solved += 1
-        zero_rhs += 0 in lp[2]
+        zero_rhs += 0 in lp[1].b
     assert solved == 1961 and 0 < zero_rhs < solved
     assert taken[0] == dense[0] == 5365
 
@@ -578,12 +607,12 @@ def test_ball_phase_two_matches_the_dense_tableau_on_any_objective(seed, n, midp
     p, q = rng.sample(range(m), 2)
     prob = _AttainmentLP(sp, p, q)
     unit, dm = sp._int_matrix
-    rows, b = fl.polytope._ball_rows(dm, prob.var_of, [int(v * unit) for v in prob.h])
+    rows = fl.simplex._BallRows(dm, prob.var_of, [int(v * unit) for v in prob.h])
     c = [F(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(prob.nv)]
     with pytest.MonkeyPatch.context() as mp:
         taken = count_calls(mp, fl.simplex, "_ball_pivot")
-        dense = count_pivots(mp)
-        _check_ball_lp(prob.lp, rows, b, unit, c, maximize, taken, dense)
+        dense = count_run_pivots(mp)
+        _check_ball_lp(prob.lp, rows, unit, c, maximize, taken, dense)
 
 
 def test_is_vertex_reads_the_integer_matrix_and_leaves_dist_unbuilt():

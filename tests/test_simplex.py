@@ -1,5 +1,7 @@
-"""The exact simplex against hand solutions, scipy, its own certificates,
-and the textbook Fraction tableau it replaced."""
+"""The dense tableau against hand solutions, scipy, its own certificates,
+and the textbook Fraction tableau it replaced, and the error guards of
+the dense tableau and the Lipschitz-ball phase two. The revised engines
+are checked against the dense tableau in test_polytope.py."""
 
 import random
 from fractions import Fraction as F
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freelip import simplex
-from support import reference_int_row, reference_pivot, reference_solve_nonneg
+from support import count_calls, reference_solve_nonneg
 
 
 def test_basic_max():
@@ -227,77 +229,35 @@ def test_tableau_rejects_a_wrong_objective_length():
         tab.solve([1, 2, 3])
 
 
-# Zeros first so that shrinking heads for sparse rows; entries past 64 bits
-# of either sign.
-TABLEAU_ENTRY = st.one_of(
-    st.just(0), st.integers(-9, 9), st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64))
-)
+def test_tableau_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(simplex.LPFailure, match="row length does not match objective length"):
+        simplex.solve_nonneg([1, 2], a_ub=[[1]], b_ub=[1])
 
 
-@st.composite
-def pivot_cases(draw):
-    """An integer tableau over positive row denominators, a basis, and a
-    pivot (pr, pc) on a nonzero entry, often 1 or -1."""
-    m, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    row = st.lists(TABLEAU_ENTRY, min_size=ncols, max_size=ncols)
-    tab = draw(st.lists(row, min_size=m, max_size=m))
-    den = draw(st.lists(st.integers(1, 2**66), min_size=m, max_size=m))
-    basis = draw(st.lists(st.integers(0, ncols - 1), min_size=m, max_size=m))
-    pr, pc = draw(st.integers(0, m - 1)), draw(st.integers(0, ncols - 1))
-    tab[pr][pc] = draw(st.one_of(st.sampled_from([1, -1]), TABLEAU_ENTRY.filter(bool)))
-    return tab, den, basis, pr, pc
+def test_ball_phase_two_rejects_an_unbounded_lp():
+    # both points read variable 0, so no row bounds it
+    rows = simplex._BallRows([[0, 1], [1, 0]], [0, 0])
+    assert rows == [] and rows.nv == 1
+    with pytest.raises(simplex.LPFailure, match="cannot be unbounded"):
+        simplex._ball_phase_two(rows, [1], True)
 
 
-@settings(max_examples=60, deadline=None)
-@given(pivot_cases())
-# a == 1: a row with f == 0 is kept, the others are copied and updated
-@example(([[1, 2, 0, 3], [0, 5, 1, 4], [2, 0, 0, 7]], [1, 1, 3], [0, 2, 1], 0, 0))
-# a negative pivot past 64 bits: the pivot row changes sign, the gcd reduces
-@example(([[2, 2**65, 0], [-(2**64 + 1), -7, 5], [0, 1, 1]], [2**66, 3, 1], [1, 0, 2], 1, 0))
-def test_sparse_pivot_equals_dense_reference(case):
-    tab, den, basis, pr, pc = case
-    rows = [tuple(row) for row in tab]
-    got = (list(tab), list(den), list(basis))
-    simplex._pivot(*got, pr, pc)
-    ref = (list(tab), list(den), list(basis))
-    reference_pivot(*ref, pr, pc)
-    assert got == ref
-    # rows are replaced, never written into
-    assert [tuple(row) for row in tab] == rows
-
-
-class _Int(int):
-    pass
-
-
-class _Frac(F):
-    pass
-
-
-ROW_VALUE = st.one_of(
-    st.integers(),
-    st.fractions(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.booleans(),
-    st.fractions().map(str),
-    st.integers().map(_Int),
-    st.fractions().map(_Frac),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(ROW_VALUE, max_size=8))
-@example([1, F(1, 3), 0.5, True, False, "1/3", "-7/12", _Int(4), _Frac(2, 9)])
-def test_int_row_equals_reference(values):
-    got = simplex._int_row(values)
-    assert got == reference_int_row(values)
-    assert all(type(v) is int for v in got[0]) and type(got[1]) is int
+def test_ball_phase_two_rejects_a_row_that_is_not_a_network_row(monkeypatch):
+    # 2 g <= 1 in place of g <= 1: the first entering column, g+, has 2 on
+    # it. No pivot comes before the check; past it the engine would loop
+    count_calls(monkeypatch, simplex, "_ball_pivot", limit=0)
+    rows = simplex._BallRows([[0, 1], [1, 0]], [0, None])
+    assert rows == [[(0, 1)], [(0, -1)]] and rows.b == [1, 1]
+    rows[0] = [(0, 2)]
+    rows.occ[0] = [(0, 2), (1, -1)]
+    with pytest.raises(simplex.LPFailure, match="an entry of the entering column is above 1"):
+        simplex._ball_phase_two(rows, [1], True)
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", None, float("nan"), float("inf"), 1j])
 def test_int_row_refuses_what_fraction_refuses(bad):
     with pytest.raises(Exception) as ref:
-        reference_int_row([1, bad])
+        F(bad)
     with pytest.raises(type(ref.value)) as got:
         simplex._int_row([1, bad])
     assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)

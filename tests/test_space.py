@@ -1,5 +1,6 @@
 """Validation, excess, segments, alignment, modulus, and the snowflake."""
 
+import argparse
 import copy
 import dataclasses
 import json
@@ -7,16 +8,19 @@ import math
 import pickle
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import freelip as fl
+from freelip import cli
 from freelip.space import (
     BadExponent, BadGrid, SamePoint, UnknownLabel, ValidationError, from_points,
 )
 from support import (
-    CHAIN, EQUILATERAL, count_calls, random_exact_space, reference_cloud_matrix, scaled,
+    CHAIN, EQUILATERAL, count_calls, random_exact_space, random_space_with_midpoint,
+    reference_cloud_matrix, scaled,
 )
 
 
@@ -249,6 +253,23 @@ def test_a_lazily_built_exact_space_behaves_as_one_built_eagerly(n, seed, k, wri
     assert repr(lazy().with_base(other)) == repr(eager.with_base(other))
     assert fl.space_digest(lazy()) == fl.space_digest(eager)
     assert fl.space_to_dict(lazy()) == fl.space_to_dict(eager)
+
+
+def test_a_space_built_without_validate_reads_the_validated_integers():
+    # validate seeds _int_matrix on an exact space; a space built from the
+    # fields alone, as dataclasses.replace builds it, derives it from dist,
+    # and every reader of it must see what it sees on the validated space
+    args = argparse.Namespace(oracle=False, pair=None, json=True)
+    for seed, n in ((3, 5), (4, 7)):
+        validated = random_space_with_midpoint(random.Random(seed), n, base=seed % n)[0]
+        plain = dataclasses.replace(validated)
+        assert "_int_matrix" in vars(validated) and "_int_matrix" not in vars(plain)
+        assert plain._int_matrix == validated._int_matrix
+        assert fl.space_digest(plain) == fl.space_digest(validated)
+        payloads = [fl.formats.dumps_pretty(cli.cmd_classify(args, sp)[2]) for sp in (plain, validated)]
+        assert payloads[0] == payloads[1]
+        for p, q in permutations(range(n), 2):
+            assert fl.is_vertex(plain, p, q) == fl.is_vertex(validated, p, q)
 
 
 FLOAT_TRIANGLE = [[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]]
