@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -250,10 +251,18 @@ def _cert_payload(cert: polytope.VertexCertificate) -> dict:
             "functional": {k: number_to_json(v) for k, v in cert.separating.items()},
             "margin": number_to_json(cert.margin),
         }
+    esc = _key_labels(cert.weights)
     return {
         "type": "convex_weights",
-        "weights": {f"{p},{q}": number_to_json(w) for (p, q), w in cert.weights.items()},
+        "weights": {f"{esc[p]},{esc[q]}": number_to_json(w) for (p, q), w in cert.weights.items()},
     }
+
+
+def _key_labels(pairs) -> dict[str, str]:
+    """Each label of the pairs as a pair key "x,y" prints it, each
+    backslash doubled and each comma escaped by one, so no two pairs
+    share a key; a label with neither prints as it is."""
+    return {x: x.replace("\\", "\\\\").replace(",", "\\,") for x in set(chain(*pairs))}
 
 
 def cmd_modulus(args, space) -> Report:
@@ -327,14 +336,15 @@ def cmd_generate(args) -> Report:
 
 
 def _put_intervals(intervals, out: list, nl: str) -> None:
-    """Append the JSON text of the ``intervals`` object, keys "x,y" and
-    values [lo, hi], as :func:`_put_pairs` appends the pairs: one format
-    string per entry, each bound as number_to_json and the writer print
-    it. Labels holding a comma can join two pairs into one key; the pair
-    later in sorted order keeps it, as a dict of the keys does."""
+    """Append the JSON text of the ``intervals`` object, keys "x,y" with
+    the labels as :func:`_key_labels` escapes them and values [lo, hi],
+    as :func:`_put_pairs` appends the pairs: one format string per entry,
+    each bound as number_to_json and the writer print it."""
     i1 = nl + "  "
     i2 = i1 + "  "
-    keyed = sorted({f"{x},{y}": bounds for (x, y), bounds in sorted(intervals.items())}.items())
+    esc = _key_labels(intervals)
+    # the keys are distinct, so the sort never compares two bounds
+    keyed = sorted((f"{esc[x]},{esc[y]}", bounds) for (x, y), bounds in intervals.items())
     key = encode_basestring_ascii
     if type(keyed[0][1][0]) is float:
         # a float space's bounds are finite: every slope lies in [-1, 1]

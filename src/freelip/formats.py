@@ -31,16 +31,18 @@ are the same.
 Numbers must be finite: an infinite or NaN entry, coordinate or eps is
 a FormatError. Exact numbers serialize canonically as "num/den"
 strings. The content digest hashes the canonicalized matrix (labels
-sorted, entries in rational normal form), so it is stable across label
-orderings.
+sorted; an exact entry as "num/den" in lowest terms, a float one by
+``float.__repr__``), so it is stable across label orderings.
 
 :func:`dumps_pretty` is the one pretty JSON writer (the CLI's ``--json``
 envelope and ``generate``'s space files): the text of
 ``json.dumps(obj, sort_keys=True, indent=2)``, built without the
-pure-Python encoder that ``indent`` selects before CPython 3.13. A value
-that is a :class:`_Rendered` appends its own text to the writer's list,
-at the indent of the line it starts on; ``classify`` prints its pair
-entries that way, one format string per entry.
+pure-Python encoder that ``indent`` selects before CPython 3.13. Each
+value is dispatched once, in the stdlib's order of tests. A value that
+is a :class:`_Rendered` appends its own text to the writer's list, at
+the indent of the line it starts on; ``classify`` prints its pairs and
+triples, and ``attainment`` its intervals, that way, one format string
+per entry.
 """
 
 from __future__ import annotations
@@ -292,7 +294,8 @@ def space_digest(space: FiniteMetricSpace) -> str:
         }
         matrix = [[text[row[j]] for j in order] for row in (m[i] for i in order)]
     else:
-        matrix = [[_canon_entry(space.dist[i][j]) for j in order] for i in order]
+        # validate stores a float space's entries as floats
+        matrix = [[_float_repr(row[j]) for j in order] for row in (space.dist[i] for i in order)]
     canon = {
         "labels": [space.labels[i] for i in order],
         "matrix": matrix,
@@ -300,12 +303,6 @@ def space_digest(space: FiniteMetricSpace) -> str:
     }
     blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _canon_entry(v) -> str:
-    if not isinstance(v, float) and isinstance(v, Fraction):  # as in parse_number
-        return f"{v.numerator}/{v.denominator}"
-    return repr(float(v))
 
 
 # -- the pretty writer -------------------------------------------------
@@ -331,9 +328,9 @@ def dumps_pretty(obj) -> str:
 
     Up to CPython 3.12 ``indent`` makes the stdlib use its pure-Python
     encoder, a chain of generators. This writer appends to one list and
-    tests the exact type of each item inline, falling back to the
-    stdlib's ``isinstance`` tests for tuples and subclasses. Values are
-    converted as the stdlib converts them: strings by the C
+    dispatches each value once, by the stdlib's ``isinstance`` tests in
+    the stdlib's order (:func:`_put_value`). Values are converted as the
+    stdlib converts them: strings by the C
     ``encode_basestring_ascii``, ints by ``int.__repr__``, floats by
     ``float.__repr__`` or as ``NaN``, ``Infinity`` and ``-Infinity``.
     Keys that are str, int, float, bool or None are converted after
@@ -405,29 +402,9 @@ def _put_object(o, out: list, nl: str) -> None:
     inner = nl + "  "
     lead, sep = "{" + inner, "," + inner
     for k, v in sorted(o.items()):
-        if type(k) is not str:
-            k = _key_text(k)
-        out.append(lead + encode_basestring_ascii(k) + ": ")
+        out.append(lead + encode_basestring_ascii(_key_text(k)) + ": ")
         lead = sep
-        t = type(v)
-        if t is str:
-            out.append(encode_basestring_ascii(v))
-        elif t is dict:
-            _put_object(v, out, inner)
-        elif t is list:
-            _put_array(v, out, inner)
-        elif v is None:
-            out.append("null")
-        elif v is True:
-            out.append("true")
-        elif v is False:
-            out.append("false")
-        elif t is int:
-            out.append(_int_text(v))
-        elif t is float:
-            out.append(_float_text(v))
-        else:
-            _put_value(v, out, inner)
+        _put_value(v, out, inner)
     out.append(nl + "}")
 
 
@@ -438,27 +415,7 @@ def _put_array(o, out: list, nl: str) -> None:
     inner = nl + "  "
     lead, sep = "[" + inner, "," + inner
     for v in o:
-        t = type(v)
-        if t is str:
-            out.append(lead + encode_basestring_ascii(v))
-        elif t is dict:
-            out.append(lead)
-            _put_object(v, out, inner)
-        elif t is list:
-            out.append(lead)
-            _put_array(v, out, inner)
-        elif v is None:
-            out.append(lead + "null")
-        elif v is True:
-            out.append(lead + "true")
-        elif v is False:
-            out.append(lead + "false")
-        elif t is int:
-            out.append(lead + _int_text(v))
-        elif t is float:
-            out.append(lead + _float_text(v))
-        else:
-            out.append(lead)
-            _put_value(v, out, inner)
+        out.append(lead)
         lead = sep
+        _put_value(v, out, inner)
     out.append(nl + "]")

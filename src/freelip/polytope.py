@@ -162,9 +162,6 @@ def free_norm(
     _guard(space, max_points)
     nonbase, coefficients = _coefficients(space, coefficients)
     coeffs = [Fraction(c) for c in coefficients]
-    if not any(coeffs):
-        value = space.num(0)
-        return (value, {space.labels[x]: Fraction(0) for x in nonbase}) if with_witness else value
     c_den = lcm(*(c.denominator for c in coeffs))
     cost = [c.numerator * (c_den // c.denominator) for c in coeffs]
     unit, dm = space._int_matrix

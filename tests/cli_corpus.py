@@ -25,7 +25,7 @@ import os
 import random
 import re
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 from freelip import cli
 
@@ -166,6 +166,7 @@ def _parser_argvs(tmp: str) -> list:
 
 
 def _command_argvs(tmp: str) -> list:
+    """Every subcommand call of the corpus, on the files in tmp."""
     at = functools.partial(os.path.join, tmp)
     argvs = [
         ["generate", "c0", "--depth", "6", "--out", at("c0.json")],
@@ -227,21 +228,28 @@ def _command_argvs(tmp: str) -> list:
     return argvs
 
 
-def _digest(argvs: list, tmp: str) -> tuple[int, str]:
-    digest = hashlib.sha256()
+def calls(argvs: list):
+    """Run each argv through ``cli.main`` in process, and yield it with its
+    exit code, stdout and stderr."""
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
-        record = [argv, code, TIMESTAMP.sub('"timestamp": "T"', out.getvalue()), err.getvalue()]
+        yield argv, code, out.getvalue(), err.getvalue()
+
+
+def _digest(argvs: list, tmp: str) -> tuple[int, str]:
+    digest = hashlib.sha256()
+    for argv, code, out, err in calls(argvs):
+        record = [argv, code, TIMESTAMP.sub('"timestamp": "T"', out), err]
         digest.update(json.dumps(record).replace(tmp, "<tmp>").encode("utf-8") + b"\n")
     return len(argvs), digest.hexdigest()
 
 
-def run_corpus() -> dict:
-    """Run the corpus: the number of calls and the digest of the subcommand
-    calls under "commands", and of the calls that argparse answers under
-    "parser"."""
+@contextmanager
+def corpus_dir():
+    """A temporary directory holding the corpus's space files, with help
+    text formatted at 80 columns while it is open."""
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
     try:
@@ -249,15 +257,23 @@ def run_corpus() -> dict:
             for name, text, _, _ in _inputs():
                 with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                     fh.write(text)
-            return {
-                "commands": _digest(_command_argvs(tmp), tmp),
-                "parser": _digest(_parser_argvs(tmp), tmp),
-            }
+            yield tmp
     finally:
         if columns is None:
             del os.environ["COLUMNS"]
         else:
             os.environ["COLUMNS"] = columns
+
+
+def run_corpus() -> dict:
+    """Run the corpus: the number of calls and the digest of the subcommand
+    calls under "commands", and of the calls that argparse answers under
+    "parser"."""
+    with corpus_dir() as tmp:
+        return {
+            "commands": _digest(_command_argvs(tmp), tmp),
+            "parser": _digest(_parser_argvs(tmp), tmp),
+        }
 
 
 if __name__ == "__main__":

@@ -27,7 +27,8 @@ must match on the rows of ``freelip.simplex._BallRows``,
 of LPs per candidate on ``_AttainmentLP``, the lazy LP of
 ``freelip.lipfun._lazy_intervals`` on that dense tableau,
 ``reference_intervals_text`` the ``intervals`` text that the
-attainment command printed through the generic writer,
+attainment command printed through the generic writer, keyed by
+``reference_pair_key``,
 ``reference_spiral_points`` the spiral generator's pairwise alignment
 test, ``reference_admissible_b`` the l2 generator's blind bisection for
 b_n, and ``reference_cloud_matrix`` the Fraction distance matrix of a
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -745,15 +747,21 @@ def reference_full_attainment(space, p, q):
     )
 
 
+def reference_pair_key(x: str, y: str) -> str:
+    """The key "x,y" of a pair in a JSON payload: each backslash and each
+    comma of a label escaped by a backslash."""
+    return ",".join(re.sub(r"[\\,]", r"\\\g<0>", label) for label in (x, y))
+
+
 def reference_intervals_text(result) -> str:
     """The ``intervals`` object of ``freelip attainment --json`` for an
     AttainmentSet, as the CLI printed it through a dict and the generic
-    writer: keys "x,y", bounds by ``number_to_json``. Labels holding a
-    comma can join two pairs into one key; the dict keeps one of them."""
+    writer: keys by :func:`reference_pair_key`, bounds by
+    ``number_to_json``."""
     return json.dumps(
         {
-            f"{x},{y}": [number_to_json(lo), number_to_json(hi)]
-            for (x, y), (lo, hi) in sorted(result.intervals.items())
+            reference_pair_key(x, y): [number_to_json(lo), number_to_json(hi)]
+            for (x, y), (lo, hi) in result.intervals.items()
         },
         sort_keys=True,
         indent=2,

@@ -9,17 +9,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import freelip
 from freelip import cli, lipfun, simplex
 from freelip.cli import main
-from cli_corpus import run_corpus
+from cli_corpus import _command_argvs, calls as corpus_calls, corpus_dir, run_corpus
 from support import (
     count_calls,
     random_exact_space,
     random_float_space,
     random_space_with_midpoint,
     reference_intervals_text,
+    reference_pair_key,
 )
 
 
@@ -535,9 +537,9 @@ def test_float_attainment_prints_negative_zero(tmp_path, capsys):
         ]
 
 
-def test_attainment_keys_that_collide_print_once(tmp_path, capsys):
-    # ("a,b", "c") and ("a", "b,c") both print as "a,b,c": the later pair in
-    # sorted order keeps the key, so full mode prints 11 keys for 12 pairs
+def test_attainment_keys_escape_the_commas_of_labels(tmp_path, capsys):
+    # unescaped, ("a,b", "c") and ("a", "b,c") would both print as "a,b,c";
+    # escaped, full mode prints one key for each of the 12 ordered pairs
     space = {
         "labels": ["a,b", "c", "a", "b,c"],
         "base": "c",
@@ -547,8 +549,48 @@ def test_attainment_keys_that_collide_print_once(tmp_path, capsys):
     path = write(tmp_path, "sp.json", space)
     _attainment_payload(capsys, path, "a,b", "c", "lazy")
     payload = _attainment_payload(capsys, path, "a,b", "c", "full")
-    assert len(payload["intervals"]) == 11
-    assert payload["intervals"]["a,b,c"] == ["1/1", "1/1"]
+    assert len(payload["intervals"]) == 12
+    assert payload["intervals"]["a\\,b,c"] == ["1/1", "1/1"]
+    assert payload["intervals"]["a,b\\,c"] == ["-1/1", "1/1"]
+
+
+def test_oracle_weights_escape_the_labels_of_their_keys(tmp_path, capsys):
+    # m is the middle of the labels a,b and c\\ (a comma and a backslash):
+    # the weights print under keys that split back into their pairs
+    doc = {"labels": ["a,b", "m", "c\\"], "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+    path = write(tmp_path, "sp.json", doc)
+    code, out, _ = run(capsys, "classify", path, "--oracle", "--json")
+    assert code == 0
+    rows = {tuple(r["pair"]): r for r in json.loads(out)["payload"]["oracle"]}
+    cert = rows[("a,b", "c\\")]["certificate"]
+    assert cert["weights"] == {"a\\,b,m": "1/2", "m,c\\\\": "1/2"}
+    assert {_split_pair_key(k) for k in cert["weights"]} == {("a,b", "m"), ("m", "c\\")}
+
+
+def _split_pair_key(key: str) -> tuple[str, ...]:
+    # the labels of a pair key: a backslash takes the next character as it
+    # is, and an unescaped comma ends a label
+    labels, label, chars = [], "", iter(key)
+    for c in chars:
+        if c == "\\":
+            label += next(chars)
+        elif c == ",":
+            labels.append(label)
+            label = ""
+        else:
+            label += c
+    return (*labels, label)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="ab,\\", max_size=4), min_size=2, max_size=5, unique=True))
+def test_pair_keys_are_distinct_and_split_back_into_their_pairs(labels):
+    pairs = [(x, y) for x in labels for y in labels if x != y]
+    esc = cli._key_labels(pairs)
+    keys = [f"{esc[x]},{esc[y]}" for x, y in pairs]
+    assert len(set(keys)) == len(pairs)
+    assert [_split_pair_key(k) for k in keys] == pairs
+    assert keys == [reference_pair_key(x, y) for x, y in pairs]
 
 
 def test_attainment_reads_the_integer_matrix_and_leaves_dist_unbuilt(tmp_path, capsys, monkeypatch):
@@ -837,3 +879,23 @@ def test_cli_corpus_digest():
     corpus = run_corpus()
     assert corpus["commands"] == CLI_CORPUS_COMMANDS
     assert corpus["parser"] == (19, CLI_CORPUS_PARSER[sys.version_info[:2]])
+
+
+def test_every_json_output_is_the_stdlib_dump_of_itself():
+    # the writer against the stdlib on every call of the corpus: each
+    # --json stdout, invalid-space reports included, and each file that
+    # generate --out writes; a call that exits 1 prints nothing
+    def dump(text):
+        return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    codes, written = [], 0
+    with corpus_dir() as tmp:
+        for argv, code, out, _ in corpus_calls(_command_argvs(tmp)):
+            if "--json" in argv:
+                assert out == ("" if code == cli.EXIT_USAGE else dump(out)), argv
+                codes.append(code)
+            if "--out" in argv and code == cli.EXIT_OK:
+                text = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+                assert text == dump(text), argv
+                written += 1
+    assert codes.count(cli.EXIT_OK) > 200 and cli.EXIT_INVALID in codes and written == 5

@@ -254,6 +254,18 @@ def test_ball_phase_two_rejects_a_row_that_is_not_a_network_row(monkeypatch):
         simplex._ball_phase_two(rows, [1], True)
 
 
+def test_ball_phase_two_rejects_one_entry_above_1_beside_a_network_row(monkeypatch):
+    # g <= 1 and 2 g <= 1: one candidate of the ratio test has 1 and the
+    # other 2, and the check refuses the column before the least ratio,
+    # the row of entry 1, would be pivoted on
+    count_calls(monkeypatch, simplex, "_ball_pivot", limit=0)
+    rows = simplex._BallRows([[0, 1], [1, 0]], [0, None])
+    rows[1] = [(0, 2)]
+    rows.occ[0] = [(0, 1), (1, 2)]
+    with pytest.raises(simplex.LPFailure, match="an entry of the entering column is above 1"):
+        simplex._ball_phase_two(rows, [1], True)
+
+
 @pytest.mark.parametrize("bad", ["abc", "1/0", None, float("nan"), float("inf"), 1j])
 def test_int_row_refuses_what_fraction_refuses(bad):
     with pytest.raises(Exception) as ref:
