@@ -1,6 +1,7 @@
 """The readers: JSON matrices, JSON point clouds and CSV, and the one
 point-cloud constructor they share with the generators."""
 
+import hashlib
 import json
 import math
 from collections import OrderedDict
@@ -404,6 +405,39 @@ def _number_outcome(fn, v):
 )
 def test_testing_fraction_last_keeps_every_outcome(fn, reference, v):
     assert _number_outcome(fn, v) == _number_outcome(reference, v)
+
+
+def _fraction_first_canon_entry(v):
+    if isinstance(v, F):
+        return f"{v.numerator}/{v.denominator}"
+    return repr(float(v))
+
+
+def _reference_digest(space):
+    # every entry of dist through one canonical rule, whatever the mode
+    order = sorted(range(space.n), key=lambda i: space.labels[i])
+    canon = {
+        "labels": [space.labels[i] for i in order],
+        "matrix": [[_fraction_first_canon_entry(space.dist[i][j]) for j in order] for i in order],
+        "mode": space.mode,
+    }
+    blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("v", NUMBER_CASES, ids=repr)
+@pytest.mark.parametrize("mode", [None, "exact", "float"])
+def test_digest_reads_each_entry_as_its_canonical_text(mode, v):
+    # the exact digest prints from the integer matrix and the float one by
+    # float.__repr__ of the stored entry; both must hash what the one rule
+    # over dist hashes, for every number a file may write
+    big = 4
+    doc = {"labels": ["b", "a", "c"], "matrix": [[0, v, big], [v, 0, big], [big, big, 0]]}
+
+    def digest_outcome(digest):
+        return _number_outcome(lambda doc: digest(fl.space_from_dict(doc, mode=mode)), doc)
+
+    assert digest_outcome(fl.space_digest) == digest_outcome(_reference_digest)
 
 
 # 3-point matrices whose entries a file may write in many ways; the
